@@ -4,10 +4,9 @@ Evaluates one bred GA generation — 50 genomes over the full SPECjvm98
 training suite under *Opt* — through the generation-batched evaluator
 twice: once pinned to the numpy rung
 (``accelerator.force_native_backend(None)``) and once pinned to the
-best compiled backend the host offers (numba when importable, else the
-``cc``-built C extension; see :mod:`repro.perf.native`), verifying
-every :class:`~repro.jvm.runtime.ExecutionReport` field agrees bit for
-bit.  The compiled kernels replay the reference scalar loop exactly —
+compiled backend (the ``cc``-built C extension; see
+:mod:`repro.perf.native`), verifying every
+:class:`~repro.jvm.runtime.ExecutionReport` field agrees bit for bit.  The compiled kernels replay the reference scalar loop exactly —
 same IEEE-754 operation order, no ``-ffast-math`` — so identity is a
 hard assertion, not a tolerance.
 
@@ -71,11 +70,11 @@ def run_native_kernel(
     n_genomes: int = 50, seed: int = 0, rounds: int = 5
 ) -> Dict[str, object]:
     """Measure numpy-rung vs compiled-kernel batched evaluation."""
-    backend = native.backend_for("numba") or native.backend_for("cext")
+    backend = native.compiled_backend()
     if backend is None:
         raise RuntimeError(
-            "no compiled kernel backend available (numba not importable, "
-            "no C compiler) — the native guard needs one of the two"
+            "no compiled kernel backend available (no working C "
+            "compiler) — the native guard needs one"
         )
 
     programs = SPECJVM98.programs(seed=0)

@@ -39,8 +39,8 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    shuttles live in named ``multiprocessing.shared_memory`` segments
    that pool workers map read-only instead of rebuilding after a
    pickle, and the serial-by-construction invocation propagation runs
-   as a compiled kernel (numba, or a ``cc``-built C extension) chosen
-   through the graceful-degradation ladder compiled -> numpy -> serial
+   as a compiled kernel (a ``cc``-built C extension) chosen through
+   the graceful-degradation ladder compiled -> numpy -> serial
    memoized -> reference; a missing compiler never breaks a run.
 
 All tiers are bitwise-exact: the accelerated paths reproduce the seed

@@ -509,9 +509,10 @@ class EvaluationAccelerator:
         ``np.float64`` arithmetic costs more than it saves.
 
         Top rung: when a compiled kernel backend is selected the row
-        runs through :meth:`KernelBackend.opt_propagate_batch` as a
-        one-row batch — the identical scalar op sequence in C, so the
-        result is bitwise-equal to the Python loop below.  A kernel
+        runs through :meth:`KernelBackend.opt_propagate_blocked` as a
+        one-row batch (block width one, so the kernel's scratch is a
+        contiguous column) — the identical scalar op sequence in C, so
+        the result is bitwise-equal to the Python loop below.  A kernel
         infrastructure failure degrades this accelerator to the Python
         loop permanently (``native_fallbacks``); a genuine
         missing-version :class:`SimulationError` propagates unchanged.
@@ -520,7 +521,7 @@ class EvaluationAccelerator:
         if backend is not None:
             try:
                 offsets, callees, rates = cache.edge_csr()
-                counts2d = backend.opt_propagate_batch(
+                counts2d = backend.opt_propagate_blocked(
                     np.asarray([resolved], dtype=np.int64),
                     program.entry_id,
                     cache.self_rate_column(),

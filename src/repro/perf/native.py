@@ -8,8 +8,7 @@ per-column propagation chains.  This module compiles those loops and
 selects an implementation at runtime through the graceful-degradation
 ladder the rest of the perf stack already follows::
 
-    compiled (numba, else a cc-built C extension) -> numpy -> serial
-    memoized -> reference
+    compiled (cc-built C extension) -> numpy -> serial memoized -> reference
 
 A missing compiler never breaks a run: resolution failures of any kind
 yield ``None`` and the callers keep their NumPy/Python paths.  The
@@ -19,23 +18,22 @@ layer (``perf.backend_selected`` event and the
 
 **Bitwise identity is the contract**, exactly as for every other rung:
 the compiled kernels replace only *scalar* loops whose operation order
-is fully determined, where a C (or numba-jitted) double performs the
-identical IEEE-754 operation sequence as the interpreter.  NumPy
-reductions (``ndarray.sum``, ``np.dot``) are never reimplemented here —
-their pairwise/BLAS accumulation order is an implementation detail the
-repo must reproduce, so :func:`repro.perf.batch.batched_cache_pressure`
-and every other reduction stay in NumPy regardless of the backend.
+is fully determined, where a C double performs the identical IEEE-754
+operation sequence as the interpreter.  NumPy reductions
+(``ndarray.sum``, ``np.dot``) are never reimplemented here — their
+pairwise/BLAS accumulation order is an implementation detail the repo
+must reproduce, so :func:`repro.perf.batch.batched_cache_pressure` and
+every other reduction stay in NumPy regardless of the backend.
 
 Selection is overridable with the ``REPRO_KERNEL_BACKEND`` environment
-variable: ``auto`` (default), ``numba``, ``cext`` (force one compiled
-rung; resolution still degrades to ``None`` when it is unavailable) or
-``numpy`` (disable compiled kernels entirely — the CI leg without
-numba pins this to prove clean degradation).
+variable: ``auto`` (default) or ``numpy`` (also ``off``/``none``:
+disable compiled kernels entirely — a CI leg pins this to prove clean
+degradation).  Any other value logs a warning and resolves as ``auto``.
 
-The C extension is built on demand — ``cc -O2 -fPIC -shared`` into a
-per-user cache directory keyed by the source hash — and loaded through
-:mod:`ctypes`; no build step, no install-time compilation, and a
-container without a C compiler simply resolves to the numpy rung.
+The C extension is built on demand with :data:`CFLAGS` into a per-user
+cache directory and loaded through :mod:`ctypes`; no build step, no
+install-time compilation, and a container without a C compiler simply
+resolves to the numpy rung.
 """
 
 from __future__ import annotations
@@ -54,11 +52,11 @@ import numpy as np
 from repro.errors import SimulationError
 
 __all__ = [
+    "CFLAGS",
     "ENV_BACKEND",
     "KernelBackend",
+    "compiled_backend",
     "get_backend",
-    "backend_for",
-    "available_backends",
     "reset_backend_cache",
 ]
 
@@ -70,8 +68,12 @@ ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 #: environment override for the compiled-kernel cache directory
 ENV_CACHE = "REPRO_KERNEL_CACHE"
 
-#: ladder order of the compiled rungs
-_COMPILED_RUNGS = ("numba", "cext")
+#: compile flags of the C extension.  ``-ffp-contract=off`` forbids
+#: fusing the kernels' ``+= c * rate`` into an FMA (GCC contracts by
+#: default wherever the target has one, e.g. aarch64 or -march=haswell),
+#: which would round once where the Python reference rounds twice; and
+#: no fast-math, which would license reassociation
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _MISSING_VERSION = (
     "method {mid} of {name!r} is invoked but has no compiled version"
@@ -92,82 +94,107 @@ def _cache_dir() -> str:
 
 
 def _find_compiler() -> Optional[str]:
+    """Absolute path of the first C compiler found, or None."""
     for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if candidate and shutil.which(candidate):
-            return candidate
+        path = candidate and shutil.which(candidate)
+        if path:
+            return path
     return None
 
 
 def _build_shared_object() -> Optional[str]:
     """Compile ``_kernels.c`` into the cache dir; return the .so path.
 
-    The object name is keyed by the source hash, so editing the source
-    invalidates stale builds; the compile goes to a temp file first and
-    is published with an atomic ``os.replace`` (concurrent builders
-    race benignly to the same bytes).  Any failure returns None.
+    The object name is keyed by the source, the resolved compiler and
+    :data:`CFLAGS`, so a change to any of them rebuilds instead of
+    loading a stale object; the compile goes to a temp file first,
+    published with an atomic ``os.replace`` (concurrent builders race
+    benignly to the same bytes) and removed on every failure path.
+    Any failure returns None.
     """
     source = _kernel_source_path()
-    try:
-        with open(source, "rb") as handle:
-            blob = handle.read()
-    except OSError:
-        return None
-    digest = hashlib.sha256(blob).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"repro_kernels_{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
     compiler = _find_compiler()
     if compiler is None:
         return None
     try:
+        with open(source, "rb") as handle:
+            key = hashlib.sha256(handle.read())
+    except OSError:
+        return None
+    key.update(os.path.realpath(compiler).encode())
+    key.update(" ".join(CFLAGS).encode())
+    cache = _cache_dir()
+    so_path = os.path.join(cache, f"repro_kernels_{key.hexdigest()[:16]}.so")
+    if os.path.exists(so_path):
+        return so_path
+    tmp = None
+    try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
-        cmd = [compiler, "-O2", "-fPIC", "-shared", "-o", tmp, source]
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120
+            [compiler, *CFLAGS, "-o", tmp, source],
+            capture_output=True, text=True, timeout=120,
         )
         if proc.returncode != 0:
             _log.info("kernel compile failed: %s", proc.stderr.strip())
-            os.unlink(tmp)
             return None
         os.replace(tmp, so_path)
+        tmp = None
         return so_path
     except (OSError, subprocess.SubprocessError) as exc:
         _log.info("kernel compile failed: %s", exc)
         return None
+    finally:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+_I64 = ctypes.c_int64
+_PI64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_PF64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_PU8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
 
 class KernelBackend:
-    """One resolved compiled implementation of the two kernels.
+    """The C extension's two kernels behind NumPy-facing entry points.
 
-    ``name`` is the rung ("numba" or "cext").  Both entry points take
-    contiguous arrays, run the compiled loop and raise the reference's
-    :class:`~repro.errors.SimulationError` on a missing compiled
-    version; any *infrastructure* failure (a bad load, an interface
-    mismatch) surfaces as an ordinary exception that the callers catch
-    to fall down the ladder.
+    Both entry points take contiguous arrays, run the compiled loop and
+    raise the reference's :class:`~repro.errors.SimulationError` on a
+    missing compiled version; any *infrastructure* failure (a bad load,
+    an interface mismatch) surfaces as an ordinary exception that the
+    callers catch to fall down the ladder.
     """
+
+    #: the rung's name, as telemetry and the benchmark fingerprint
+    #: record it
+    name = "cext"
 
     #: target footprint of one representative block's method-major
     #: scratch — half a typical L2's worth of doubles, so a block's
     #: working set survives the walk over the program's cache entries
     BLOCK_TARGET_BYTES = 262144
 
-    def __init__(
-        self,
-        name,
-        opt_fn,
-        adaptive_fn,
-        opt_blocked_fn=None,
-        adaptive_blocked_fn=None,
-    ) -> None:
-        self.name = name
-        self._opt_fn = opt_fn
-        self._adaptive_fn = adaptive_fn
-        self._opt_blocked_fn = opt_blocked_fn
-        self._adaptive_blocked_fn = adaptive_blocked_fn
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._opt_fn = lib.repro_opt_propagate_blocked
+        self._opt_fn.restype = _I64
+        self._opt_fn.argtypes = [
+            _I64, _I64, _I64, _I64,
+            _PI64, _PF64, _PI64, _PI64, _PF64,
+            _PF64, _PF64,
+        ]
+        self._adaptive_fn = lib.repro_adaptive_propagate_blocked
+        self._adaptive_fn.restype = _I64
+        self._adaptive_fn.argtypes = [
+            _I64, _I64, _I64, _I64, _I64,
+            _PI64, _PI64,
+            _PF64, _PI64, _PI64, _PF64,
+            _PU8, _PF64, _PI64, _PI64, _PF64,
+            _PF64, _PF64,
+        ]
         # per-method-count scratch pool for the counts output.  A
         # generation's counts matrix is ~1 MB — above glibc's mmap
         # threshold — so a fresh allocation per call costs an mmap plus
@@ -176,9 +203,8 @@ class KernelBackend:
         # accounting) fully consume the matrix before the next call, so
         # handing back the same buffer is safe.
         self._scratch: dict = {}
-        # (n_methods, block) method-major working matrices for the
-        # blocked kernels, keyed by method count (the block width is a
-        # pure function of it)
+        # (n_methods, block) method-major working matrices, keyed by
+        # method count and grown to the widest block seen
         self._block_pool: dict = {}
 
     def _counts_buffer(self, n_reps: int, n_methods: int) -> np.ndarray:
@@ -192,15 +218,30 @@ class KernelBackend:
         """Representatives per cache block for an *n_methods* program."""
         return max(1, self.BLOCK_TARGET_BYTES // (8 * max(1, n_methods)))
 
-    def _block_scratch(self, n_methods: int, block: int) -> np.ndarray:
+    def _block_scratch(self, n_reps: int, n_methods: int):
+        """The block width for an *n_reps*-row call and its scratch.
+
+        The width is clamped to the row count, so a short call (the
+        serial path's one-row batch) walks a compact scratch instead of
+        striding over a full block's columns.  The kernel uses the
+        width as the scratch stride, so any width yields the same bits.
+        """
+        block = max(1, min(self.block_width(n_methods), n_reps))
         buf = self._block_pool.get(n_methods)
         if buf is None or buf.shape[1] < block:
             buf = np.empty((n_methods, block), dtype=np.float64)
             self._block_pool[n_methods] = buf
-        return buf
+        return block, buf
+
+    def _check(self, err: int, program_name: str) -> None:
+        if err:
+            mid = -int(err) - 1
+            raise SimulationError(
+                _MISSING_VERSION.format(mid=mid, name=program_name)
+            )
 
     # ------------------------------------------------------------------
-    def opt_propagate_batch(
+    def opt_propagate_blocked(
         self,
         resolved: np.ndarray,
         entry_id: int,
@@ -212,31 +253,34 @@ class KernelBackend:
     ) -> np.ndarray:
         """Invocation counts for a batch of Opt representative rows.
 
-        Bitwise equal, row by row, to
-        :meth:`EvaluationAccelerator._propagate` on that row alone.
+        Row ``r`` is bitwise equal to
+        :meth:`EvaluationAccelerator._propagate` on that row alone; the
+        kernel walks methods in the outer loop over blocks of
+        representatives so each cache entry's CSR row is applied to a
+        whole block while hot.  Returns a view of a reusable scratch
+        matrix, valid until the next call.
         """
         resolved = np.ascontiguousarray(resolved, dtype=np.int64)
         n_reps, n_methods = resolved.shape
+        block, scratch = self._block_scratch(n_reps, n_methods)
         counts = self._counts_buffer(n_reps, n_methods)
         err = self._opt_fn(
             n_reps,
             n_methods,
             int(entry_id),
+            block,
             resolved,
             np.ascontiguousarray(self_rate, dtype=np.float64),
             np.ascontiguousarray(edge_offsets, dtype=np.int64),
             np.ascontiguousarray(edge_callees, dtype=np.int64),
             np.ascontiguousarray(edge_rates, dtype=np.float64),
+            scratch,
             counts,
         )
-        if err:
-            mid = -int(err) - 1
-            raise SimulationError(
-                _MISSING_VERSION.format(mid=mid, name=program_name)
-            )
+        self._check(err, program_name)
         return counts
 
-    def adaptive_propagate_matrix(
+    def adaptive_propagate_blocked(
         self,
         entry_matrix: np.ndarray,
         entry_id: int,
@@ -256,125 +300,19 @@ class KernelBackend:
 
         Returns ``(n_reps, n_methods)``; row ``r`` is bitwise equal to
         :meth:`EvaluationAccelerator._propagate_adaptive` for
-        representative ``r``.
+        representative ``r``.  Same blocking and scratch reuse as
+        :meth:`opt_propagate_blocked`.
         """
         entry_matrix = np.ascontiguousarray(entry_matrix, dtype=np.int64)
         n_reps, n_promoted = entry_matrix.shape
         n_methods = len(promoted_slot)
+        block, scratch = self._block_scratch(n_reps, n_methods)
         counts = self._counts_buffer(n_reps, n_methods)
         err = self._adaptive_fn(
             n_reps,
             n_methods,
             int(entry_id),
             n_promoted,
-            entry_matrix,
-            np.ascontiguousarray(promoted_slot, dtype=np.int64),
-            np.ascontiguousarray(entry_self_rate, dtype=np.float64),
-            np.ascontiguousarray(entry_offsets, dtype=np.int64),
-            np.ascontiguousarray(entry_callees, dtype=np.int64),
-            np.ascontiguousarray(entry_rates, dtype=np.float64),
-            np.ascontiguousarray(base_present, dtype=np.uint8),
-            np.ascontiguousarray(base_self_rate, dtype=np.float64),
-            np.ascontiguousarray(base_offsets, dtype=np.int64),
-            np.ascontiguousarray(base_callees, dtype=np.int64),
-            np.ascontiguousarray(base_rates, dtype=np.float64),
-            counts,
-        )
-        if err:
-            mid = -int(err) - 1
-            raise SimulationError(
-                _MISSING_VERSION.format(mid=mid, name=program_name)
-            )
-        return counts
-
-    # ------------------------------------------------------------------
-    # cache-blocked entry points (multi-representative calls)
-    # ------------------------------------------------------------------
-    def opt_propagate_blocked(
-        self,
-        resolved: np.ndarray,
-        entry_id: int,
-        self_rate: np.ndarray,
-        edge_offsets: np.ndarray,
-        edge_callees: np.ndarray,
-        edge_rates: np.ndarray,
-        program_name: str = "?",
-    ) -> np.ndarray:
-        """Blocked twin of :meth:`opt_propagate_batch`.
-
-        Same inputs, same bitwise-identical output rows; the kernel
-        walks methods in the outer loop over blocks of representatives
-        so each cache entry's CSR row is applied to a whole block while
-        hot.  Falls back to the rep-major kernel when this rung has no
-        blocked implementation.
-        """
-        if self._opt_blocked_fn is None:
-            return self.opt_propagate_batch(
-                resolved, entry_id, self_rate,
-                edge_offsets, edge_callees, edge_rates,
-                program_name=program_name,
-            )
-        resolved = np.ascontiguousarray(resolved, dtype=np.int64)
-        n_reps, n_methods = resolved.shape
-        block = self.block_width(n_methods)
-        scratch = self._block_scratch(n_methods, block)
-        counts = self._counts_buffer(n_reps, n_methods)
-        err = self._opt_blocked_fn(
-            n_reps,
-            n_methods,
-            int(entry_id),
-            block,
-            resolved,
-            np.ascontiguousarray(self_rate, dtype=np.float64),
-            np.ascontiguousarray(edge_offsets, dtype=np.int64),
-            np.ascontiguousarray(edge_callees, dtype=np.int64),
-            np.ascontiguousarray(edge_rates, dtype=np.float64),
-            scratch,
-            counts,
-        )
-        if err:
-            mid = -int(err) - 1
-            raise SimulationError(
-                _MISSING_VERSION.format(mid=mid, name=program_name)
-            )
-        return counts
-
-    def adaptive_propagate_blocked(
-        self,
-        entry_matrix: np.ndarray,
-        entry_id: int,
-        promoted_slot: np.ndarray,
-        entry_self_rate: np.ndarray,
-        entry_offsets: np.ndarray,
-        entry_callees: np.ndarray,
-        entry_rates: np.ndarray,
-        base_present: np.ndarray,
-        base_self_rate: np.ndarray,
-        base_offsets: np.ndarray,
-        base_callees: np.ndarray,
-        base_rates: np.ndarray,
-        program_name: str = "?",
-    ) -> np.ndarray:
-        """Blocked twin of :meth:`adaptive_propagate_matrix`."""
-        if self._adaptive_blocked_fn is None:
-            return self.adaptive_propagate_matrix(
-                entry_matrix, entry_id, promoted_slot,
-                entry_self_rate, entry_offsets, entry_callees, entry_rates,
-                base_present, base_self_rate, base_offsets,
-                base_callees, base_rates,
-                program_name=program_name,
-            )
-        entry_matrix = np.ascontiguousarray(entry_matrix, dtype=np.int64)
-        n_reps, n_promoted = entry_matrix.shape
-        n_methods = len(promoted_slot)
-        block = self.block_width(n_methods)
-        scratch = self._block_scratch(n_methods, block)
-        counts = self._counts_buffer(n_reps, n_methods)
-        err = self._adaptive_blocked_fn(
-            n_reps,
-            n_methods,
-            int(entry_id),
-            n_promoted,
             block,
             entry_matrix,
             np.ascontiguousarray(promoted_slot, dtype=np.int64),
@@ -390,261 +328,42 @@ class KernelBackend:
             scratch,
             counts,
         )
-        if err:
-            mid = -int(err) - 1
-            raise SimulationError(
-                _MISSING_VERSION.format(mid=mid, name=program_name)
-            )
+        self._check(err, program_name)
         return counts
 
-
-# ----------------------------------------------------------------------
-# cext rung: ctypes over the cc-built shared object
-# ----------------------------------------------------------------------
-_I64 = ctypes.c_int64
-_PI64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_PF64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_PU8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+    #: aliases: the per-layer tracer of ``benchmarks/e2e`` hooks these
+    #: names as well as the two above
+    opt_propagate_batch = opt_propagate_blocked
+    adaptive_propagate_matrix = adaptive_propagate_blocked
 
 
-def _load_cext() -> Optional[KernelBackend]:
-    so_path = _build_shared_object()
-    if so_path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(so_path)
-        opt = lib.repro_opt_propagate_batch
-        opt.restype = _I64
-        opt.argtypes = [_I64, _I64, _I64, _PI64, _PF64, _PI64, _PI64, _PF64, _PF64]
-        adaptive = lib.repro_adaptive_propagate_matrix
-        adaptive.restype = _I64
-        adaptive.argtypes = [
-            _I64, _I64, _I64, _I64,
-            _PI64, _PI64,
-            _PF64, _PI64, _PI64, _PF64,
-            _PU8, _PF64, _PI64, _PI64, _PF64,
-            _PF64,
-        ]
-        opt_blocked = lib.repro_opt_propagate_blocked
-        opt_blocked.restype = _I64
-        opt_blocked.argtypes = [
-            _I64, _I64, _I64, _I64,
-            _PI64, _PF64, _PI64, _PI64, _PF64,
-            _PF64, _PF64,
-        ]
-        adaptive_blocked = lib.repro_adaptive_propagate_blocked
-        adaptive_blocked.restype = _I64
-        adaptive_blocked.argtypes = [
-            _I64, _I64, _I64, _I64, _I64,
-            _PI64, _PI64,
-            _PF64, _PI64, _PI64, _PF64,
-            _PU8, _PF64, _PI64, _PI64, _PF64,
-            _PF64, _PF64,
-        ]
-    except (OSError, AttributeError) as exc:
-        _log.info("kernel load failed: %s", exc)
-        return None
-    return KernelBackend("cext", opt, adaptive, opt_blocked, adaptive_blocked)
-
-
-# ----------------------------------------------------------------------
-# numba rung: jitted twins of the same loops
-# ----------------------------------------------------------------------
-def _load_numba() -> Optional[KernelBackend]:
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=True)
-    def _opt(n_reps, n_methods, entry_id, resolved, self_rate,
-             edge_offsets, edge_callees, edge_rates, counts):
-        for r in range(n_reps):
-            for m in range(n_methods):
-                counts[r, m] = 0.0
-            counts[r, entry_id] = 1.0
-            for mid in range(n_methods):
-                c = counts[r, mid]
-                if c <= 0.0:
-                    continue
-                entry = resolved[r, mid]
-                if entry < 0:
-                    return -(mid + 1)
-                sr = self_rate[entry]
-                if sr > 0.0:
-                    c = c / (1.0 - sr)
-                    counts[r, mid] = c
-                for k in range(edge_offsets[entry], edge_offsets[entry + 1]):
-                    counts[r, edge_callees[k]] += c * edge_rates[k]
-        return 0
-
-    @numba.njit(cache=True)
-    def _adaptive(n_reps, n_methods, entry_id, n_promoted, entry_matrix,
-                  promoted_slot, entry_self_rate, entry_offsets,
-                  entry_callees, entry_rates, base_present, base_self_rate,
-                  base_offsets, base_callees, base_rates, counts):
-        for r in range(n_reps):
-            for m in range(n_methods):
-                counts[r, m] = 0.0
-            counts[r, entry_id] = 1.0
-            for mid in range(n_methods):
-                c = counts[r, mid]
-                if c <= 0.0:
-                    continue
-                slot = promoted_slot[mid]
-                if slot >= 0:
-                    e = entry_matrix[r, slot]
-                    if e < 0:
-                        return -(mid + 1)
-                    sr = entry_self_rate[e]
-                    lo = entry_offsets[e]
-                    hi = entry_offsets[e + 1]
-                    promoted = True
-                else:
-                    if base_present[mid] == 0:
-                        return -(mid + 1)
-                    sr = base_self_rate[mid]
-                    lo = base_offsets[mid]
-                    hi = base_offsets[mid + 1]
-                    promoted = False
-                if sr > 0.0:
-                    c = c / (1.0 - sr)
-                    counts[r, mid] = c
-                if promoted:
-                    for k in range(lo, hi):
-                        counts[r, entry_callees[k]] += c * entry_rates[k]
-                else:
-                    for k in range(lo, hi):
-                        counts[r, base_callees[k]] += c * base_rates[k]
-        return 0
-
-    @numba.njit(cache=True)
-    def _opt_blocked(n_reps, n_methods, entry_id, block, resolved,
-                     self_rate, edge_offsets, edge_callees, edge_rates,
-                     scratch, counts):
-        for b0 in range(0, n_reps, block):
-            bw = min(block, n_reps - b0)
-            for m in range(n_methods):
-                for r in range(bw):
-                    scratch[m, r] = 0.0
-            for r in range(bw):
-                scratch[entry_id, r] = 1.0
-            for mid in range(n_methods):
-                for r in range(bw):
-                    c = scratch[mid, r]
-                    if c <= 0.0:
-                        continue
-                    entry = resolved[b0 + r, mid]
-                    if entry < 0:
-                        return -(mid + 1)
-                    sr = self_rate[entry]
-                    if sr > 0.0:
-                        c = c / (1.0 - sr)
-                        scratch[mid, r] = c
-                    for k in range(edge_offsets[entry], edge_offsets[entry + 1]):
-                        scratch[edge_callees[k], r] += c * edge_rates[k]
-            for r in range(bw):
-                for m in range(n_methods):
-                    counts[b0 + r, m] = scratch[m, r]
-        return 0
-
-    @numba.njit(cache=True)
-    def _adaptive_blocked(n_reps, n_methods, entry_id, n_promoted, block,
-                          entry_matrix, promoted_slot, entry_self_rate,
-                          entry_offsets, entry_callees, entry_rates,
-                          base_present, base_self_rate, base_offsets,
-                          base_callees, base_rates, scratch, counts):
-        for b0 in range(0, n_reps, block):
-            bw = min(block, n_reps - b0)
-            for m in range(n_methods):
-                for r in range(bw):
-                    scratch[m, r] = 0.0
-            for r in range(bw):
-                scratch[entry_id, r] = 1.0
-            for mid in range(n_methods):
-                slot = promoted_slot[mid]
-                for r in range(bw):
-                    c = scratch[mid, r]
-                    if c <= 0.0:
-                        continue
-                    if slot >= 0:
-                        e = entry_matrix[b0 + r, slot]
-                        if e < 0:
-                            return -(mid + 1)
-                        sr = entry_self_rate[e]
-                        lo = entry_offsets[e]
-                        hi = entry_offsets[e + 1]
-                        promoted = True
-                    else:
-                        if base_present[mid] == 0:
-                            return -(mid + 1)
-                        sr = base_self_rate[mid]
-                        lo = base_offsets[mid]
-                        hi = base_offsets[mid + 1]
-                        promoted = False
-                    if sr > 0.0:
-                        c = c / (1.0 - sr)
-                        scratch[mid, r] = c
-                    if promoted:
-                        for k in range(lo, hi):
-                            scratch[entry_callees[k], r] += c * entry_rates[k]
-                    else:
-                        for k in range(lo, hi):
-                            scratch[base_callees[k], r] += c * base_rates[k]
-            for r in range(bw):
-                for m in range(n_methods):
-                    counts[b0 + r, m] = scratch[m, r]
-        return 0
-
-    def opt_fn(n_reps, n_methods, entry_id, resolved, self_rate,
-               edge_offsets, edge_callees, edge_rates, counts):
-        return _opt(n_reps, n_methods, entry_id, resolved, self_rate,
-                    edge_offsets, edge_callees, edge_rates, counts)
-
-    def adaptive_fn(*args):
-        return _adaptive(*args)
-
-    def opt_blocked_fn(*args):
-        return _opt_blocked(*args)
-
-    def adaptive_blocked_fn(*args):
-        return _adaptive_blocked(*args)
-
-    return KernelBackend(
-        "numba", opt_fn, adaptive_fn, opt_blocked_fn, adaptive_blocked_fn
-    )
-
-
-_LOADERS = {"numba": _load_numba, "cext": _load_cext}
-
-#: per-process resolution cache: {rung: backend-or-None}
-_RUNG_CACHE: dict = {}
-
-#: the resolved process-wide backend; _UNSET until first get_backend()
+#: sentinel for "not resolved yet" in the two caches below
 _UNSET = object()
+
+#: the loaded C extension (or None); _UNSET until compiled_backend()
+_COMPILED = _UNSET
+
+#: the process-wide selection; _UNSET until get_backend()
 _SELECTED = _UNSET
 
 
-def backend_for(name: str) -> Optional[KernelBackend]:
-    """Resolve one specific rung (tests and benchmarks pin with this).
+def compiled_backend() -> Optional[KernelBackend]:
+    """The C extension, built and loaded once per process, or None.
 
-    Returns None when the rung is unavailable; never emits telemetry
-    and never mutates the process-wide selection.
+    Tests and benchmarks pin the compiled rung with this.  Never emits
+    telemetry and never changes the process-wide selection; any
+    failure to build or load yields None.
     """
-    if name not in _LOADERS:
-        return None
-    if name not in _RUNG_CACHE:
+    global _COMPILED
+    if _COMPILED is _UNSET:
+        _COMPILED = None
         try:
-            _RUNG_CACHE[name] = _LOADERS[name]()
+            so_path = _build_shared_object()
+            if so_path is not None:
+                _COMPILED = KernelBackend(ctypes.CDLL(so_path))
         except Exception as exc:  # resolution must never break a run
-            _log.info("backend %s failed to resolve: %s", name, exc)
-            _RUNG_CACHE[name] = None
-    return _RUNG_CACHE[name]
-
-
-def available_backends() -> list:
-    """Names of the compiled rungs that resolve on this host."""
-    return [name for name in _COMPILED_RUNGS if backend_for(name) is not None]
+            _log.info("kernel backend failed to load: %s", exc)
+    return _COMPILED
 
 
 def _announce(name: str) -> None:
@@ -665,8 +384,8 @@ def _announce(name: str) -> None:
 def get_backend() -> Optional[KernelBackend]:
     """The process-wide compiled backend, or None (= numpy rung).
 
-    Resolution order: ``REPRO_KERNEL_BACKEND`` override first, then
-    numba, then the cc-built C extension.  Resolved once per process;
+    ``REPRO_KERNEL_BACKEND=numpy`` selects None; otherwise the C
+    extension when it builds and loads.  Resolved once per process;
     the choice is announced through telemetry on first resolution.
     """
     global _SELECTED
@@ -674,19 +393,12 @@ def get_backend() -> Optional[KernelBackend]:
         return _SELECTED
     requested = os.environ.get(ENV_BACKEND, "auto").strip().lower()
     backend: Optional[KernelBackend] = None
-    if requested in ("numpy", "off", "none"):
-        backend = None
-    elif requested in _LOADERS:
-        backend = backend_for(requested)
-    else:
+    if requested not in ("numpy", "off", "none"):
         if requested != "auto":
             _log.warning(
                 "unknown %s=%r; using auto", ENV_BACKEND, requested
             )
-        for name in _COMPILED_RUNGS:
-            backend = backend_for(name)
-            if backend is not None:
-                break
+        backend = compiled_backend()
     _SELECTED = backend
     _announce(backend.name if backend is not None else "numpy")
     return backend
@@ -694,6 +406,6 @@ def get_backend() -> Optional[KernelBackend]:
 
 def reset_backend_cache() -> None:
     """Forget the resolved selection (tests re-resolve after env edits)."""
-    global _SELECTED
+    global _COMPILED, _SELECTED
+    _COMPILED = _UNSET
     _SELECTED = _UNSET
-    _RUNG_CACHE.clear()

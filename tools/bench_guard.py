@@ -27,20 +27,13 @@ baseline:
   ``benchmarks/BENCH_adaptive_baseline.json``, 2x acceptance floor.
 * ``benchmarks/bench_native_kernel.py`` — the same generation under
   *Opt* through the batched evaluator pinned to the numpy rung vs
-  pinned to the compiled kernel backend (``repro.perf.native``: numba
-  when importable, else the ``cc``-built C extension), steady-state
-  propagation with warm plan caches.  Results in
+  pinned to the compiled kernel backend (``repro.perf.native``: the
+  ``cc``-built C extension and its cache-blocked kernels),
+  steady-state propagation with warm plan caches.  Results in
   ``benchmarks/BENCH_native.json``, baseline in
   ``benchmarks/BENCH_native_baseline.json``, 2x acceptance floor.
-  Needs a compiled backend (it raises without one) — hosts with
-  neither numba nor a C compiler should run the other guards only.
-* ``benchmarks/bench_blocked_kernel.py`` — the same *Opt* generation's
-  propagation through the compiled backend dispatched one
-  representative at a time vs one cache-blocked batched call
-  (``opt_propagate_blocked``), warm plan caches.  Results in
-  ``benchmarks/BENCH_blocked.json``, baseline in
-  ``benchmarks/BENCH_blocked_baseline.json``, 1.3x acceptance floor.
-  Needs a compiled backend, like the native guard.
+  Needs a compiled backend (it raises without one) — hosts without a
+  C compiler should run the other guards only.
 * ``benchmarks/bench_store_tier.py`` — the sharded store tier
   (``repro.perf.storetier``) vs the legacy single-file store: batched
   warm-start lookup against an 8-context store (indexed pack query vs
@@ -115,14 +108,6 @@ GUARDS = (
         "BENCH_native.json",
         "BENCH_native_baseline.json",
         2.0,
-    ),
-    (
-        "blocked",
-        "bench_blocked_kernel",
-        "run_blocked_kernel",
-        "BENCH_blocked.json",
-        "BENCH_blocked_baseline.json",
-        1.3,
     ),
     (
         "store",
