@@ -470,7 +470,7 @@ def _cmd_campaign(args) -> int:
     )
     if totals.get("plan_preloaded") or totals.get("plan_warm_hits"):
         print(
-            f"plans    : {int(totals['plan_preloaded'])} entries preloaded "
+            f"plans    : {int(totals['plan_preloaded'])} entries fetched "
             f"from the shared archive, {int(totals['plan_warm_hits'])} warm "
             f"hits, {int(totals['plan_recompiles'])} recompiles"
         )

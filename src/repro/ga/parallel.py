@@ -78,8 +78,8 @@ class _PlanSeededFitness:
 
     Installs the process-global plan-share client (idempotent per
     archive name) before the first evaluation, so the worker's
-    accelerator preloads the coordinator's compiled plan caches instead
-    of recompiling them.  Attachment failure degrades the worker to
+    accelerator fetches the coordinator's compiled plans on a cache miss
+    instead of recompiling them.  Attachment failure degrades the worker to
     private caches — never to an error.
     """
 

@@ -85,47 +85,40 @@ class AdaptiveBatchKernel:
         resolved: np.ndarray,
         missing_rows: np.ndarray,
     ) -> None:
-        """Compile what the broadcast match left unresolved, grouped.
+        """Fetch or compile what the broadcast match left unresolved,
+        grouped.
 
-        Visits the unresolved genomes in population order and their
-        promoted methods in promotion order — the serial reference
-        order, so :meth:`MethodPlanCache.add` sees the identical entry
-        sequence.  After each compile, the traced region's integer
-        bounds are broadcast against the whole generation's parameter
-        matrix and every covered genome is resolved in place: genomes
-        sharing the plan's region never reach the compiler (the serial
-        path rediscovered this with a full per-genome re-match).
+        Visits the unresolved genomes in population order and fills
+        each through :meth:`EvaluationAccelerator._resolve_missing` —
+        the serial path's helper, so :meth:`MethodPlanCache.add` sees
+        the identical entry sequence.  After each genome, every new
+        entry's region bounds are broadcast against the whole
+        generation's parameter matrix and every covered genome is
+        resolved in place: genomes sharing a plan's region never reach
+        the compiler or the archive (the serial path rediscovered this
+        with a full per-genome re-match).
         """
         stats = self.accelerator.stats
-        skeleton = state.skeleton
+        promotions = state.skeleton.promotions
         cache = state.cache
-        traced = self.accelerator._traced(state)
-        use_hot = self.vm.scenario.uses_hot_callsite_heuristic
-        builds = 0
         for g in missing_rows.tolist():
             row = resolved[g]
             values = params_list[g].as_tuple()
-            for mid, level in skeleton.promotions:
-                if row[mid] >= 0:
-                    continue
-                version, region = traced.compile(
-                    mid,
-                    values,
-                    level,
-                    hot_sites=skeleton.hot_sites,
-                    use_hot_heuristic=use_hot,
-                )
-                entry = cache.add(mid, region, version)
-                builds += 1
-                # fan the fresh version out to every genome the region
+            missing = [(mid, mid, level) for mid, level in promotions if row[mid] < 0]
+            first = len(cache)
+            builds = self.accelerator._resolve_missing(state, values, missing, row)
+            compiled = len(cache) - builds
+            for entry in range(first, len(cache)):
+                # fan the new version out to every genome the region
                 # covers; regions of one method are disjoint, so no
                 # covered genome can already hold a different entry
-                covered = np.flatnonzero(region_covers(region, values_matrix))
-                resolved[covered, mid] = entry
-                if len(covered) > 1:
+                covered = np.flatnonzero(
+                    region_covers(cache.region(entry), values_matrix)
+                )
+                resolved[covered, cache.version(entry).method_id] = entry
+                if entry >= compiled and len(covered) > 1:
                     stats.adaptive_grouped_compiles += 1
                     stats.adaptive_group_covered += len(covered) - 1
-        stats.method_builds += builds
 
     # ------------------------------------------------------------------
     # matrix invocation propagation

@@ -188,7 +188,7 @@ class GenerationBatchEvaluator:
 
         builds_before = stats.method_builds
         resolved = self._resolve_batch(state, params_list, values_matrix, key_mids, adaptive)
-        if state.preloaded:
+        if state.archived is not None:
             builds = stats.method_builds - builds_before
             stats.plan_warm_hits += n_genomes * len(key_mids) - builds
             stats.plan_recompiles += builds
@@ -290,14 +290,15 @@ class GenerationBatchEvaluator:
         key_mids: Sequence[int],
         adaptive: bool,
     ) -> np.ndarray:
-        """Resolve all genomes to entry rows, compiling what's missing.
+        """Resolve all genomes to entry rows, fetching or compiling
+        what's missing.
 
         The broadcast match covers everything already cached; genomes
         with unresolved methods are then visited in population order —
-        a compile triggered by an earlier genome can cover a later one,
-        so each such genome re-matches against the by-then-current
-        cache before compiling the remainder (exactly the serial
-        ordering).
+        an entry added for an earlier genome can cover a later one, so
+        each such genome re-matches against the by-then-current cache
+        before :meth:`EvaluationAccelerator._resolve_missing` fills the
+        remainder (exactly the serial ordering).
         """
         acc = self.accelerator
         cache = state.cache
@@ -316,38 +317,17 @@ class GenerationBatchEvaluator:
             )
             return resolved
 
-        traced = acc._traced(state)
         if adaptive:
-            skeleton = state.skeleton
-            use_hot = self.vm.scenario.uses_hot_callsite_heuristic
+            wanted = state.skeleton.promotions
         else:
             level = self.vm.scenario.opt_level
-        builds = 0
+            wanted = [(mid, level) for mid in key_mids]
         for g in missing_rows.tolist():
             values = params_list[g].as_tuple()
             row = cache.match(values)
-            if adaptive:
-                for mid, promo_level in skeleton.promotions:
-                    if row[mid] >= 0:
-                        continue
-                    version, region = traced.compile(
-                        mid,
-                        values,
-                        promo_level,
-                        hot_sites=skeleton.hot_sites,
-                        use_hot_heuristic=use_hot,
-                    )
-                    row[mid] = cache.add(mid, region, version)
-                    builds += 1
-            else:
-                for mid in key_mids:
-                    if row[mid] >= 0:
-                        continue
-                    version, region = traced.compile(mid, values, level)
-                    row[mid] = cache.add(mid, region, version)
-                    builds += 1
+            missing = [(mid, mid, lvl) for mid, lvl in wanted if row[mid] < 0]
+            acc._resolve_missing(state, values, missing, row)
             resolved[g] = row
-        acc.stats.method_builds += builds
         return resolved
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ independent scalar operations.
 
 from __future__ import annotations
 
+import logging
 import weakref
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -44,9 +45,11 @@ from repro.jvm.codecache import hot_code_size, pressure_factor
 from repro.jvm.compiled import CompiledMethod
 from repro.jvm.inlining import InliningParameters
 from repro.perf.fastcompile import TracedCompiler
-from repro.perf.plancache import MethodPlanCache
+from repro.perf.plancache import ArchivedPlans, MethodPlanCache
 
 __all__ = ["AcceleratorStats", "EvaluationAccelerator", "aggregate_stats"]
+
+_log = logging.getLogger("repro.perf.engine")
 
 #: raw counter fields of AcceleratorStats, used by aggregation and the
 #: campaign runner's per-task deltas
@@ -103,11 +106,11 @@ class AcceleratorStats:
     #: compiled-kernel calls that raised and fell back to the numpy
     #: path (the backend is then disabled for this accelerator)
     native_fallbacks: int = 0
-    #: plan-cache entries preloaded from the campaign's shm archive
-    #: (repro.perf.planshare) instead of compiled locally
+    #: plan-cache entries fetched on a cache miss from the campaign's
+    #: shared plan archive (repro.perf.planshare) instead of compiled
     plan_preloaded: int = 0
-    #: method resolutions in warm-started (preloaded) program states
-    #: that were served from the cache instead of compiling
+    #: method resolutions in warm-started program states (those with an
+    #: archive view) that were served without compiling
     plan_warm_hits: int = 0
     #: compiles a warm-started state still had to run because the
     #: archive lacked the region (the warm-start miss count)
@@ -248,7 +251,7 @@ class _ProgramState:
         "baseline_info",
         "promotion_level",
         "native_ctx",
-        "preloaded",
+        "archived",
     )
 
     def __init__(self, program: Program) -> None:
@@ -275,9 +278,10 @@ class _ProgramState:
         # flat arrays prepared for the compiled adaptive kernel
         # (promoted-slot map + baseline CSR); built on first native use
         self.native_ctx: Optional[Tuple] = None
-        # True when the plan cache was warm-started from the campaign's
-        # shm archive; gates the warm-hit/recompile accounting
-        self.preloaded = False
+        # the shared plan archive's rows for this program, fetched on a
+        # cache miss; None compiles privately (and gates the
+        # warm-hit/recompile accounting)
+        self.archived: Optional[ArchivedPlans] = None
 
 
 class EvaluationAccelerator:
@@ -338,19 +342,18 @@ class EvaluationAccelerator:
         state = self._states.get(id(program))
         if state is None or state.program is not program:
             state = _ProgramState(program)
-            self._preload_plans(state)
+            self._attach_archive(state)
             self._states[id(program)] = state
         return state
 
-    def _preload_plans(self, state: _ProgramState) -> None:
-        """Warm-start a fresh program state from the shared plan archive.
+    def _attach_archive(self, state: _ProgramState) -> None:
+        """Index the shared plan archive's rows for a fresh program state.
 
         Applies only when the process holds a plan-share client (see
-        :mod:`repro.perf.planshare`).  Preloaded entries are exact
-        reconstructions of the coordinator's compiled versions, so the
-        warm cache resolves and accounts bitwise-identically to a cold
-        one that compiled the same regions itself.  Any failure leaves
-        the state cold — sharing never breaks a run.
+        :mod:`repro.perf.planshare`).  Nothing is loaded here: a cache
+        miss later fetches the one archived row whose region covers the
+        vector (:meth:`_resolve_missing`).  Any failure leaves the state
+        without a view — sharing never breaks a run.
         """
         try:
             from repro.perf.planshare import get_client, plan_key
@@ -362,16 +365,12 @@ class EvaluationAccelerator:
             arrays = client.arrays_for(
                 plan_key(state.program, vm.machine, vm.scenario, vm.cost_model)
             )
-            if arrays is None:
-                return
-            added = state.cache.load_arrays(arrays)
-            if added:
-                self.stats.plan_preloaded += added
-                state.preloaded = True
+            if arrays is not None and len(arrays["entry_method"]):
+                state.archived = ArchivedPlans(arrays, len(state.program))
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception:
-            state.preloaded = False
+            state.archived = None
 
     def clear(self) -> None:
         """Drop all cached state (programs, plans, reports)."""
@@ -394,6 +393,75 @@ class EvaluationAccelerator:
             traced = TracedCompiler(state.program, self.vm.machine, self.vm.cost_model)
             state.traced = traced
         return traced
+
+    def _resolve_missing(
+        self,
+        state: _ProgramState,
+        values: Tuple[int, ...],
+        missing: List[Tuple[int, int, int]],
+        row,
+    ) -> int:
+        """Fill the slots of one parameter vector the cache left open.
+
+        *missing* lists ``(slot, method_id, level)`` for every unresolved
+        ``row[slot]``.  With an archive view the covering archived rows
+        are fetched first (:meth:`_fetch`); what is still missing then
+        compiles, in listed order.  Every resolution path — serial and
+        batched, Opt and Adapt — goes through here, so they append the
+        same entry sequence.  Returns the number of compiles.
+        """
+        if missing and state.archived is not None:
+            missing = self._fetch(state, values, missing, row)
+        if not missing:
+            return 0
+        cache = state.cache
+        traced = self._traced(state)
+        hot_sites = state.skeleton.hot_sites if state.skeleton is not None else None
+        use_hot = self.vm.scenario.uses_hot_callsite_heuristic
+        for slot, mid, level in missing:
+            version, region = traced.compile(mid, values, level, hot_sites, use_hot)
+            row[slot] = cache.add(mid, region, version)
+        self.stats.method_builds += len(missing)
+        return len(missing)
+
+    def _fetch(
+        self,
+        state: _ProgramState,
+        values: Tuple[int, ...],
+        missing: List[Tuple[int, int, int]],
+        row,
+    ) -> List[Tuple[int, int, int]]:
+        """Append the archived rows covering *values*; returns the rest.
+
+        One bound check over the missing methods' archived rows, one
+        :meth:`MethodPlanCache.load_arrays` call (``plan_preloaded``).
+        Regions of one method are disjoint, so a covering row is the
+        version compiling at *values* would produce.  A malformed
+        archive drops the view: the state compiles privately from then
+        on.
+        """
+        archived = state.archived
+        cache = state.cache
+        first = len(cache)
+        try:
+            positions, rows = archived.covering(
+                values, [mid for _, mid, _ in missing]
+            )
+            if len(rows):
+                self.stats.plan_preloaded += cache.load_arrays(archived.arrays, rows)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception:
+            _log.debug("plan archive fetch failed; compiling privately", exc_info=True)
+            state.archived = None
+            return missing
+        taken = positions.tolist()
+        for entry, pos in enumerate(taken, first):
+            row[missing[pos][0]] = entry
+        if len(taken) == len(missing):
+            return []
+        taken = set(taken)
+        return [m for j, m in enumerate(missing) if j not in taken]
 
     # ------------------------------------------------------------------
     def run(
@@ -435,16 +503,9 @@ class EvaluationAccelerator:
         reachable = state.reachable_list
         self.stats.method_lookups += len(reachable)
         level = vm.scenario.opt_level
-        traced = self._traced(state)
-        builds = 0
-        for mid in reachable:
-            if resolved[mid] >= 0:
-                continue
-            version, region = traced.compile(mid, values, level)
-            resolved[mid] = cache.add(mid, region, version)
-            builds += 1
-        self.stats.method_builds += builds
-        if state.preloaded:
+        missing = [(mid, mid, level) for mid in reachable if resolved[mid] < 0]
+        builds = self._resolve_missing(state, values, missing, resolved)
+        if state.archived is not None:
             self.stats.plan_warm_hits += len(reachable) - builds
             self.stats.plan_recompiles += builds
 
@@ -605,7 +666,6 @@ class EvaluationAccelerator:
         params: InliningParameters,
         attach_params: bool = True,
     ):
-        vm = self.vm
         state = self._state_for(program)
         self._ensure_skeleton(state)
         skeleton = state.skeleton
@@ -617,23 +677,13 @@ class EvaluationAccelerator:
         # a promotions-sized array, not a whole-program copy
         resolved = cache.match_methods(values, state.key_mids).tolist()
         self.stats.method_lookups += len(skeleton.promotions)
-        use_hot = vm.scenario.uses_hot_callsite_heuristic
-        traced = self._traced(state)
-        builds = 0
-        for i, (mid, level) in enumerate(skeleton.promotions):
-            if resolved[i] >= 0:
-                continue
-            version, region = traced.compile(
-                mid,
-                values,
-                level,
-                hot_sites=skeleton.hot_sites,
-                use_hot_heuristic=use_hot,
-            )
-            resolved[i] = cache.add(mid, region, version)
-            builds += 1
-        self.stats.method_builds += builds
-        if state.preloaded:
+        missing = [
+            (i, mid, level)
+            for i, (mid, level) in enumerate(skeleton.promotions)
+            if resolved[i] < 0
+        ]
+        builds = self._resolve_missing(state, values, missing, resolved)
+        if state.archived is not None:
             self.stats.plan_warm_hits += len(skeleton.promotions) - builds
             self.stats.plan_recompiles += builds
 

@@ -24,14 +24,14 @@ attribute chasing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.jvm.compiled import CompiledMethod
 from repro.jvm.inlining import ParamRegion
 
-__all__ = ["MethodPlanCache"]
+__all__ = ["ArchivedPlans", "MergedExport", "MethodPlanCache"]
 
 
 class MethodPlanCache:
@@ -422,67 +422,75 @@ class MethodPlanCache:
             "edge_rates": np.array(rates, dtype=np.float64),
         }
 
-    def _region_keys(self) -> Set[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
-        """The (method, lo, hi) identity of every present entry."""
-        return {
-            (version.method_id, region.lo, region.hi)
-            for version, region in zip(self._versions, self._regions)
-        }
+    def load_arrays(
+        self, arrays: Dict[str, np.ndarray], rows: Optional[np.ndarray] = None
+    ) -> int:
+        """Append exported entries to this cache; returns entries added.
 
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> int:
-        """Merge exported entries into this cache; returns entries added.
+        With *rows*, exactly those rows of *arrays* are appended, in the
+        given order: the fetch-on-miss path passes rows covering a
+        parameter vector no present entry covers, so none of them can be
+        present already.  Without, every row is merged, skipping rows
+        whose ``(method_id, lo, hi)`` is already present: regions of one
+        method from distinct plan expansions are disjoint, so an entry
+        whose region already exists *is* the same compiled version.
 
-        Entries are deduplicated by ``(method_id, region)``: regions of
-        one method from distinct plan expansions are disjoint, so an
-        entry whose region already exists *is* the same compiled
-        version and is skipped.  Safe to call repeatedly as the
-        publisher's archive grows across epochs.
+        The rows are converted once per field (``tolist``), and every
+        version is built before the first is added, so a malformed row
+        leaves the cache unchanged.
         """
         if int(arrays["n_methods"][0]) != self.n_methods:
             raise ValueError(
                 f"plan arrays describe {int(arrays['n_methods'][0])} methods, "
                 f"cache holds {self.n_methods}"
             )
-        seen = self._region_keys()
-        entry_method = arrays["entry_method"]
-        lo_rows = arrays["lo"]
-        hi_rows = arrays["hi"]
-        opt_level = arrays["opt_level"]
-        compile_cycles = arrays["compile_cycles"]
-        code_size = arrays["code_size"]
-        cycles_per_invocation = arrays["cycles_per_invocation"]
-        inline_count = arrays["inline_count"]
-        self_rate = arrays["self_rate"]
-        offsets = arrays["edge_offsets"]
-        callees = arrays["edge_callees"]
-        rates = arrays["edge_rates"]
-        added = 0
-        for e in range(len(entry_method)):
-            method_id = int(entry_method[e])
-            lo = tuple(int(v) for v in lo_rows[e])
-            hi = tuple(int(v) for v in hi_rows[e])
-            key = (method_id, lo, hi)
-            if key in seen:
-                continue
-            seen.add(key)
-            span = slice(int(offsets[e]), int(offsets[e + 1]))
-            forward = tuple(
-                (int(c), float(r))
-                for c, r in zip(callees[span], rates[span])
+        if rows is None:
+            n = len(self._versions)
+            held = _identity_keys(self._ENTRY_METHOD[:n], self._LO[:n], self._HI[:n])
+            incoming = _identity_keys(
+                arrays["entry_method"], arrays["lo"], arrays["hi"]
             )
-            version = CompiledMethod(
-                method_id=method_id,
-                opt_level=int(opt_level[e]),
-                code_size=float(code_size[e]),
-                compile_cycles=float(compile_cycles[e]),
-                cycles_per_invocation=float(cycles_per_invocation[e]),
-                residual_forward=forward,
-                residual_self_rate=float(self_rate[e]),
-                inline_count=int(inline_count[e]),
+            rows, _ = _fresh_rows(np.sort(held), incoming)
+        rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows):
+            return 0
+        flat, lengths = _csr_rows(arrays["edge_offsets"], rows)
+        callees = arrays["edge_callees"][flat].tolist()
+        rates = arrays["edge_rates"][flat].tolist()
+        regions: List[ParamRegion] = []
+        versions: List[CompiledMethod] = []
+        pos = 0
+        for method_id, lo, hi, level, size, cycles, cpi, self_rate, inlined, k in zip(
+            arrays["entry_method"][rows].tolist(),
+            arrays["lo"][rows].tolist(),
+            arrays["hi"][rows].tolist(),
+            arrays["opt_level"][rows].tolist(),
+            arrays["code_size"][rows].tolist(),
+            arrays["compile_cycles"][rows].tolist(),
+            arrays["cycles_per_invocation"][rows].tolist(),
+            arrays["self_rate"][rows].tolist(),
+            arrays["inline_count"][rows].tolist(),
+            lengths.tolist(),
+        ):
+            regions.append(ParamRegion(lo=tuple(lo), hi=tuple(hi)))
+            versions.append(
+                CompiledMethod(
+                    method_id=method_id,
+                    opt_level=level,
+                    code_size=size,
+                    compile_cycles=cycles,
+                    cycles_per_invocation=cpi,
+                    residual_forward=tuple(
+                        zip(callees[pos : pos + k], rates[pos : pos + k])
+                    ),
+                    residual_self_rate=self_rate,
+                    inline_count=inlined,
+                )
             )
-            self.add(method_id, ParamRegion(lo=lo, hi=hi), version)
-            added += 1
-        return added
+            pos += k
+        for region, version in zip(regions, versions):
+            self.add(version.method_id, region, version)
+        return len(versions)
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "MethodPlanCache":
@@ -490,3 +498,173 @@ class MethodPlanCache:
         cache = cls(int(arrays["n_methods"][0]))
         cache.load_arrays(arrays)
         return cache
+
+
+# ----------------------------------------------------------------------
+# array-level operations on export_arrays payloads
+# ----------------------------------------------------------------------
+#: per-entry fields of an export payload, in export_arrays order
+_ROW_FIELDS = (
+    "entry_method",
+    "lo",
+    "hi",
+    "opt_level",
+    "compile_cycles",
+    "code_size",
+    "cycles_per_invocation",
+    "inline_count",
+    "self_rate",
+)
+
+
+def _identity_keys(
+    method: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Each entry's ``(method, lo, hi)`` as one opaque 88-byte scalar.
+
+    Equal scalars mean equal identities; numpy sorts and binary-searches
+    them bytewise, which is all the dedup needs.
+    """
+    keys = np.empty((len(method), 11), dtype=np.int64)
+    keys[:, 0] = method
+    keys[:, 1:6] = lo
+    keys[:, 6:] = hi
+    return keys.view(np.dtype((np.void, keys.itemsize * 11))).ravel()
+
+
+def _fresh_rows(
+    held_sorted: np.ndarray, incoming: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which *incoming* identity keys are new; ``(rows, keys)``.
+
+    A row is dropped when *held_sorted* (sorted identity keys) has its
+    identity or an earlier incoming row repeats it — the first
+    occurrence wins, exactly like adding the rows one by one to a set.
+    Returns the surviving row ids ascending and their keys sorted.  One
+    sort of the incoming rows, one binary search into the held ones; no
+    per-row Python objects.
+    """
+    keys, first = np.unique(incoming, return_index=True)
+    if len(held_sorted) and len(keys):
+        pos = np.searchsorted(held_sorted, keys)
+        new = held_sorted[np.minimum(pos, len(held_sorted) - 1)] != keys
+        keys, first = keys[new], first[new]
+    return np.sort(first), keys
+
+
+def _csr_rows(offsets: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather index of *rows*' edges from a CSR offsets array.
+
+    Returns ``(flat, lengths)``: indices into the edge arrays of every
+    listed row's edges, row after row in edge order, and each row's
+    edge count.
+    """
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    flat = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    flat += np.repeat(starts - (ends - lengths), lengths)
+    return flat, lengths
+
+
+class MergedExport:
+    """One plan key's union of :meth:`MethodPlanCache.export_arrays`
+    payloads, merged array by array.
+
+    :attr:`arrays` is always a valid export payload.  :meth:`merge`
+    drops incoming rows whose ``(method, lo, hi)`` is already held and
+    appends the rest in order, edges included — byte-identical to
+    loading every merged payload into one fresh cache and exporting
+    it, without building a single compiled version.  The held rows'
+    identities stay sorted beside the arrays, so a merge sorts only the
+    incoming rows.
+    """
+
+    __slots__ = ("arrays", "_keys")
+
+    def __init__(self, n_methods: int) -> None:
+        self.arrays = MethodPlanCache(n_methods).export_arrays()
+        self._keys = _identity_keys(
+            self.arrays["entry_method"], self.arrays["lo"], self.arrays["hi"]
+        )
+
+    def merge(self, arrays: Dict[str, np.ndarray]) -> int:
+        """Append *arrays*' new rows; returns the number added."""
+        held = self.arrays
+        if int(arrays["n_methods"][0]) != int(held["n_methods"][0]):
+            raise ValueError(
+                f"plan arrays describe {int(arrays['n_methods'][0])} methods, "
+                f"merged export holds {int(held['n_methods'][0])}"
+            )
+        rows, keys = _fresh_rows(
+            self._keys,
+            _identity_keys(arrays["entry_method"], arrays["lo"], arrays["hi"]),
+        )
+        if not len(rows):
+            return 0
+        flat, lengths = _csr_rows(arrays["edge_offsets"], rows)
+        merged = {"n_methods": held["n_methods"]}
+        for field in _ROW_FIELDS:
+            merged[field] = np.concatenate([held[field], arrays[field][rows]])
+        offsets = held["edge_offsets"]
+        merged["edge_offsets"] = np.concatenate(
+            [offsets, offsets[-1] + np.cumsum(lengths)]
+        )
+        for field in ("edge_callees", "edge_rates"):
+            merged[field] = np.concatenate([held[field], arrays[field][flat]])
+        self.arrays = merged
+        self._keys = np.insert(self._keys, np.searchsorted(self._keys, keys), keys)
+        return len(rows)
+
+
+class ArchivedPlans:
+    """One plan key's archived rows, indexed by method for fetch on miss.
+
+    Built from an :meth:`MethodPlanCache.export_arrays` payload — in
+    practice a plan-archive snapshot (:mod:`repro.perf.planshare`).  The
+    payload is copied once: the archive reader unmaps an epoch's segment
+    after a newer epoch appears, while a program state keeps fetching
+    from this index for its whole life.  Rows are grouped by method
+    (a stable sort), so :meth:`covering` checks only the rows of the
+    methods a lookup asks about.
+    """
+
+    __slots__ = ("arrays", "_order", "_starts", "_lo", "_hi")
+
+    def __init__(self, arrays: Dict[str, np.ndarray], n_methods: int) -> None:
+        if int(arrays["n_methods"][0]) != n_methods:
+            raise ValueError(
+                f"plan arrays describe {int(arrays['n_methods'][0])} methods, "
+                f"program has {n_methods}"
+            )
+        self.arrays = {field: np.array(array) for field, array in arrays.items()}
+        method = self.arrays["entry_method"]
+        order = np.argsort(method, kind="stable")
+        self._order = order
+        # method m's rows are order[starts[m]:starts[m + 1]]
+        self._starts = np.searchsorted(
+            method[order], np.arange(n_methods + 1, dtype=np.int64)
+        )
+        self._lo = self.arrays["lo"][order]
+        self._hi = self.arrays["hi"][order]
+
+    def covering(
+        self, values: Tuple[int, ...], method_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Archived rows whose region covers *values*, for listed methods.
+
+        Returns ``(positions, rows)``: the positions in *method_ids* an
+        archived row covers, ascending, and parallel to them the row ids
+        into :attr:`arrays`.  Regions of one method are disjoint, so each
+        method has at most one such row — the version compiling it at
+        *values* would produce.  One bound check over the listed
+        methods' rows resolves them all.
+        """
+        # grouped-order index of every candidate row, method by method
+        idx, counts = _csr_rows(self._starts, np.asarray(method_ids, dtype=np.int64))
+        p = np.asarray(values, dtype=np.int64)
+        hits = np.flatnonzero(
+            ((self._lo[idx] <= p) & (p <= self._hi[idx])).all(axis=1)
+        )
+        positions = np.searchsorted(np.cumsum(counts), hits, side="right")
+        return positions, self._order[idx[hits]]

@@ -15,16 +15,20 @@ compiled plan state a campaign-wide resource:
   the inputs plan expansion depends on;
 * workers hold a process-global :class:`PlanShareClient`; when an
   :class:`~repro.perf.engine.EvaluationAccelerator` first sees a
-  program it asks the client for that key's arrays and preloads them
-  into its private cache, then compiles only what the archive lacks;
-* as workers return *new* compiled entries with their results, the
-  coordinator's :class:`PlanSharePublisher` merges them (deduplicated
-  by region — regions of one method are disjoint across distinct
-  plans, so an already-present region *is* the same version) and
-  republishes a new epoch for later tasks to warm-start from.
+  program it asks the client for that key's arrays and indexes them
+  by method (:class:`~repro.perf.plancache.ArchivedPlans`).  On a
+  cache miss it fetches the archived row whose region covers the
+  parameter vector into its private cache, and compiles only what no
+  archived row covers;
+* as workers return their compiled entries with their results, the
+  coordinator's :class:`PlanSharePublisher` merges them array by array
+  (deduplicated by ``(method, lo, hi)`` — regions of one method are
+  disjoint across distinct plans, so an already-present region *is*
+  the same version) and republishes a new epoch for later tasks to
+  warm-start from.
 
-Preloaded entries are byte-for-byte reconstructions of the versions
-that produced them (see ``MethodPlanCache.export_arrays``), so a
+Fetched entries are byte-for-byte reconstructions of the versions that
+produced them (see ``MethodPlanCache.export_arrays``), so a
 warm-started worker resolves, propagates, and accounts
 bitwise-identically to a cold-started one — the parity suite asserts
 this over randomized sweeps.
@@ -42,11 +46,11 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.perf.plancache import MethodPlanCache
+from repro.perf.plancache import MergedExport
 from repro.perf.shm import (
     PlanArchive,
     PlanArchiveReader,
@@ -102,7 +106,7 @@ class PlanShareClient:
     Lazily attaches the archive on first use and re-snapshots on every
     lookup (cheap when the epoch is unchanged — the reader caches the
     parsed mapping per epoch).  Any failure marks the client dead
-    permanently: accelerators then preload nothing and compile
+    permanently: accelerators then fetch nothing and compile
     privately, which is always correct.
     """
 
@@ -149,32 +153,37 @@ class PlanShareClient:
 class PlanSharePublisher:
     """Coordinator-side merge-and-republish of worker plan exports.
 
-    Holds one merged :class:`MethodPlanCache` per plan key; worker
-    exports merge into it with region-level dedup, and a republish
-    writes a fresh archive epoch only when the merge actually added
-    entries.  A publish failure degrades the publisher permanently (the
-    already-published epoch stays attachable).
+    Holds one merged export (the
+    :meth:`~repro.perf.plancache.MethodPlanCache.export_arrays` arrays)
+    per plan key; worker exports merge into it array by array with
+    region-level dedup (:class:`~repro.perf.plancache.MergedExport`),
+    and a republish writes a fresh archive epoch only when the merge
+    actually added entries.  A publish failure degrades the publisher
+    permanently (the already-published epoch stays attachable).
 
     With *persist_dir* the merged exports also live on disk
     (``plan-*.npz``, atomic writes): the publisher loads whatever a
     previous coordinator saved before its first publish — so a brand
     new process warm-starts its campaign's compiled plans from the
-    store tier — and saves the merged state on every republish.
-    Persistence is best-effort both ways; any failure leaves the
-    in-memory protocol untouched.
+    store tier — and a republish rewrites the files of the keys that
+    changed since they were last saved.  Persistence is best-effort
+    both ways; any failure leaves the in-memory protocol untouched.
     """
 
     def __init__(
         self, name: Optional[str] = None, persist_dir: Optional[str] = None
     ) -> None:
         self.archive = PlanArchive.create(name)
-        self._caches: Dict[str, MethodPlanCache] = {}
+        self._exports: Dict[str, MergedExport] = {}
         self._dirty = False
+        # keys whose merged export differs from their plan-*.npz file
+        self._unsaved: Set[str] = set()
         self._dead = False
         self.persist_dir = persist_dir
         if persist_dir is not None:
             try:
                 self.merge(load_plan_exports(persist_dir))
+                self._unsaved.clear()  # just read from those very files
                 self.publish_if_dirty()
             except Exception as exc:  # pragma: no cover - defensive
                 _log.debug("plan persistence preload failed: %s", exc)
@@ -188,17 +197,20 @@ class PlanSharePublisher:
         return self._dead
 
     def merge(self, exports: Optional[Dict[str, Dict[str, np.ndarray]]]) -> int:
-        """Fold worker *exports* into the merged caches; entries added."""
+        """Fold worker *exports* into the merged exports; entries added."""
         if not exports or self._dead:
             return 0
         added = 0
         try:
             for key, arrays in exports.items():
-                cache = self._caches.get(key)
-                if cache is None:
-                    cache = MethodPlanCache(int(arrays["n_methods"][0]))
-                    self._caches[key] = cache
-                added += cache.load_arrays(arrays)
+                held = self._exports.get(key)
+                if held is None:
+                    held = MergedExport(int(arrays["n_methods"][0]))
+                    self._exports[key] = held
+                fresh = held.merge(arrays)
+                if fresh:
+                    self._unsaved.add(key)
+                    added += fresh
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -210,12 +222,17 @@ class PlanSharePublisher:
         return added
 
     def publish_if_dirty(self) -> Optional[int]:
-        """Republish a new epoch when the merge grew; returns the epoch."""
+        """Republish a new epoch when the merge grew; returns the epoch.
+
+        The held arrays are published as they are.  With *persist_dir*,
+        only the keys that changed since their last save are rewritten;
+        a failed save leaves them marked for the next republish.
+        """
         if self._dead or not self._dirty:
             return None
         try:
             epoch = self.archive.publish(
-                {key: cache.export_arrays() for key, cache in self._caches.items()}
+                {key: held.arrays for key, held in self._exports.items()}
             )
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -224,15 +241,13 @@ class PlanSharePublisher:
             _log.debug("plan-share publisher degraded on publish: %s", exc)
             return None
         self._dirty = False
-        if self.persist_dir is not None:
+        if self.persist_dir is not None and self._unsaved:
             try:
                 persist_plan_exports(
                     self.persist_dir,
-                    {
-                        key: cache.export_arrays()
-                        for key, cache in self._caches.items()
-                    },
+                    {key: self._exports[key].arrays for key in sorted(self._unsaved)},
                 )
+                self._unsaved.clear()
             except Exception as exc:  # pragma: no cover - full disk etc.
                 _log.debug("plan persistence save failed: %s", exc)
         return epoch
@@ -245,7 +260,7 @@ class PlanSharePublisher:
 
 
 # ----------------------------------------------------------------------
-# process-global client (what EvaluationAccelerator preloads from)
+# process-global client (what EvaluationAccelerator fetches from)
 # ----------------------------------------------------------------------
 _CLIENT: Optional[PlanShareClient] = None
 
@@ -288,8 +303,9 @@ def persist_plan_exports(
 
     The plan key (arbitrary text) travels inside the file as a uint8
     array; the filename is its hash.  Writes are atomic
-    (temp + ``os.replace``), so readers never see a torn archive.
-    Returns the number of files written.
+    (temp + ``os.replace``), so readers never see a torn archive, and a
+    failed write removes its temp file.  Returns the number of files
+    written.
     """
     import hashlib
 
@@ -303,11 +319,15 @@ def persist_plan_exports(
             key.encode("utf-8"), dtype=np.uint8
         ).copy()
         tmp = path + f".tmp-{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as handle:
+                np.savez(handle, **payload)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         saved += 1
     return saved
 

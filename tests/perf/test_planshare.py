@@ -4,16 +4,20 @@ The plan archive's contract mirrors the rest of the shm layer, with a
 stronger consistency requirement because the owner *republishes* while
 readers are live: a reader must either see a fully committed epoch or
 retry — never a torn snapshot — and a warm-started accelerator must be
-bitwise-indistinguishable from a cold-started one (preloaded plan
-entries are exact reconstructions of the versions that produced them).
+bitwise-indistinguishable from a cold-started one (plan entries fetched
+from the archive are exact reconstructions of the versions that
+produced them).
 """
 
 from __future__ import annotations
 
+import gc
 import glob
+import hashlib
 import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -21,11 +25,13 @@ import pytest
 
 from repro.arch import PENTIUM4
 from repro.errors import GAError
+from repro.jvm.compiled import CompiledMethod
+from repro.jvm.inlining import ParamRegion
 from repro.jvm.runtime import VirtualMachine
 from repro.jvm.scenario import ADAPTIVE, OPTIMIZING
 from repro.perf import planshare
 from repro.perf.batch import GenerationBatchEvaluator
-from repro.perf.plancache import MethodPlanCache
+from repro.perf.plancache import ArchivedPlans, MergedExport, MethodPlanCache
 from repro.perf.shm import (
     SEGMENT_PREFIX,
     PlanArchive,
@@ -36,7 +42,7 @@ from repro.perf.shm import (
 )
 from repro.workloads.suites import SPECJVM98
 
-from tests.perf.test_equivalence import assert_reports_identical
+from tests.perf.test_equivalence import REPORT_FIELDS, assert_reports_identical
 from tests.perf.test_native_backends import random_generation
 
 pytestmark = pytest.mark.skipif(
@@ -57,6 +63,90 @@ def _populated_cache(scenario=OPTIMIZING, n_genomes=6, seed=3):
     state = next(iter(runner.accelerator._states.values()))
     assert len(state.cache)
     return state.cache
+
+
+def _first_rows(arrays, k):
+    """The first *k* entries of an export payload, edges included."""
+    cut = int(arrays["edge_offsets"][k])
+    prefix = {
+        "n_methods": arrays["n_methods"],
+        "edge_offsets": arrays["edge_offsets"][: k + 1].copy(),
+        "edge_callees": arrays["edge_callees"][:cut].copy(),
+        "edge_rates": arrays["edge_rates"][:cut].copy(),
+    }
+    for field, array in arrays.items():
+        if field not in prefix:
+            prefix[field] = array[:k].copy()
+    return prefix
+
+
+def _concat(a, b):
+    """Two export payloads back to back, duplicates and all."""
+    joined = {
+        field: np.concatenate([a[field], b[field]])
+        for field in a
+        if field not in ("n_methods", "edge_offsets")
+    }
+    joined["n_methods"] = a["n_methods"]
+    joined["edge_offsets"] = np.concatenate(
+        [a["edge_offsets"], a["edge_offsets"][-1] + b["edge_offsets"][1:]]
+    )
+    return joined
+
+
+def _object_level_merge(*payloads):
+    """The publisher merge before it became array-level, transcribed:
+    every row rebuilt as a CompiledMethod and added to one cache unless
+    its (method, lo, hi) was seen before, then the cache exported."""
+    cache = MethodPlanCache(int(payloads[0]["n_methods"][0]))
+    seen = set()
+    for arrays in payloads:
+        offsets = arrays["edge_offsets"]
+        for e in range(len(arrays["entry_method"])):
+            method_id = int(arrays["entry_method"][e])
+            lo = tuple(int(v) for v in arrays["lo"][e])
+            hi = tuple(int(v) for v in arrays["hi"][e])
+            if (method_id, lo, hi) in seen:
+                continue
+            seen.add((method_id, lo, hi))
+            span = slice(int(offsets[e]), int(offsets[e + 1]))
+            version = CompiledMethod(
+                method_id=method_id,
+                opt_level=int(arrays["opt_level"][e]),
+                code_size=float(arrays["code_size"][e]),
+                compile_cycles=float(arrays["compile_cycles"][e]),
+                cycles_per_invocation=float(arrays["cycles_per_invocation"][e]),
+                residual_forward=tuple(
+                    (int(c), float(r))
+                    for c, r in zip(
+                        arrays["edge_callees"][span], arrays["edge_rates"][span]
+                    )
+                ),
+                residual_self_rate=float(arrays["self_rate"][e]),
+                inline_count=int(arrays["inline_count"][e]),
+            )
+            cache.add(method_id, ParamRegion(lo=lo, hi=hi), version)
+    return cache.export_arrays()
+
+
+def _assert_exports_identical(got, want):
+    assert set(got) == set(want)
+    for field, array in want.items():
+        assert got[field].dtype == array.dtype, field
+        assert got[field].shape == array.shape, field
+        assert got[field].tobytes() == array.tobytes(), field
+
+
+def _report_bits(report):
+    """Every report field, floats by their exact bit pattern."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in (getattr(report, field) for field in REPORT_FIELDS)
+    )
+
+
+def _plan_file(key):
+    return f"plan-{hashlib.sha256(key.encode('utf-8')).hexdigest()[:16]}.npz"
 
 
 class TestExportRoundtrip:
@@ -102,6 +192,108 @@ class TestExportRoundtrip:
             if reader is not None:
                 reader.close()
             archive.unlink()
+
+
+class TestArrayMerge:
+    def test_merge_matches_object_level_merge(self):
+        """Overlapping exports merged array by array give the bytes the
+        object-level merge gave."""
+        a = _populated_cache(seed=3).export_arrays()
+        b = _populated_cache(seed=4).export_arrays()
+        c = _populated_cache(seed=5).export_arrays()
+        held = MergedExport(int(a["n_methods"][0]))
+        assert held.merge(a) == len(a["entry_method"])
+        _assert_exports_identical(held.arrays, _object_level_merge(a))
+        # the generations share regions, so the overlap is really dropped
+        added = held.merge(b)
+        assert 0 < added < len(b["entry_method"])
+        _assert_exports_identical(held.arrays, _object_level_merge(a, b))
+        held.merge(c)
+        _assert_exports_identical(held.arrays, _object_level_merge(a, b, c))
+
+    def test_duplicates_within_one_payload_keep_the_first(self):
+        a = _populated_cache(seed=3).export_arrays()
+        b = _populated_cache(seed=4).export_arrays()
+        held = MergedExport(int(a["n_methods"][0]))
+        held.merge(_concat(b, a))
+        _assert_exports_identical(held.arrays, _object_level_merge(b, a))
+
+    def test_merge_rejects_other_program(self):
+        a = _populated_cache().export_arrays()
+        held = MergedExport(int(a["n_methods"][0]) + 1)
+        with pytest.raises(ValueError):
+            held.merge(a)
+
+    def test_publisher_merge_twice_adds_nothing(self):
+        a = _populated_cache().export_arrays()
+        publisher = planshare.PlanSharePublisher()
+        try:
+            assert publisher.merge({"k": a}) == len(a["entry_method"])
+            assert publisher.publish_if_dirty() == 1
+            assert publisher.merge({"k": a}) == 0
+            assert publisher.merge({"k": _first_rows(a, len(a["lo"]) // 2)}) == 0
+            assert publisher.publish_if_dirty() is None
+            assert publisher.archive.epoch == 1
+        finally:
+            publisher.unlink()
+
+
+class TestPersistence:
+    def test_publish_rewrites_only_changed_keys(self, tmp_path):
+        a = _populated_cache(seed=3).export_arrays()
+        b = _populated_cache(seed=4).export_arrays()
+        directory = str(tmp_path)
+
+        def inodes():
+            return {
+                name: os.stat(tmp_path / name).st_ino for name in os.listdir(tmp_path)
+            }
+
+        publisher = planshare.PlanSharePublisher(persist_dir=directory)
+        try:
+            publisher.merge({"ka": a, "kb": _first_rows(b, len(b["lo"]) // 2)})
+            assert publisher.publish_if_dirty() == 1
+            before = inodes()
+            assert set(before) == {_plan_file("ka"), _plan_file("kb")}
+            assert publisher.merge({"ka": a, "kb": b}) > 0
+            assert publisher.publish_if_dirty() == 2
+            after = inodes()
+            assert set(after) == set(before)
+            assert after[_plan_file("ka")] == before[_plan_file("ka")]
+            assert after[_plan_file("kb")] != before[_plan_file("kb")]
+            held = {key: e.arrays for key, e in publisher._exports.items()}
+        finally:
+            publisher.unlink()
+        # a restarted coordinator loads the files and rewrites none
+        restarted = planshare.PlanSharePublisher(persist_dir=directory)
+        try:
+            assert restarted.archive.epoch == 1
+            assert inodes() == after
+        finally:
+            restarted.unlink()
+        loaded = planshare.load_plan_exports(directory)
+        assert set(loaded) == {"ka", "kb"}
+        for key, arrays in loaded.items():
+            _assert_exports_identical(arrays, held[key])
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A save that fails (full disk, say) removes its temp file, so
+        the directory holds only complete plan-*.npz files."""
+        a = _populated_cache().export_arrays()
+        directory = str(tmp_path)
+        assert planshare.persist_plan_exports(directory, {"ka": a}) == 1
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(planshare.os, "replace", refuse)
+        with pytest.raises(OSError):
+            planshare.persist_plan_exports(directory, {"kb": a})
+        monkeypatch.undo()
+        assert os.listdir(directory) == [_plan_file("ka")]
+        loaded = planshare.load_plan_exports(directory)
+        assert set(loaded) == {"ka"}
+        _assert_exports_identical(loaded["ka"], a)
 
 
 class TestEpochProtocol:
@@ -202,7 +394,7 @@ class TestWarmStartParity:
     def test_warm_accelerator_bitwise_identical(self, scenario, seed, monkeypatch):
         """Randomized sweep: a warm-started accelerator reproduces the
         cold run's every ExecutionReport field bit for bit, while
-        actually answering lookups from the preloaded entries."""
+        actually answering lookups from fetched archive entries."""
         # test the mechanism even when the ambient policy disables it
         # (CI's plan-share-degraded job exports REPRO_PLAN_SHARE=off)
         monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
@@ -236,11 +428,192 @@ class TestWarmStartParity:
             planshare.clear_client()
             archive.unlink()
 
+    @pytest.mark.parametrize(
+        "scenario", [OPTIMIZING, ADAPTIVE], ids=lambda s: s.name
+    )
+    def test_mixed_fetch_and_compile_parity(self, scenario, monkeypatch):
+        """An archive holding the first half of each key's rows makes
+        one generation both fetch and compile.  Serial runs and batched
+        generations (Adapt with and without the adaptive kernel) each
+        reproduce the cold reports bit for bit and end with the same
+        cache entry sequence."""
+        monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
+        programs = SPECJVM98.programs(seed=0)[:2]
+        generation = random_generation(n=10, seed=41)
+
+        planshare.clear_client()
+        cold_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+        cold = [[cold_vm.run(p, params) for p in programs] for params in generation]
+        exports = {
+            key: _first_rows(arrays, len(arrays["entry_method"]) // 2)
+            for key, arrays in planshare.export_accelerator_plans(
+                cold_vm._accelerator
+            ).items()
+        }
+
+        archive = PlanArchive.create()
+        try:
+            archive.publish(exports)
+            assert planshare.ensure_client(archive.base) is not None
+
+            serial_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+            for params, cold_row in zip(generation, cold):
+                for program, cold_report in zip(programs, cold_row):
+                    warm_report = serial_vm.run(program, params)
+                    assert _report_bits(warm_report) == _report_bits(cold_report)
+            runs = {"serial": serial_vm}
+
+            kernels = (True, False) if scenario is ADAPTIVE else (True,)
+            for use_kernel in kernels:
+                vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+                batch = GenerationBatchEvaluator(vm, use_adaptive_kernel=use_kernel)
+                rows = batch.run_generation(programs, generation)
+                for cold_row, warm_row in zip(cold, rows):
+                    for cold_report, warm_report in zip(cold_row, warm_row):
+                        assert _report_bits(warm_report) == _report_bits(cold_report)
+                runs[f"batch-kernel={use_kernel}"] = vm
+
+            for name, vm in runs.items():
+                stats = vm.perf_stats
+                assert stats.plan_preloaded > 0, name
+                assert stats.plan_recompiles > 0, name
+                assert stats.plan_warm_hits > 0, name
+            serial_caches = planshare.export_accelerator_plans(serial_vm._accelerator)
+            for name, vm in runs.items():
+                caches = planshare.export_accelerator_plans(vm._accelerator)
+                assert set(caches) == set(serial_caches), name
+                for key, arrays in caches.items():
+                    _assert_exports_identical(arrays, serial_caches[key])
+        finally:
+            planshare.clear_client()
+            archive.unlink()
+
     def test_plan_share_off_disables_client(self, monkeypatch):
         monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "off")
         assert not planshare.plan_sharing_enabled()
         assert planshare.ensure_client("repro-plans-nope") is None
         assert planshare.get_client() is None
+
+
+class TestFetchOnMiss:
+    @pytest.mark.parametrize(
+        "scenario", [OPTIMIZING, ADAPTIVE], ids=lambda s: s.name
+    )
+    def test_fresh_state_loads_only_what_it_resolves(self, scenario, monkeypatch):
+        """Under a full archive, one genome in a fresh accelerator
+        fetches exactly the methods it resolves, compiles nothing, and
+        leaves the rest of the archive where it is."""
+        monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
+        program = SPECJVM98.programs(seed=0)[0]
+        generation = random_generation(n=32, seed=29)
+
+        planshare.clear_client()
+        cold_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+        GenerationBatchEvaluator(cold_vm).run_generation([program], generation)
+        exports = planshare.export_accelerator_plans(cold_vm._accelerator)
+        (archived,) = [len(arrays["entry_method"]) for arrays in exports.values()]
+        cold_report = cold_vm.run(program, generation[0])
+
+        archive = PlanArchive.create()
+        try:
+            archive.publish(exports)
+            assert planshare.ensure_client(archive.base) is not None
+            vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+            report = vm.run(program, generation[0])
+            (state,) = vm._accelerator._states.values()
+            if scenario is ADAPTIVE:
+                resolved = len(state.skeleton.promotions)
+            else:
+                resolved = len(state.reachable_list)
+            assert len(state.cache) == resolved
+            assert 4 * resolved < archived
+            assert len(state.archived.arrays["entry_method"]) == archived
+            stats = vm.perf_stats
+            assert stats.method_builds == 0
+            assert stats.plan_preloaded == resolved
+            assert stats.plan_warm_hits == resolved
+            assert stats.plan_recompiles == 0
+            assert state.traced is None  # nothing ever compiled
+            assert _report_bits(report) == _report_bits(cold_report)
+        finally:
+            planshare.clear_client()
+            archive.unlink()
+
+    def test_state_resolves_after_newer_epoch(self, monkeypatch):
+        """The reader unmaps an epoch's segment once a newer epoch
+        appears; a state indexed from the old epoch keeps fetching the
+        right versions, and no mapping is torn down under live views."""
+        monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        first, second = SPECJVM98.programs(seed=0)[:2]
+        generation = random_generation(n=8, seed=37)
+
+        planshare.clear_client()
+        cold_vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        cold = [
+            (cold_vm.run(first, params), cold_vm.run(second, params))
+            for params in generation
+        ]
+        exports = planshare.export_accelerator_plans(cold_vm._accelerator)
+
+        archive = PlanArchive.create()
+        try:
+            archive.publish(exports)
+            client = planshare.ensure_client(archive.base)
+            vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+            vm.run(first, generation[0])
+            state = vm._accelerator._state_for(first)
+            assert all(a.flags.owndata for a in state.archived.arrays.values())
+            fetched = vm.perf_stats.plan_preloaded
+
+            # epoch 2 appears; the next fresh state makes the reader
+            # snapshot it and close epoch 1's segment
+            assert archive.publish(exports) == 2
+            vm.run(second, generation[0])
+            assert client._reader.epoch == 2
+            gc.collect()
+
+            for params, (cold_first, _) in zip(generation[1:], cold[1:]):
+                warm = vm.run(first, params)
+                assert _report_bits(warm) == _report_bits(cold_first)
+            assert vm.perf_stats.plan_preloaded > fetched
+            assert vm.perf_stats.method_builds == 0
+            assert unraisable == []
+        finally:
+            planshare.clear_client()
+            archive.unlink()
+
+
+class TestArchivedPlans:
+    def test_every_row_covers_its_own_corners(self):
+        """Each archived row is the one covering hit at both corners of
+        its region, whichever other methods the lookup lists."""
+        arrays = _populated_cache(n_genomes=10).export_arrays()
+        index = ArchivedPlans(arrays, int(arrays["n_methods"][0]))
+        methods = np.unique(arrays["entry_method"]).tolist()
+        for row in range(len(arrays["entry_method"])):
+            mid = int(arrays["entry_method"][row])
+            for corner in (arrays["lo"][row], arrays["hi"][row]):
+                values = tuple(int(v) for v in corner)
+                positions, rows = index.covering(values, methods)
+                assert row in rows.tolist()
+                assert methods[int(positions[rows.tolist().index(row)])] == mid
+                # at most one row per method covers a vector
+                assert len(set(positions.tolist())) == len(positions)
+
+    def test_unknown_methods_and_empty_lookups(self):
+        arrays = _populated_cache().export_arrays()
+        n_methods = int(arrays["n_methods"][0])
+        index = ArchivedPlans(arrays, n_methods)
+        held = set(arrays["entry_method"].tolist())
+        absent = [m for m in range(n_methods) if m not in held]
+        positions, rows = index.covering((1, 1, 1, 1, 1), absent[:3])
+        assert len(positions) == len(rows) == 0
+        positions, rows = index.covering((1, 1, 1, 1, 1), [])
+        assert len(positions) == len(rows) == 0
+        with pytest.raises(ValueError):
+            ArchivedPlans(arrays, n_methods + 1)
 
 
 def _attach_and_hang(base: str, ready_path: str) -> None:
