@@ -38,8 +38,9 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    :mod:`repro.perf.native`) — workload archives and genome/result
    shuttles live in named ``multiprocessing.shared_memory`` segments
    that pool workers map read-only instead of rebuilding after a
-   pickle, and the serial-by-construction invocation propagation runs
-   as a compiled kernel (a ``cc``-built C extension) chosen through
+   pickle, and the serial-by-construction invocation propagation and
+   the cold path's plan expansion (:mod:`repro.perf.fastcompile`) run
+   as compiled loops (a ``cc``-built C extension) chosen through
    the graceful-degradation ladder compiled -> numpy -> serial
    memoized -> reference; a missing compiler never breaks a run.
 

@@ -25,11 +25,11 @@ three stages across the generation:
 * **grouped cold-path compilation** — when several genomes miss on the
   same promoted method, each freshly traced plan is fanned out to every
   still-pending genome its parameter region covers
-  (:func:`repro.perf.fastcompile.region_covers`), so one
+  (:meth:`MethodPlanCache.covers`), so one
   :class:`~repro.perf.fastcompile.TracedCompiler` plan is emitted per
-  distinct region instead of one per genome, while
-  :meth:`MethodPlanCache.add` is fed in exactly the serial reference's
-  entry order (genome-major, promotion order within a genome).
+  distinct region instead of one per genome, while the plan cache is
+  fed in exactly the serial reference's entry order (genome-major,
+  promotion order within a genome).
 
 **Bitwise identity is the contract.**  Columns are independent: every
 floating-point operation a column experiences — the division by
@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.jvm.inlining import InliningParameters
-from repro.perf.fastcompile import region_covers
 from repro.telemetry import trace
 
 __all__ = ["AdaptiveBatchKernel"]
@@ -90,8 +89,8 @@ class AdaptiveBatchKernel:
 
         Visits the unresolved genomes in population order and fills
         each through :meth:`EvaluationAccelerator._resolve_missing` —
-        the serial path's helper, so :meth:`MethodPlanCache.add` sees
-        the identical entry sequence.  After each genome, every new
+        the serial path's helper, so the plan cache receives the
+        identical entry sequence.  After each genome, every new
         entry's region bounds are broadcast against the whole
         generation's parameter matrix and every covered genome is
         resolved in place: genomes sharing a plan's region never reach
@@ -112,10 +111,8 @@ class AdaptiveBatchKernel:
                 # fan the new version out to every genome the region
                 # covers; regions of one method are disjoint, so no
                 # covered genome can already hold a different entry
-                covered = np.flatnonzero(
-                    region_covers(cache.region(entry), values_matrix)
-                )
-                resolved[covered, cache.version(entry).method_id] = entry
+                covered = np.flatnonzero(cache.covers(entry, values_matrix))
+                resolved[covered, cache.method_of(entry)] = entry
                 if entry >= compiled and len(covered) > 1:
                     stats.adaptive_grouped_compiles += 1
                     stats.adaptive_group_covered += len(covered) - 1

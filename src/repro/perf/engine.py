@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.jvm.callgraph import Program
 from repro.jvm.codecache import hot_code_size, pressure_factor
 from repro.jvm.compiled import CompiledMethod
@@ -406,9 +406,18 @@ class EvaluationAccelerator:
         *missing* lists ``(slot, method_id, level)`` for every unresolved
         ``row[slot]``.  With an archive view the covering archived rows
         are fetched first (:meth:`_fetch`); what is still missing then
-        compiles, in listed order.  Every resolution path — serial and
-        batched, Opt and Adapt — goes through here, so they append the
-        same entry sequence.  Returns the number of compiles.
+        compiles, in listed order, through one
+        :meth:`TracedCompiler.compile` call — a single C call on the
+        compiled rung — whose batch is appended as columns
+        (:meth:`MethodPlanCache.add_batch`).  Every resolution path —
+        serial and batched, Opt and Adapt — goes through here, so they
+        append the same entry sequence.  Returns the number of
+        compiles.
+
+        A compiled-rung failure other than a genuine compile error
+        degrades this accelerator to the numpy rung permanently
+        (``native_fallbacks``) and recompiles the list in Python, so
+        the entries are bitwise unchanged.
         """
         if missing and state.archived is not None:
             missing = self._fetch(state, values, missing, row)
@@ -418,9 +427,26 @@ class EvaluationAccelerator:
         traced = self._traced(state)
         hot_sites = state.skeleton.hot_sites if state.skeleton is not None else None
         use_hot = self.vm.scenario.uses_hot_callsite_heuristic
-        for slot, mid, level in missing:
-            version, region = traced.compile(mid, values, level, hot_sites, use_hot)
-            row[slot] = cache.add(mid, region, version)
+        backend = self.native_backend()
+        try:
+            compiled = traced.compile(values, missing, hot_sites, use_hot, backend)
+        except (KeyboardInterrupt, SystemExit, ReproError):
+            raise  # a genuine compile error: the Python loop raises it too
+        except Exception:
+            if backend is None:
+                raise
+            self.stats.native_fallbacks += 1
+            self.disable_native()
+            _log.warning(
+                "compiled cold path failed on %s; degrading this "
+                "accelerator to the numpy path",
+                state.program.name,
+                exc_info=True,
+            )
+            compiled = traced.compile(values, missing, hot_sites, use_hot, None)
+        first = cache.add_batch(compiled)
+        for entry, (slot, _, _) in enumerate(missing, first):
+            row[slot] = entry
         self.stats.method_builds += len(missing)
         return len(missing)
 
@@ -606,7 +632,7 @@ class EvaluationAccelerator:
         counts: List[float] = [0.0] * len(program)
         counts[program.entry_id] = 1.0
         self_rates = cache._self_rate
-        all_edges = cache._edges
+        edges = cache.edges
         for mid, c in enumerate(counts):
             if c <= 0.0:
                 continue
@@ -619,7 +645,7 @@ class EvaluationAccelerator:
             if self_rate > 0.0:
                 c = c / (1.0 - self_rate)
                 counts[mid] = c
-            callees, rates = all_edges[entry]
+            callees, rates = edges(entry)
             for callee, rate in zip(callees, rates):
                 counts[callee] += c * rate
         return np.array(counts, dtype=np.float64)

@@ -9,49 +9,40 @@ miss, on exactly the large methods whose narrow parameter regions miss
 most often.
 
 :class:`TracedCompiler` fuses expansion, region tracking and
-compilation into one loop over precomputed per-program tables (callee
-sizes and work as Python floats, reversed site rows, the inline bonus
-by depth).  **Bitwise identity is the contract**: every floating-point
-operation happens in the same order with the same operands as the
-reference path — expansion accumulates ``expanded_size`` site by site,
-absorbed work accumulates in inlined-body order, residual rates in
-residual order, and the final cycle expression reproduces
-:meth:`OptimizingCompiler.compile` token for token.  The equivalence
-suite (``tests/perf/``) enforces this against ``run_reference`` and
-``compile_traced``.
+compilation into one loop over precomputed per-program tables, and
+runs a genome's whole missing list per call.  Two rungs share one
+entry point (:meth:`TracedCompiler.compile`), following the kernel
+ladder of :mod:`repro.perf.native`: with a compiled backend the loop
+runs in C (``repro_traced_compile``), one call per missing list over
+flat site tables built once per program; without one (the numpy rung)
+the same loop runs in Python per method.  Both return the versions as
+one flat :class:`~repro.perf.plancache.CompiledBatch`, which the plan
+cache appends as columns: no ``CompiledMethod``/``ParamRegion``
+record is built unless something asks for it.  **Bitwise identity is
+the contract**: both rungs perform every floating-point operation in the
+same order with the same operands as the reference path — expansion
+accumulates ``expanded_size`` site by site, absorbed work accumulates
+in inlined-body order, residual rates in residual order, and the final
+cycle expression reproduces :meth:`OptimizingCompiler.compile` token
+for token.  The equivalence suite (``tests/perf/``) enforces this
+against ``run_reference`` and ``compile_traced``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.jvm.callgraph import Program
-from repro.jvm.compiled import CompiledMethod
-from repro.jvm.inlining import HARD_DEPTH_LIMIT, ParamRegion, _REGION_UNBOUNDED
+from repro.jvm.inlining import HARD_DEPTH_LIMIT, _REGION_UNBOUNDED
 from repro.jvm.methods import CALL_SEQUENCE_SIZE
+from repro.perf.plancache import CompiledBatch
 
-__all__ = ["TracedCompiler", "region_covers"]
+__all__ = ["TracedCompiler"]
 
 _EMPTY_KEY = frozenset()
-
-
-def region_covers(region: ParamRegion, values_matrix: np.ndarray) -> np.ndarray:
-    """Which rows of ``(n, 5)`` *values_matrix* fall inside *region*.
-
-    The region's bounds come straight from the compile loop's integer
-    comparison tables, so one broadcast bound check decides, for a whole
-    batch of parameter vectors at once, which of them reproduce the
-    traced plan.  The grouped cold-compilation path uses this to fan a
-    freshly compiled version out to every pending genome it covers
-    instead of re-expanding the plan per genome.
-    """
-    lo = np.asarray(region.lo, dtype=np.int64)
-    hi = np.asarray(region.hi, dtype=np.int64)
-    p = np.asarray(values_matrix, dtype=np.int64)
-    return ((lo <= p) & (p <= hi)).all(axis=1)
 
 
 class TracedCompiler:
@@ -65,37 +56,40 @@ class TracedCompiler:
         self.program = program
         self.machine = machine
         self.cost_model = cost_model
-        # Python-float mirrors of the numpy columns: scalar reads from a
-        # list are several times cheaper than ndarray item access, and
-        # float(np.float64(x)) == x exactly.
-        self._sizes: List[float] = [float(s) for s in program.sizes]
-        self._work: List[float] = [float(w) for w in program.work]
+        n_methods = len(program)
+        # flat per-program tables, the compiled rung's inputs
+        sizes = np.ascontiguousarray(program.sizes, dtype=np.float64)
+        self._sizes_array = sizes
+        self._work_array = np.ascontiguousarray(program.work, dtype=np.float64)
         # integer comparison tables: for integer p, ``size > p`` iff
         # ``ceil(size) > p`` and ``size < p`` iff ``floor(size) < p``,
         # so the cascade runs on int compares and the region bounds come
         # straight from these tables instead of per-site ceil/floor
-        self._ceil_sizes: List[int] = [math.ceil(s) for s in self._sizes]
-        self._floor_sizes: List[int] = [math.floor(s) for s in self._sizes]
+        self._ceil_array = np.ceil(sizes).astype(np.int64)
+        self._floor_array = np.floor(sizes).astype(np.int64)
         # per-callee expansion growth: max(size - call sequence, 1.0),
         # the same float value the per-site expression produces
-        self._growth: List[float] = [
-            g if (g := s - CALL_SEQUENCE_SIZE) > 1.0 else 1.0 for s in self._sizes
-        ]
-        self._work_units: List[float] = [
-            float(program.method(mid).work_units) for mid in range(len(program))
-        ]
-        # site rows per method in source order: (callee_id,
-        # calls_per_invocation, (caller_id, site_index)); the compile
-        # loop walks them with suspended frames in the same depth-first
-        # preorder as build_inline_plan's explicit stack
-        self._site_rows: List[Tuple[Tuple[int, float, Tuple[int, int]], ...]] = [
-            tuple(
-                (site.callee_id, float(site.calls_per_invocation),
-                 (site.caller_id, site.site_index))
-                for site in program.sites_of(mid)
-            )
-            for mid in range(len(program))
-        ]
+        growth = sizes - CALL_SEQUENCE_SIZE
+        self._growth_array = np.where(growth > 1.0, growth, 1.0)
+        # call sites as a CSR in source order (Program sorts them by
+        # (caller, site index)); the walk visits them with suspended
+        # frames in the same depth-first preorder as build_inline_plan's
+        # explicit stack
+        sites = program.call_sites
+        self._site_offsets = np.zeros(n_methods + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(
+                np.fromiter((s.caller_id for s in sites), np.int64, len(sites)),
+                minlength=n_methods,
+            ),
+            out=self._site_offsets[1:],
+        )
+        self._site_callee = np.fromiter(
+            (s.callee_id for s in sites), np.int64, len(sites)
+        )
+        self._site_rate = np.fromiter(
+            (s.calls_per_invocation for s in sites), np.float64, len(sites)
+        )
         # (1 - inline bonus) by depth; sites deeper than HARD_DEPTH_LIMIT
         # are never inlined, so the table is provably large enough
         self._bonus_factor: List[float] = [
@@ -107,12 +101,41 @@ class TracedCompiler:
             + cost_model.call_mispredict_weight * machine.branch_misprediction_cycles
         )
         self._per_level: Dict[int, Tuple[float, float]] = {}
+        self._native = None  # (backend, TracedProgram), bound on first use
+        self._hot_flags: Tuple[Optional[FrozenSet], Optional[np.ndarray]] = (
+            None, None,
+        )
+        self._loop_ready = False
+
+    def _loop_tables(self) -> None:
+        """Build the Python loop's tables (the numpy rung) on first use."""
+        if self._loop_ready:
+            return
+        program = self.program
+        # Python-float mirrors of the numpy columns: scalar reads from a
+        # list are several times cheaper than ndarray item access, and
+        # float(np.float64(x)) == x exactly.
+        self._sizes: List[float] = self._sizes_array.tolist()
+        self._work: List[float] = self._work_array.tolist()
+        self._ceil_sizes: List[int] = self._ceil_array.tolist()
+        self._floor_sizes: List[int] = self._floor_array.tolist()
+        self._growth: List[float] = self._growth_array.tolist()
+        # site rows per method in source order: (callee_id,
+        # calls_per_invocation, (caller_id, site_index))
+        self._site_rows: List[Tuple[Tuple[int, float, Tuple[int, int]], ...]] = [
+            tuple(
+                (site.callee_id, float(site.calls_per_invocation),
+                 (site.caller_id, site.site_index))
+                for site in program.sites_of(mid)
+            )
+            for mid in range(len(program))
+        ]
         # suspended-frame arena: descent frames live in preallocated
         # parallel slot lists indexed by a stack pointer instead of a
         # fresh 5-tuple per descent.  The stack can never grow past
         # HARD_DEPTH_LIMIT + 1 frames (descent stops once depth exceeds
         # the limit), so the slots are provably sufficient and reused
-        # across every compile() call this instance serves.
+        # across every compile this instance serves.
         slots = HARD_DEPTH_LIMIT + 2
         self._arena_depth: List[int] = [0] * slots
         self._arena_mult: List[float] = [0.0] * slots
@@ -120,6 +143,7 @@ class TracedCompiler:
         self._arena_i: List[int] = [0] * slots
         self._arena_n: List[int] = [0] * slots
         self._forward: Dict[int, float] = {}
+        self._loop_ready = True
 
     def _level_consts(self, level: int) -> Tuple[float, float]:
         consts = self._per_level.get(level)
@@ -134,13 +158,133 @@ class TracedCompiler:
     # ------------------------------------------------------------------
     def compile(
         self,
+        values: Tuple[int, int, int, int, int],
+        missing: Sequence[Tuple[int, int, int]],
+        hot_sites: Optional[FrozenSet[Tuple[int, int]]] = None,
+        use_hot_heuristic: bool = False,
+        backend=None,
+    ) -> CompiledBatch:
+        """Compile a genome's missing methods under one parameter vector.
+
+        *missing* is the ``(slot, method_id, level)`` list of
+        :meth:`EvaluationAccelerator._resolve_missing` (slots are the
+        caller's and ignored here).  Returns the versions as one
+        :class:`~repro.perf.plancache.CompiledBatch`, row for row;
+        appended to a :class:`MethodPlanCache`, each row's record is
+        bitwise equal to ``OptimizingCompiler.compile_traced``.  With a
+        compiled *backend* (:class:`repro.perf.native.KernelBackend`)
+        the whole list is one C call; with None, the Python loop runs
+        per method.
+        """
+        hot = hot_sites if (use_hot_heuristic and hot_sites) else _EMPTY_KEY
+        if backend is not None:
+            return self._compile_native(backend, values, missing, hot)
+        self._loop_tables()
+        bounds: List[int] = []
+        scalars: List[float] = []
+        inline_count: List[int] = []
+        offsets = [0]
+        callees: List[int] = []
+        rates: List[float] = []
+        for _, mid, level in missing:
+            self._compile_one(
+                mid, values, level, hot,
+                bounds, scalars, inline_count, callees, rates,
+            )
+            offsets.append(len(callees))
+        return CompiledBatch(
+            method_ids=[mid for _, mid, _ in missing],
+            levels=[level for _, _, level in missing],
+            bounds=np.array(bounds, dtype=np.int64).reshape(-1, 10),
+            scalars=np.array(scalars, dtype=np.float64).reshape(-1, 4),
+            inline_count=np.array(inline_count, dtype=np.int64),
+            edge_offsets=np.array(offsets, dtype=np.int64),
+            edge_callees=np.array(callees, dtype=np.int64),
+            edge_rates=np.array(rates, dtype=np.float64),
+        )
+
+    def _bind(self, backend):
+        """This program's tables bound to *backend*'s compiled loop."""
+        bound = self._native
+        if bound is not None and bound[0] is backend:
+            return bound[1]
+        machine = self.machine
+        cm = self.cost_model
+        # per-level constants for every level the machine defines; the
+        # compiled loop indexes them by level, and _compile_native
+        # vets levels against _per_level first, so the NaN fill of an
+        # undefined level is never read
+        levels = set(machine.compile_cycles_per_instruction)
+        levels &= set(machine.opt_speed_factor)
+        level_rate = np.full(1 + max(levels), np.nan)
+        level_speed = np.full(1 + max(levels), np.nan)
+        for level in levels:
+            level_rate[level], level_speed[level] = self._level_consts(level)
+        bound = backend.traced_program(
+            sizes=self._sizes_array,
+            work=self._work_array,
+            growth=self._growth_array,
+            ceil_sizes=self._ceil_array,
+            floor_sizes=self._floor_array,
+            site_offsets=self._site_offsets,
+            site_callee=self._site_callee,
+            site_rate=self._site_rate,
+            bonus_factor=np.array(self._bonus_factor, dtype=np.float64),
+            level_rate=level_rate,
+            level_speed=level_speed,
+            code_density=cm.opt_code_density,
+            superlinear_scale=cm.compile_superlinear_scale,
+            work_cycle_scale=cm.work_cycle_scale,
+            app_cycle_factor=machine.app_cycle_factor,
+            call_cost=self._call_cost,
+        )
+        self._native = (backend, bound)
+        return bound
+
+    def _site_hot(self, hot: FrozenSet[Tuple[int, int]]) -> np.ndarray:
+        """Per-site flags of the *hot* ``(caller_id, site_index)`` set."""
+        key, flags = self._hot_flags
+        if key is not hot:
+            sites = self.program.call_sites
+            flags = np.fromiter(
+                ((s.caller_id, s.site_index) in hot for s in sites),
+                np.uint8,
+                len(sites),
+            )
+            self._hot_flags = (hot, flags)
+        return flags
+
+    def _compile_native(self, backend, values, missing, hot):
+        """The compiled rung: one ``repro_traced_compile`` call."""
+        bound = self._bind(backend)
+        methods = [mid for _, mid, _ in missing]
+        levels = [level for _, _, level in missing]
+        if not self._per_level.keys() >= set(levels):
+            for level in levels:
+                self._level_consts(level)  # the reference's ConfigurationError
+        bounds, scalars, inlined, offsets, callees, rates = bound.compile(
+            values, methods, levels, self._site_hot(hot) if hot else None
+        )
+        # copies: the outputs are views of buffers the next call reuses
+        return CompiledBatch(
+            methods, levels, bounds.copy(), scalars.copy(), inlined.copy(),
+            offsets.copy(), callees.copy(), rates.copy(),
+        )
+
+    def _compile_one(
+        self,
         method_id: int,
         values: Tuple[int, int, int, int, int],
         level: int,
-        hot_sites: Optional[FrozenSet[Tuple[int, int]]] = None,
-        use_hot_heuristic: bool = False,
-    ) -> Tuple[CompiledMethod, ParamRegion]:
-        """Bitwise equivalent of ``OptimizingCompiler.compile_traced``."""
+        hot: FrozenSet[Tuple[int, int]],
+        bounds: List[int],
+        scalars: List[float],
+        inline_count: List[int],
+        callees: List[int],
+        rates: List[float],
+    ) -> None:
+        """The Python loop for one method (the numpy rung): appends the
+        method's row to the :class:`CompiledBatch` columns passed in."""
         sizes = self._sizes
         work = self._work
         site_rows = self._site_rows
@@ -150,7 +294,6 @@ class TracedCompiler:
         growth = self._growth
         depth_limit = HARD_DEPTH_LIMIT
         p0, p1, p2, p3, p4 = values
-        hot = hot_sites if (use_hot_heuristic and hot_sites) else _EMPTY_KEY
         has_hot = bool(hot)
 
         lo0 = lo1 = lo2 = lo4 = 0
@@ -290,32 +433,19 @@ class TracedCompiler:
         superlinear = 1.0 + expanded / cm.compile_superlinear_scale
         compile_cycles = compile_rate * expanded * superlinear
         cycles = (
-            (self._work_units[method_id] + absorbed)
+            (work[method_id] + absorbed)
             * speed
             * cm.work_cycle_scale
             * machine.app_cycle_factor
             + call_rate * self._call_cost
         )
 
-        version = CompiledMethod(
-            method_id=method_id,
-            opt_level=level,
-            code_size=code_size,
-            compile_cycles=compile_cycles,
-            cycles_per_invocation=cycles,
-            residual_forward=(
-                # keys are unique, so sorting them alone orders the
-                # items identically to sorted(forward.items()) — and
-                # int keys take sort's fast path, skipping the tuple
-                # comparisons that dominated this call
-                tuple((mid, forward[mid]) for mid in sorted(forward))
-                if len(forward) > 1
-                else tuple(forward.items())
-            ),
-            residual_self_rate=self_rate,
-            inline_count=n_inlined,
-        )
-        region = ParamRegion(
-            lo=(lo0, lo1, lo2, lo3, lo4), hi=(hi0, hi1, hi2, hi3, hi4)
-        )
-        return version, region
+        bounds.extend((lo0, lo1, lo2, lo3, lo4, hi0, hi1, hi2, hi3, hi4))
+        scalars.extend((code_size, compile_cycles, cycles, self_rate))
+        inline_count.append(n_inlined)
+        # residual forward edges in ascending callee order: keys are
+        # unique, so sorting them alone orders the items identically to
+        # sorted(forward.items()), and int keys take sort's fast path
+        keys = sorted(forward)
+        callees.extend(keys)
+        rates.extend(map(forward.__getitem__, keys))

@@ -1,12 +1,16 @@
 """Compiled kernel backend: the top rung of the degradation ladder.
 
-The accounting hot path of the accelerated evaluator spends most of a
-memo-cleared generation in two pure-Python scalar loops — the Opt
-batch's per-representative invocation propagation
+The accelerated evaluator spends most of its time in three pure-Python
+scalar loops: on the accounting side, the Opt batch's
+per-representative invocation propagation
 (:meth:`EvaluationAccelerator._propagate`) and the adaptive kernel's
-per-column propagation chains.  This module compiles those loops and
-selects an implementation at runtime through the graceful-degradation
-ladder the rest of the perf stack already follows::
+per-column propagation chains; on the cold path, the fused plan
+expansion + region trace + compile of
+:class:`~repro.perf.fastcompile.TracedCompiler`, which runs for every
+method a genome's parameter vector leaves unresolved.  This module
+compiles the three loops (``_kernels.c``) and selects an
+implementation at runtime through the graceful-degradation ladder the
+rest of the perf stack already follows::
 
     compiled (cc-built C extension) -> numpy -> serial memoized -> reference
 
@@ -17,7 +21,7 @@ layer (``perf.backend_selected`` event and the
 ``repro_backend_selected_total`` metric family).
 
 **Bitwise identity is the contract**, exactly as for every other rung:
-the compiled kernels replace only *scalar* loops whose operation order
+the compiled loops replace only *scalar* loops whose operation order
 is fully determined, where a C double performs the identical IEEE-754
 operation sequence as the interpreter.  NumPy reductions
 (``ndarray.sum``, ``np.dot``) are never reimplemented here — their
@@ -55,6 +59,7 @@ __all__ = [
     "CFLAGS",
     "ENV_BACKEND",
     "KernelBackend",
+    "TracedProgram",
     "compiled_backend",
     "get_backend",
     "reset_backend_cache",
@@ -154,18 +159,241 @@ def _build_shared_object() -> Optional[str]:
 
 
 _I64 = ctypes.c_int64
+_F64 = ctypes.c_double
+_VP = ctypes.c_void_p
 _PI64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _PF64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _PU8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
 
-class KernelBackend:
-    """The C extension's two kernels behind NumPy-facing entry points.
+class _TracedProgramStruct(ctypes.Structure):
+    """``repro_traced_program`` of ``_kernels.c``, field for field."""
 
-    Both entry points take contiguous arrays, run the compiled loop and
-    raise the reference's :class:`~repro.errors.SimulationError` on a
-    missing compiled version; any *infrastructure* failure (a bad load,
-    an interface mismatch) surfaces as an ordinary exception that the
+    _fields_ = [
+        ("n_methods", _I64),
+        ("depth_limit", _I64),
+        ("n_levels", _I64),
+        ("sizes", _VP),
+        ("work", _VP),
+        ("growth", _VP),
+        ("ceil_sizes", _VP),
+        ("floor_sizes", _VP),
+        ("site_offsets", _VP),
+        ("site_callee", _VP),
+        ("site_rate", _VP),
+        ("bonus_factor", _VP),
+        ("level_rate", _VP),
+        ("level_speed", _VP),
+        ("code_density", _F64),
+        ("superlinear_scale", _F64),
+        ("work_cycle_scale", _F64),
+        ("app_cycle_factor", _F64),
+        ("call_cost", _F64),
+        ("fwd", _VP),
+        ("fwd_seen", _VP),
+        ("touched", _VP),
+        ("frame_depth", _VP),
+        ("frame_mult", _VP),
+        ("frame_site", _VP),
+        ("frame_end", _VP),
+    ]
+
+
+def _typed(array: np.ndarray, dtype) -> np.ndarray:
+    """*array* as a C-contiguous array of *dtype* (checked, not cast)."""
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(f"expected a C-contiguous {np.dtype(dtype)} array")
+    return array
+
+
+class TracedProgram:
+    """One program's tables bound to ``repro_traced_compile``.
+
+    Holds the ``repro_traced_program`` struct, the arrays its pointers
+    reference (kept alive here), the compile scratch and reusable
+    output buffers.  :meth:`compile` runs a whole missing list in one
+    C call; the returned arrays are views of the output buffers, valid
+    until the next call.
+    """
+
+    #: initial residual-edge capacity; the buffers double on overflow
+    EDGE_CAPACITY = 1024
+
+    def __init__(
+        self,
+        fn,
+        *,
+        sizes: np.ndarray,
+        work: np.ndarray,
+        growth: np.ndarray,
+        ceil_sizes: np.ndarray,
+        floor_sizes: np.ndarray,
+        site_offsets: np.ndarray,
+        site_callee: np.ndarray,
+        site_rate: np.ndarray,
+        bonus_factor: np.ndarray,
+        level_rate: np.ndarray,
+        level_speed: np.ndarray,
+        code_density: float,
+        superlinear_scale: float,
+        work_cycle_scale: float,
+        app_cycle_factor: float,
+        call_cost: float,
+    ) -> None:
+        self._fn = fn
+        n_methods = len(sizes)
+        n_sites = len(site_callee)
+        for column in (work, growth, ceil_sizes, floor_sizes):
+            if len(column) != n_methods:
+                raise ValueError("per-method tables differ in length")
+        if len(site_offsets) != n_methods + 1 or len(site_rate) != n_sites:
+            raise ValueError("site CSR does not match the method count")
+        if n_sites and not (
+            site_offsets[0] == 0
+            and site_offsets[-1] == n_sites
+            and (np.diff(site_offsets) >= 0).all()
+            and 0 <= site_callee.min()
+            and site_callee.max() < n_methods
+        ):
+            raise ValueError("site CSR indexes outside its tables")
+        if len(level_rate) != len(level_speed):
+            raise ValueError("level tables differ in length")
+        depth_limit = len(bonus_factor) - 2
+        # keep every array the struct points into alive with this object
+        self._tables = (
+            _typed(sizes, np.float64),
+            _typed(work, np.float64),
+            _typed(growth, np.float64),
+            _typed(ceil_sizes, np.int64),
+            _typed(floor_sizes, np.int64),
+            _typed(site_offsets, np.int64),
+            _typed(site_callee, np.int64),
+            _typed(site_rate, np.float64),
+            _typed(bonus_factor, np.float64),
+            _typed(level_rate, np.float64),
+            _typed(level_speed, np.float64),
+        )
+        self._scratch = (
+            np.zeros(n_methods, dtype=np.float64),
+            np.zeros(n_methods, dtype=np.uint8),
+            np.zeros(n_methods, dtype=np.int64),
+            np.zeros(depth_limit + 1, dtype=np.int64),
+            np.zeros(depth_limit + 1, dtype=np.float64),
+            np.zeros(depth_limit + 1, dtype=np.int64),
+            np.zeros(depth_limit + 1, dtype=np.int64),
+        )
+        self._struct = _TracedProgramStruct(
+            n_methods,
+            depth_limit,
+            len(level_rate),
+            *(array.ctypes.data for array in self._tables),
+            code_density,
+            superlinear_scale,
+            work_cycle_scale,
+            app_cycle_factor,
+            call_cost,
+            *(array.ctypes.data for array in self._scratch),
+        )
+        self._n_sites = n_sites
+        self._values = np.zeros(5, dtype=np.int64)
+        self._values_ptr = self._values.ctypes.data
+        self._grow_requests(max(1, n_methods))
+        self._grow_edges(self.EDGE_CAPACITY)
+
+    # buffer pointers are taken once per allocation: an ndarray's
+    # ``.ctypes`` view costs more than the compiled call it feeds
+    def _grow_requests(self, n: int) -> None:
+        self._methods = np.zeros(n, dtype=np.int64)
+        self._levels = np.zeros(n, dtype=np.int64)
+        self._bounds = np.zeros((n, 10), dtype=np.int64)
+        self._scalars = np.zeros((n, 4), dtype=np.float64)
+        self._inlined = np.zeros(n, dtype=np.int64)
+        self._offsets = np.zeros(n + 1, dtype=np.int64)
+        self._request_ptrs = tuple(
+            array.ctypes.data
+            for array in (
+                self._methods, self._levels, self._bounds,
+                self._scalars, self._inlined, self._offsets,
+            )
+        )
+        self._requests = n
+
+    def _grow_edges(self, n: int) -> None:
+        self._callees = np.zeros(n, dtype=np.int64)
+        self._rates = np.zeros(n, dtype=np.float64)
+        self._edge_ptrs = (self._callees.ctypes.data, self._rates.ctypes.data)
+        self._edges = n
+
+
+    @property
+    def edge_capacity(self) -> int:
+        """Current residual-edge capacity of the output buffers."""
+        return self._edges
+
+    def compile(self, values, methods, levels, site_hot: Optional[np.ndarray]):
+        """Compile ``methods[k]`` at ``levels[k]`` under *values*.
+
+        *site_hot* is a ``uint8`` flag per call site, or None when the
+        hot-site heuristic does not apply.  Returns ``(bounds, scalars,
+        inlined, edge_offsets, edge_callees, edge_rates)``: views of
+        the output buffers (see ``repro_traced_compile``), valid until
+        the next call.  Raises :class:`IndexError` on an unknown method
+        or level.
+        """
+        n = len(methods)
+        if len(levels) != n:
+            raise ValueError("methods and levels differ in length")
+        if n > self._requests:
+            self._grow_requests(n)
+        self._values[:] = values
+        self._methods[:n] = methods
+        self._levels[:n] = levels
+        hot = None
+        if site_hot is not None:
+            if len(_typed(site_hot, np.uint8)) != self._n_sites:
+                raise ValueError("site_hot must hold one flag per call site")
+            hot = site_hot.ctypes.data
+        methods_ptr, levels_ptr, *outputs = self._request_ptrs
+        while True:
+            total = self._fn(
+                ctypes.byref(self._struct),
+                self._values_ptr,
+                n,
+                methods_ptr,
+                levels_ptr,
+                hot,
+                *outputs,
+                self._edges,
+                *self._edge_ptrs,
+            )
+            if total < 0:
+                raise IndexError(
+                    f"request {-total - 1}: unknown method "
+                    f"{self._methods[-total - 1]} or level "
+                    f"{self._levels[-total - 1]}"
+                )
+            if total <= self._edges:
+                break
+            self._grow_edges(max(2 * self._edges, total))
+        return (
+            self._bounds[:n],
+            self._scalars[:n],
+            self._inlined[:n],
+            self._offsets[: n + 1],
+            self._callees[:total],
+            self._rates[:total],
+        )
+
+
+class KernelBackend:
+    """The C extension's three loops behind NumPy-facing entry points.
+
+    The two propagation entry points take contiguous arrays, run the
+    compiled loop and raise the reference's
+    :class:`~repro.errors.SimulationError` on a missing compiled
+    version; :meth:`traced_program` binds one program's tables to the
+    compiled cold path.  Any *infrastructure* failure (a bad load, an
+    interface mismatch) surfaces as an ordinary exception that the
     callers catch to fall down the ladder.
     """
 
@@ -194,6 +422,12 @@ class KernelBackend:
             _PF64, _PI64, _PI64, _PF64,
             _PU8, _PF64, _PI64, _PI64, _PF64,
             _PF64, _PF64,
+        ]
+        self._traced_fn = lib.repro_traced_compile
+        self._traced_fn.restype = _I64
+        self._traced_fn.argtypes = [
+            ctypes.POINTER(_TracedProgramStruct), _VP, _I64, _VP, _VP, _VP,
+            _VP, _VP, _VP, _VP, _I64, _VP, _VP,
         ]
         # per-method-count scratch pool for the counts output.  A
         # generation's counts matrix is ~1 MB — above glibc's mmap
@@ -330,6 +564,11 @@ class KernelBackend:
         )
         self._check(err, program_name)
         return counts
+
+    def traced_program(self, **tables) -> TracedProgram:
+        """Bind one program's compile tables to the compiled cold path
+        (see :class:`TracedProgram` for the keyword arguments)."""
+        return TracedProgram(self._traced_fn, **tables)
 
     #: aliases: the per-layer tracer of ``benchmarks/e2e`` hooks these
     #: names as well as the two above

@@ -14,24 +14,57 @@ most one entry per method, which lets the cache answer "which cached
 version serves each method under these parameters?" for the whole
 program with a single vectorized bound check over all entries.
 
-Besides the :class:`~repro.jvm.compiled.CompiledMethod` objects, the
-cache maintains *column arrays* of the per-version scalars the runtime
-accounting needs (compile cycles, code size, cycles/invocation, inline
-count, residual self-rate) plus per-entry residual-edge arrays, so the
-accelerated runtime can do its accounting with NumPy gathers instead of
-attribute chasing.
+The cache keeps every version as *columns*: the region bounds, the
+per-version scalars the runtime accounting needs (compile cycles, code
+size, cycles/invocation, inline count, residual self-rate) and the
+per-entry residual edges, so the accelerated runtime does its
+accounting with NumPy gathers instead of attribute chasing.  The
+:class:`~repro.jvm.compiled.CompiledMethod` and :class:`ParamRegion`
+records of entries appended as a :class:`CompiledBatch` (compiled on
+a miss, or loaded from a plan archive) are built from those columns on
+first access only; the accounting never needs them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.jvm.compiled import CompiledMethod
-from repro.jvm.inlining import ParamRegion
+from repro.jvm.inlining import ParamRegion, _REGION_UNBOUNDED
 
-__all__ = ["ArchivedPlans", "MergedExport", "MethodPlanCache"]
+__all__ = ["ArchivedPlans", "CompiledBatch", "MergedExport", "MethodPlanCache"]
+
+#: maps the unbounded region limit onto its one shared int object (every
+#: other bound maps to itself), so built regions stay small
+_SHARED_BOUNDS = {_REGION_UNBOUNDED: _REGION_UNBOUNDED}
+
+#: residual edges of an entry without forward calls
+_NO_EDGES: Tuple[Tuple[int, ...], Tuple[float, ...]] = ((), ())
+
+
+class CompiledBatch(NamedTuple):
+    """Compiled versions of a missing list, as flat columns.
+
+    What :meth:`repro.perf.fastcompile.TracedCompiler.compile` returns
+    and :meth:`MethodPlanCache.add_batch` appends.  Row ``k`` is method
+    ``method_ids[k]`` compiled at ``levels[k]``: ``bounds[k]`` holds its
+    region's ``lo`` then ``hi`` (genome order), ``scalars[k]`` its
+    ``code_size``, ``compile_cycles``, ``cycles_per_invocation`` and
+    ``residual_self_rate``, ``inline_count[k]`` its inlined sites, and
+    ``edge_callees``/``edge_rates[edge_offsets[k]:edge_offsets[k + 1]]``
+    its residual forward edges in ascending callee order.
+    """
+
+    method_ids: List[int]
+    levels: List[int]
+    bounds: np.ndarray
+    scalars: np.ndarray
+    inline_count: np.ndarray
+    edge_offsets: np.ndarray
+    edge_callees: np.ndarray
+    edge_rates: np.ndarray
 
 
 class MethodPlanCache:
@@ -41,18 +74,25 @@ class MethodPlanCache:
 
     def __init__(self, n_methods: int) -> None:
         self.n_methods = n_methods
-        self._versions: List[CompiledMethod] = []
-        self._regions: List[ParamRegion] = []
+        # records, parallel to the entry list; None until first access
+        # for entries appended by add_batch
+        self._versions: List[Optional[CompiledMethod]] = []
+        self._regions: List[Optional[ParamRegion]] = []
+        # one int object per method id, shared by every built record
+        self._method_ids: List[int] = list(range(n_methods))
         # column arrays, parallel to the entry list
+        self._opt_level: List[int] = []
         self._compile_cycles: List[float] = []
         self._code_size: List[float] = []
         self._cycles_per_invocation: List[float] = []
         self._inline_count: List[int] = []
         self._self_rate: List[float] = []
-        # residual forward edges per entry: (callee_ids, rates), kept as
-        # Python lists — the propagation loop consumes them scalar by
-        # scalar, where list indexing beats ndarray item access
-        self._edges: List[Tuple[Tuple[int, ...], Tuple[float, ...]]] = []
+        # residual forward edges per entry: (callee_ids, rates) tuples —
+        # the Python propagation loop consumes them scalar by scalar,
+        # where tuple indexing beats ndarray item access.  None for
+        # entries appended by add_batch until first edges() access:
+        # their edges live in the CSR below
+        self._edges: List[Optional[Tuple[Tuple[int, ...], Tuple[float, ...]]]] = []
         # dense matcher arrays, written row-by-row at insert time with
         # capacity doubling so match() never rebuilds them from scratch
         cap = self._INITIAL_CAPACITY
@@ -91,37 +131,137 @@ class MethodPlanCache:
         return len(self._versions)
 
     def version(self, entry: int) -> CompiledMethod:
-        """The compiled method stored at *entry*."""
-        return self._versions[entry]
+        """The compiled method stored at *entry* (built on first access
+        for entries appended by :meth:`add_batch`)."""
+        version = self._versions[entry]
+        if version is None:
+            callees, rates = self.edges(entry)
+            version = CompiledMethod(
+                method_id=self._method_ids[self._ENTRY_METHOD[entry]],
+                opt_level=self._opt_level[entry],
+                code_size=self._code_size[entry],
+                compile_cycles=self._compile_cycles[entry],
+                cycles_per_invocation=self._cycles_per_invocation[entry],
+                residual_forward=tuple(zip(callees, rates)),
+                residual_self_rate=self._self_rate[entry],
+                inline_count=self._inline_count[entry],
+            )
+            self._versions[entry] = version
+        return version
 
     def region(self, entry: int) -> ParamRegion:
-        """The validity region of *entry*."""
-        return self._regions[entry]
+        """The validity region of *entry* (built on first access for
+        entries appended by :meth:`add_batch`)."""
+        region = self._regions[entry]
+        if region is None:
+            hi = self._HI[entry].tolist()
+            region = ParamRegion(
+                lo=tuple(self._LO[entry].tolist()),
+                hi=tuple(map(_SHARED_BOUNDS.get, hi, hi)),
+            )
+            self._regions[entry] = region
+        return region
+
+    def method_of(self, entry: int) -> int:
+        """The method *entry* is a version of."""
+        return self._method_ids[self._ENTRY_METHOD[entry]]
+
+    def covers(self, entry: int, values_matrix: np.ndarray) -> np.ndarray:
+        """Which rows of ``(n, 5)`` *values_matrix* fall inside the
+        region of *entry*: one broadcast bound check, so a fresh
+        version can be fanned out to every pending genome it serves."""
+        p = np.asarray(values_matrix, dtype=np.int64)
+        return ((self._LO[entry] <= p) & (p <= self._HI[entry])).all(axis=1)
+
+    def _reserve(self, n_entries: int) -> None:
+        """Grow the matcher arrays (capacity doubling) to hold
+        *n_entries* entries."""
+        cap = len(self._ENTRY_METHOD)
+        if n_entries <= cap:
+            return
+        grow = max(2 * cap, n_entries) - cap
+        self._LO = np.vstack([self._LO, np.zeros((grow, 5), np.int64)])
+        self._HI = np.vstack([self._HI, np.zeros((grow, 5), np.int64)])
+        self._ENTRY_METHOD = np.concatenate(
+            [self._ENTRY_METHOD, np.zeros(grow, np.int64)]
+        )
 
     def add(self, method_id: int, region: ParamRegion, version: CompiledMethod) -> int:
         """Insert a version with its region; returns the new entry id."""
         entry = len(self._versions)
-        if entry == len(self._ENTRY_METHOD):
-            grow = 2 * entry
-            self._LO = np.vstack([self._LO, np.zeros((entry, 5), np.int64)])
-            self._HI = np.vstack([self._HI, np.zeros((entry, 5), np.int64)])
-            self._ENTRY_METHOD = np.concatenate(
-                [self._ENTRY_METHOD, np.zeros(entry, np.int64)]
-            )
-            assert len(self._ENTRY_METHOD) == grow
+        self._reserve(entry + 1)
         self._LO[entry] = region.lo
         self._HI[entry] = region.hi
         self._ENTRY_METHOD[entry] = method_id
         self._versions.append(version)
         self._regions.append(region)
+        self._opt_level.append(version.opt_level)
         self._compile_cycles.append(version.compile_cycles)
         self._code_size.append(version.code_size)
         self._cycles_per_invocation.append(version.cycles_per_invocation)
         self._inline_count.append(version.inline_count)
         self._self_rate.append(version.residual_self_rate)
         forward = version.residual_forward
-        self._edges.append(tuple(zip(*forward)) if forward else ((), ()))
+        self._edges.append(tuple(zip(*forward)) if forward else _NO_EDGES)
         return entry
+
+    def add_batch(self, batch: CompiledBatch) -> int:
+        """Append a batch of compiled versions; returns the first new
+        entry id (the batch's rows take consecutive ids in order).
+
+        Only the columns are written: the records are built on first
+        :meth:`version` / :meth:`region` access.  The rows are checked
+        the way :class:`CompiledMethod` checks its fields first, so an
+        invalid row raises the same :class:`CompilationError` and
+        leaves the cache unchanged.
+        """
+        n = len(batch.method_ids)
+        size, cycles, cpi, self_rate = batch.scalars.T
+        invalid = (
+            (size <= 0.0)
+            | (cycles < 0.0)
+            | (cpi < 0.0)
+            | ~((self_rate >= 0.0) & (self_rate < 1.0))
+        )
+        if invalid.any():
+            k = int(np.flatnonzero(invalid)[0])
+            CompiledMethod(  # raises the record's CompilationError
+                method_id=batch.method_ids[k],
+                opt_level=batch.levels[k],
+                code_size=float(size[k]),
+                compile_cycles=float(cycles[k]),
+                cycles_per_invocation=float(cpi[k]),
+                residual_forward=(),
+                residual_self_rate=float(self_rate[k]),
+            )
+        # flush the edges add() left to the CSR, so the batch's edges
+        # can go straight into its tails
+        self.edge_csr()
+        first = len(self._versions)
+        self._reserve(first + n)
+        self._LO[first : first + n] = batch.bounds[:, :5]
+        self._HI[first : first + n] = batch.bounds[:, 5:]
+        self._ENTRY_METHOD[first : first + n] = batch.method_ids
+        self._versions.extend([None] * n)
+        self._regions.extend([None] * n)
+        self._opt_level.extend(batch.levels)
+        self._code_size.extend(size.tolist())
+        self._compile_cycles.extend(cycles.tolist())
+        self._cycles_per_invocation.extend(cpi.tolist())
+        self._self_rate.extend(self_rate.tolist())
+        self._inline_count.extend(batch.inline_count.tolist())
+        # the edges go straight into the CSR; their tuples are built on
+        # first edges() access
+        n_edges = len(batch.edge_callees)
+        pos = self._csr_edges
+        self._reserve_csr(first + n, pos + n_edges)
+        self._csr_callees[pos : pos + n_edges] = batch.edge_callees
+        self._csr_rates[pos : pos + n_edges] = batch.edge_rates
+        self._csr_offsets[first + 1 : first + n + 1] = batch.edge_offsets[1:] + pos
+        self._csr_entries = first + n
+        self._csr_edges = pos + n_edges
+        self._edges.extend([None] * n)
+        return first
 
     # ------------------------------------------------------------------
     def match(self, values: Tuple[int, ...]) -> np.ndarray:
@@ -298,7 +438,19 @@ class MethodPlanCache:
 
     def edges(self, entry: int) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
         """Residual forward edges ``(callee_ids, rates)`` of one entry."""
-        return self._edges[entry]
+        pair = self._edges[entry]
+        if pair is None:
+            lo, hi = self._csr_offsets[entry : entry + 2].tolist()
+            if lo == hi:
+                pair = _NO_EDGES
+            else:
+                callees = self._csr_callees[lo:hi].tolist()
+                pair = (
+                    tuple(map(self._method_ids.__getitem__, callees)),
+                    tuple(self._csr_rates[lo:hi].tolist()),
+                )
+            self._edges[entry] = pair
+        return pair
 
     def edge_arrays(self, entry: int) -> Tuple[np.ndarray, np.ndarray]:
         """Residual forward edges of one entry as an ndarray pair.
@@ -310,7 +462,7 @@ class MethodPlanCache:
         """
         cached = self._edge_array_cache.get(entry)
         if cached is None:
-            callees, rates = self._edges[entry]
+            callees, rates = self.edges(entry)
             cached = (
                 np.array(callees, dtype=np.int64),
                 np.array(rates, dtype=np.float64),
@@ -327,32 +479,19 @@ class MethodPlanCache:
         walk.  The float conversion is exact.
 
         Entries are append-only, so the CSR grows incrementally:
-        entries added since the last call extend the tails of
-        capacity-doubling buffers (amortized O(new edges) per call,
-        which keeps the per-miss cost flat when the serial accelerator
-        propagates between compiles on a cold cache).  The returned
-        arrays are right-sized read-only views of those buffers.
+        :meth:`add_batch` writes its edges straight into the tails of
+        capacity-doubling buffers, and entries :meth:`add` inserted
+        since the last call are flattened in here (amortized O(new
+        edges) per call, which keeps the per-miss cost flat when the
+        serial accelerator propagates between compiles on a cold
+        cache).  The returned arrays are right-sized read-only views of
+        those buffers.
         """
         n = len(self._versions)
         if n > self._csr_entries:
-            if n + 1 > self._csr_offsets.shape[0]:
-                cap = max(64, 2 * (n + 1))
-                grown = np.zeros(cap, dtype=np.int64)
-                grown[: self._csr_entries + 1] = self._csr_offsets[
-                    : self._csr_entries + 1
-                ]
-                self._csr_offsets = grown
             new_edges = self._edges[self._csr_entries : n]
             added = sum(len(e[0]) for e in new_edges)
-            total = self._csr_edges + added
-            if total > self._csr_callees.shape[0]:
-                cap = max(256, 2 * total)
-                callees = np.empty(cap, dtype=np.int64)
-                rates = np.empty(cap, dtype=np.float64)
-                callees[: self._csr_edges] = self._csr_callees[: self._csr_edges]
-                rates[: self._csr_edges] = self._csr_rates[: self._csr_edges]
-                self._csr_callees = callees
-                self._csr_rates = rates
+            self._reserve_csr(n, self._csr_edges + added)
             pos = self._csr_edges
             flat_callees: list = []
             flat_rates: list = []
@@ -374,6 +513,24 @@ class MethodPlanCache:
             self._csr_rates[: self._csr_edges],
         )
 
+    def _reserve_csr(self, n_entries: int, n_edges: int) -> None:
+        """Grow the CSR buffers (capacity doubling) to hold *n_entries*
+        entries with *n_edges* edges in total."""
+        if n_entries + 1 > self._csr_offsets.shape[0]:
+            grown = np.zeros(max(64, 2 * (n_entries + 1)), dtype=np.int64)
+            grown[: self._csr_entries + 1] = self._csr_offsets[
+                : self._csr_entries + 1
+            ]
+            self._csr_offsets = grown
+        if n_edges > self._csr_callees.shape[0]:
+            cap = max(256, 2 * n_edges)
+            callees = np.empty(cap, dtype=np.int64)
+            rates = np.empty(cap, dtype=np.float64)
+            callees[: self._csr_edges] = self._csr_callees[: self._csr_edges]
+            rates[: self._csr_edges] = self._csr_rates[: self._csr_edges]
+            self._csr_callees = callees
+            self._csr_rates = rates
+
     def edge_count_column(self) -> np.ndarray:
         """Residual-edge count per entry, as an int64 column.
 
@@ -382,7 +539,7 @@ class MethodPlanCache:
         col = self._edge_count_cache
         n = len(self._versions)
         if col is None or len(col) != n:
-            col = np.array([len(e[0]) for e in self._edges], dtype=np.int64)
+            col = np.diff(self.edge_csr()[0])
             self._edge_count_cache = col
         return col
 
@@ -407,9 +564,7 @@ class MethodPlanCache:
             "entry_method": self._ENTRY_METHOD[:n].copy(),
             "lo": self._LO[:n].copy(),
             "hi": self._HI[:n].copy(),
-            "opt_level": np.array(
-                [v.opt_level for v in self._versions], dtype=np.int64
-            ),
+            "opt_level": np.array(self._opt_level, dtype=np.int64),
             "compile_cycles": np.array(self._compile_cycles, dtype=np.float64),
             "code_size": np.array(self._code_size, dtype=np.float64),
             "cycles_per_invocation": np.array(
@@ -435,8 +590,8 @@ class MethodPlanCache:
         method from distinct plan expansions are disjoint, so an entry
         whose region already exists *is* the same compiled version.
 
-        The rows are converted once per field (``tolist``), and every
-        version is built before the first is added, so a malformed row
+        The rows are appended as one :class:`CompiledBatch` (records are
+        built on first access), so a row failing the record checks
         leaves the cache unchanged.
         """
         if int(arrays["n_methods"][0]) != self.n_methods:
@@ -455,42 +610,32 @@ class MethodPlanCache:
         if not len(rows):
             return 0
         flat, lengths = _csr_rows(arrays["edge_offsets"], rows)
-        callees = arrays["edge_callees"][flat].tolist()
-        rates = arrays["edge_rates"][flat].tolist()
-        regions: List[ParamRegion] = []
-        versions: List[CompiledMethod] = []
-        pos = 0
-        for method_id, lo, hi, level, size, cycles, cpi, self_rate, inlined, k in zip(
-            arrays["entry_method"][rows].tolist(),
-            arrays["lo"][rows].tolist(),
-            arrays["hi"][rows].tolist(),
-            arrays["opt_level"][rows].tolist(),
-            arrays["code_size"][rows].tolist(),
-            arrays["compile_cycles"][rows].tolist(),
-            arrays["cycles_per_invocation"][rows].tolist(),
-            arrays["self_rate"][rows].tolist(),
-            arrays["inline_count"][rows].tolist(),
-            lengths.tolist(),
-        ):
-            regions.append(ParamRegion(lo=tuple(lo), hi=tuple(hi)))
-            versions.append(
-                CompiledMethod(
-                    method_id=method_id,
-                    opt_level=level,
-                    code_size=size,
-                    compile_cycles=cycles,
-                    cycles_per_invocation=cpi,
-                    residual_forward=tuple(
-                        zip(callees[pos : pos + k], rates[pos : pos + k])
-                    ),
-                    residual_self_rate=self_rate,
-                    inline_count=inlined,
-                )
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        self.add_batch(
+            CompiledBatch(
+                method_ids=arrays["entry_method"][rows].tolist(),
+                levels=arrays["opt_level"][rows].tolist(),
+                bounds=np.hstack([arrays["lo"][rows], arrays["hi"][rows]]),
+                scalars=np.stack(
+                    [
+                        arrays[field][rows]
+                        for field in (
+                            "code_size",
+                            "compile_cycles",
+                            "cycles_per_invocation",
+                            "self_rate",
+                        )
+                    ],
+                    axis=1,
+                ),
+                inline_count=arrays["inline_count"][rows],
+                edge_offsets=offsets,
+                edge_callees=arrays["edge_callees"][flat],
+                edge_rates=arrays["edge_rates"][flat],
             )
-            pos += k
-        for region, version in zip(regions, versions):
-            self.add(version.method_id, region, version)
-        return len(versions)
+        )
+        return len(rows)
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "MethodPlanCache":

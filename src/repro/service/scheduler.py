@@ -132,6 +132,27 @@ def _cells_for(record: JobRecord) -> List[_CellState]:
     return cells
 
 
+#: how often a pool worker checks that its daemon is still alive
+ORPHAN_POLL_SECONDS = 0.5
+
+
+def _exit_with_daemon(daemon_pid: int) -> None:
+    """Pool initializer: end this worker once its daemon is gone.
+
+    A SIGKILLed daemon cannot shut its pool down, and a forked worker
+    blocked on the call queue never sees the daemon go (it inherited the
+    queue's other end), so it would idle on, orphaned.  A daemon thread
+    polls the parent pid and exits the worker when it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == daemon_pid:
+            time.sleep(ORPHAN_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-orphan-watch", daemon=True).start()
+
+
 class CellScheduler:
     """Continuous supervised execution of every admitted job's cells.
 
@@ -531,7 +552,10 @@ class CellScheduler:
             job, cell = picked
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=self.mp_context
+                    max_workers=self.workers,
+                    mp_context=self.mp_context,
+                    initializer=_exit_with_daemon,
+                    initargs=(os.getpid(),),
                 )
             request = self._request_for(job, cell)
             cell.attempts += 1

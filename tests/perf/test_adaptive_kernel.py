@@ -21,7 +21,6 @@ from repro.jvm.inlining import InliningParameters
 from repro.jvm.runtime import VirtualMachine
 from repro.jvm.scenario import ADAPTIVE
 from repro.perf.batch import GenerationBatchEvaluator
-from repro.perf.fastcompile import region_covers
 from repro.workloads.suites import SPECJVM98
 
 from tests.perf.test_batch_eval import bred_generation
@@ -139,7 +138,7 @@ class TestGroupedColdPath:
             ],
             dtype=np.int64,
         )
-        got = region_covers(region, probes)
+        got = cache.covers(0, probes)
         expected = [
             all(lo <= v <= hi for lo, v, hi in zip(region.lo, row, region.hi))
             for row in probes.tolist()

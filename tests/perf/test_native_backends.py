@@ -12,6 +12,7 @@ heuristic space exercise the kernels too.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 
@@ -20,12 +21,22 @@ import pytest
 
 from repro.arch import PENTIUM4, POWERPC_G4
 from repro.core.parameters import TABLE1_SPACE
-from repro.errors import SimulationError
-from repro.jvm.inlining import InliningParameters
+from repro.errors import ConfigurationError, SimulationError
+from repro.jvm.inlining import (
+    HARD_DEPTH_LIMIT,
+    InliningParameters,
+    _REGION_UNBOUNDED,
+    build_inline_plan,
+)
+from repro.jvm.opt_compiler import OptimizingCompiler
 from repro.jvm.runtime import VirtualMachine
 from repro.jvm.scenario import ADAPTIVE, OPTIMIZING
 from repro.perf import native
 from repro.perf.batch import GenerationBatchEvaluator
+from repro.perf.fastcompile import TracedCompiler
+from repro.perf.plancache import MethodPlanCache
+from repro.workloads.generator import generate_program
+from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.suites import SPECJVM98
 
 from tests.perf.test_equivalence import assert_reports_identical
@@ -345,6 +356,250 @@ class TestBlockedKernels:
                 )
 
 
+#: extreme program shapes for the compiled cold path, as
+#: ``BenchmarkSpec`` knobs: call chains deeper than HARD_DEPTH_LIMIT
+#: (tiny methods the always-inline test takes at any depth), fan-out
+#: wide enough to outgrow the residual-edge buffer, programs of nearly
+#: only leaves, and self-recursion on most methods
+FUZZ_SHAPES = {
+    "deep": dict(
+        n_methods=80, n_layers=30, size_median=3.0, size_sigma=0.5,
+        fanout_mean=1.0, leaf_fraction=0.3, self_recursion_prob=0.0,
+    ),
+    "wide": dict(
+        n_methods=160, n_layers=3, size_median=30.0, fanout_mean=40.0,
+        leaf_fraction=0.2,
+    ),
+    "leaves": dict(n_methods=40, n_layers=2, leaf_fraction=0.95, fanout_mean=1.0),
+    "recursive": dict(
+        n_methods=60, n_layers=6, size_median=8.0, self_recursion_prob=0.9,
+    ),
+}
+
+#: a vector that inlines everything the heuristic allows: always-inline
+#: below 20, so the deep shape's tiny chains run into the depth guard
+INLINE_ALL = (50, 20, 15, 4000, 400)
+
+
+@pytest.fixture(scope="module")
+def fuzz_programs():
+    return {
+        name: generate_program(
+            BenchmarkSpec(name=f"fuzz-{name}", suite="fuzz", description=name, **shape),
+            seed=1,
+        )
+        for name, shape in FUZZ_SHAPES.items()
+    }
+
+
+def version_fields(version, region):
+    """Every field of a compile result, floats as ``float.hex``."""
+    return (
+        version.method_id,
+        version.opt_level,
+        version.code_size.hex(),
+        version.compile_cycles.hex(),
+        version.cycles_per_invocation.hex(),
+        tuple((mid, rate.hex()) for mid, rate in version.residual_forward),
+        version.residual_self_rate.hex(),
+        version.inline_count,
+        region.lo,
+        region.hi,
+    )
+
+
+def records(batch, program):
+    """The ``(version, region)`` records of a compiled batch, built the
+    way a plan cache builds them."""
+    cache = MethodPlanCache(len(program))
+    first = cache.add_batch(batch)
+    return [(cache.version(e), cache.region(e)) for e in range(first, len(cache))]
+
+
+def _compile_requests(machine, scenario, program):
+    """The missing list a cold accelerator would hand the compiler, and
+    the profiler's hot sites: every method at the Opt level, or the
+    Adapt skeleton's promotions at their levels."""
+    vm = VirtualMachine(machine, ADAPTIVE, memoize=True)
+    skeleton = vm._aos.plan_promotions(program)
+    if scenario.is_adaptive:
+        missing = [(mid, mid, level) for mid, level in skeleton.promotions]
+    else:
+        missing = [(mid, mid, scenario.opt_level) for mid in range(len(program))]
+    return missing, skeleton.hot_sites
+
+
+class TestTracedCompile:
+    """The compiled cold path (``repro_traced_compile``) against the
+    Python loop and ``OptimizingCompiler.compile_traced``, field by
+    field, on generated programs of extreme shape."""
+
+    def _sweep(self, backend, program, machine, scenario, use_hot, genomes):
+        vm = VirtualMachine(machine, scenario, memoize=True)
+        compiler = OptimizingCompiler(vm.machine, vm.cost_model)
+        traced = TracedCompiler(program, vm.machine, vm.cost_model)
+        missing, hot_sites = _compile_requests(machine, scenario, program)
+        for values in genomes:
+            batch = records(
+                traced.compile(values, missing, hot_sites, use_hot, backend), program
+            )
+            loop = records(
+                traced.compile(values, missing, hot_sites, use_hot, None), program
+            )
+            params = InliningParameters(*values)
+            for (_, mid, level), c_result, py_result in zip(missing, batch, loop):
+                reference = compiler.compile_traced(
+                    program, mid, params, level, hot_sites, use_hot
+                )
+                expected = version_fields(*reference)
+                assert version_fields(*c_result) == expected, (mid, values)
+                assert version_fields(*py_result) == expected, (mid, values)
+        return traced
+
+    @pytest.mark.parametrize("backend", COMPILED_BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("use_hot", [False, True], ids=["cold", "hot"])
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("shape", sorted(FUZZ_SHAPES))
+    def test_fuzzed_shapes_match_reference(
+        self, backend, shape, scenario, use_hot, fuzz_programs
+    ):
+        genomes = [INLINE_ALL] + [
+            params.as_tuple() for params in random_generation(n=3, seed=21)
+        ]
+        self._sweep(
+            backend, fuzz_programs[shape], PENTIUM4, scenario, use_hot, genomes
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend", COMPILED_BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("shape", sorted(FUZZ_SHAPES))
+    def test_fuzzed_shapes_match_reference_wide(
+        self, backend, shape, machine, fuzz_programs
+    ):
+        """The CI-sized sweep: more genomes, both machines, and every
+        scenario x hot-heuristic combination per genome."""
+        genomes = [params.as_tuple() for params in random_generation(n=24, seed=22)]
+        for scenario in SCENARIOS:
+            for use_hot in (False, True):
+                self._sweep(
+                    backend, fuzz_programs[shape], machine, scenario, use_hot,
+                    genomes,
+                )
+
+    def test_fuzzed_shapes_are_extreme(self, fuzz_programs):
+        """Each shape really has the property it is named for."""
+        deep = fuzz_programs["deep"]
+        depths = [
+            max(
+                (body.depth for body in build_inline_plan(
+                    deep, mid, InliningParameters(*INLINE_ALL)
+                ).inlined),
+                default=0,
+            )
+            for mid in range(len(deep))
+        ]
+        assert max(depths) == HARD_DEPTH_LIMIT  # the guard cut a chain
+        wide = fuzz_programs["wide"]
+        assert max(len(wide.sites_of(mid)) for mid in range(len(wide))) >= 40
+        leaves = fuzz_programs["leaves"]
+        n_leaves = sum(not leaves.sites_of(mid) for mid in range(len(leaves)))
+        assert n_leaves >= len(leaves) // 2
+        recursive = fuzz_programs["recursive"]
+        n_recursive = sum(site.is_recursive for site in recursive.call_sites)
+        assert n_recursive >= len(recursive) // 2
+
+    @pytest.mark.parametrize("backend", COMPILED_BACKENDS, ids=lambda b: b.name)
+    def test_edge_buffer_grows(self, backend, fuzz_programs):
+        """A missing list with more residual edges than the buffer holds
+        grows it and still matches the Python loop."""
+        program = fuzz_programs["wide"]
+        vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        traced = TracedCompiler(program, vm.machine, vm.cost_model)
+        missing = [(mid, mid, 2) for mid in range(len(program))]
+        values = (1, 1, 1, 1, 1)  # inlines nothing: every site stays residual
+        batch = traced.compile(values, missing, None, False, backend)
+        n_edges = len(batch.edge_callees)
+        assert n_edges > native.TracedProgram.EDGE_CAPACITY
+        assert traced._bind(backend).edge_capacity >= n_edges
+        loop = traced.compile(values, missing, None, False, None)
+        assert [version_fields(*r) for r in records(batch, program)] == [
+            version_fields(*r) for r in records(loop, program)
+        ]
+
+    @pytest.mark.parametrize("backend", COMPILED_BACKENDS, ids=lambda b: b.name)
+    def test_outputs_share_bound_and_id_objects(self, backend):
+        """Records built from compiled batches stay small: every
+        unbounded upper bound *is* _REGION_UNBOUNDED, and a callee id is
+        one int object across all residual edges of the cache."""
+        program = max(SPECJVM98.programs(seed=0), key=len)
+        assert len(program) > 256  # ids above CPython's small-int cache
+        vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        traced = TracedCompiler(program, vm.machine, vm.cost_model)
+        missing = [(mid, mid, 2) for mid in range(len(program))]
+        cache = MethodPlanCache(len(program))
+        for values in (INLINE_ALL, (1, 1, 1, 1, 1), (23, 11, 5, 2048, 135)):
+            cache.add_batch(traced.compile(values, missing, None, False, backend))
+        ids = {}
+        n_unbounded = 0
+        for entry in range(len(cache)):
+            for bound in cache.region(entry).hi:
+                if bound == _REGION_UNBOUNDED:
+                    assert bound is _REGION_UNBOUNDED
+                    n_unbounded += 1
+            for callee, _ in cache.version(entry).residual_forward:
+                assert ids.setdefault(callee, callee) is callee
+        assert n_unbounded and max(ids) > 256
+
+    @pytest.mark.parametrize("backend", COMPILED_BACKENDS, ids=lambda b: b.name)
+    def test_bad_requests_raise_like_the_loop(self, backend, programs):
+        """An unknown level raises the reference's ConfigurationError and
+        an unknown method an IndexError, on both rungs."""
+        vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        traced = TracedCompiler(programs[0], vm.machine, vm.cost_model)
+        for rung in (backend, None):
+            with pytest.raises(ConfigurationError):
+                traced.compile(INLINE_ALL, [(0, 0, 7)], None, False, rung)
+            with pytest.raises(IndexError):
+                traced.compile(
+                    INLINE_ALL, [(0, len(programs[0]), 2)], None, False, rung
+                )
+
+
+class TestColdPathDegradation:
+    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_failing_c_compile_degrades_to_the_loop(
+        self, scenario, programs, monkeypatch
+    ):
+        """A compiled compile call that raises drops the accelerator to
+        the Python loop for good (``native_fallbacks``), and every
+        report is still bitwise equal to the reference."""
+        calls = []
+
+        def broken(self, *args):
+            calls.append(args)
+            raise RuntimeError("injected kernel failure")
+
+        monkeypatch.setattr(native.TracedProgram, "compile", broken)
+        reference = VirtualMachine(PENTIUM4, scenario, memoize=False)
+        vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+        vm._accelerator.force_native_backend(COMPILED_BACKENDS[0])
+        runner = GenerationBatchEvaluator(vm)
+        generations = [random_generation(n=6, seed=seed) for seed in (31, 32)]
+        for generation in generations:
+            rows = runner.run_generation(programs, generation)
+            for g, params in enumerate(generation):
+                for p, program in enumerate(programs):
+                    assert_reports_identical(
+                        reference.run(program, params), rows[g][p]
+                    )
+        stats = vm.perf_stats
+        assert len(calls) == 1 and stats.native_fallbacks == 1
+        assert vm._accelerator.native_backend() is None
+        assert stats.method_builds > 0
+
+
 class TestLadderSelection:
     def test_backend_env_pin_numpy(self, monkeypatch):
         """``REPRO_KERNEL_BACKEND=numpy`` pins the pure-numpy rung."""
@@ -420,6 +675,20 @@ class TestKernelBuild:
         monkeypatch.setattr(native, "_find_compiler", lambda: "/opt/clang")
         other_compiler = native._build_shared_object()
         assert len({base, other_flags, other_compiler}) == 3
+
+    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
+    def test_extension_exports_the_three_kernels(self):
+        """The built object exports both propagation kernels and the
+        compiled cold path, and the backend binds all three."""
+        library = ctypes.CDLL(native._build_shared_object())
+        for symbol in (
+            "repro_opt_propagate_blocked",
+            "repro_adaptive_propagate_blocked",
+            "repro_traced_compile",
+        ):
+            assert hasattr(library, symbol), symbol
+        backend = native.KernelBackend(library)
+        assert backend._traced_fn.restype is ctypes.c_int64
 
     @pytest.mark.parametrize(
         "failure",

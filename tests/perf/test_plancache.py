@@ -165,3 +165,60 @@ class TestMethodPlanCache:
         assert cache.self_rate(entry) == version.residual_self_rate
         callees, rates = cache.edges(entry)
         assert list(zip(callees, rates)) == list(version.residual_forward)
+
+    def _batch(self, program, genome):
+        from repro.jvm.runtime import VirtualMachine
+        from repro.jvm.scenario import OPTIMIZING
+        from repro.perf.fastcompile import TracedCompiler
+
+        vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        traced = TracedCompiler(program, vm.machine, vm.cost_model)
+        missing = [(mid, mid, 2) for mid in range(len(program))]
+        return traced.compile(genome, missing)
+
+    def test_batch_records_are_built_on_first_access(self, diamond):
+        """A compiled batch is appended as columns only; each record is
+        built once, on first access, and equals the reference's."""
+        genome = (23, 11, 5, 1900, 135)
+        cache = MethodPlanCache(len(diamond))
+        first = cache.add_batch(self._batch(diamond, genome))
+        assert first == 0 and len(cache) == len(diamond)
+        assert cache._versions == [None] * len(diamond)
+        assert cache._regions == [None] * len(diamond)
+        for mid in range(len(diamond)):
+            version, region = self._traced(diamond, mid, genome)
+            assert cache.version(mid) == version
+            assert cache.region(mid) == region
+            assert cache.version(mid) is cache.version(mid)
+            assert cache.method_of(mid) == mid
+            assert cache.match(genome)[mid] == mid
+        assert (cache.export_arrays()["opt_level"] == 2).all()
+
+    def test_opt_accounting_builds_no_records(self):
+        """Opt accounting reads the cache's columns only, so compiled
+        entries never build their records."""
+        from repro.jvm.runtime import VirtualMachine
+        from repro.jvm.scenario import OPTIMIZING
+        from repro.perf.batch import GenerationBatchEvaluator
+        from repro.workloads.suites import SPECJVM98
+
+        programs = SPECJVM98.programs(seed=0)[:2]
+        vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        genomes = [(23, 11, 5, 1900, 135), (1, 1, 1, 1, 1), (50, 20, 15, 4000, 400)]
+        GenerationBatchEvaluator(vm).run_generation(
+            programs, [InliningParameters(*g) for g in genomes]
+        )
+        for program in programs:
+            vm.run(program, JIKES_DEFAULT_PARAMETERS)
+            cache = vm._accelerator._state_for(program).cache
+            assert len(cache) and cache._versions.count(None) == len(cache)
+
+    def test_invalid_batch_row_raises_and_leaves_cache_unchanged(self, diamond):
+        from repro.errors import CompilationError
+
+        batch = self._batch(diamond, (23, 11, 5, 1900, 135))
+        batch.scalars[1, 3] = 1.0  # residual self-rate must stay below 1
+        cache = MethodPlanCache(len(diamond))
+        with pytest.raises(CompilationError, match="residual_self_rate"):
+            cache.add_batch(batch)
+        assert len(cache) == 0 and (cache.match((23, 11, 5, 1900, 135)) == -1).all()

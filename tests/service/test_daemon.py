@@ -9,7 +9,11 @@ pool, real socket) lives in the ``slow``-marked class at the bottom.
 """
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -24,7 +28,7 @@ from repro.resilience.faults import (
 from repro.service import ServiceClient, ServiceDaemon
 from repro.service.api import ApiServer
 from repro.service.journal import JobJournal
-from repro.service.scheduler import CellScheduler
+from repro.service.scheduler import ORPHAN_POLL_SECONDS, CellScheduler
 
 
 def job_payload(key, **overrides):
@@ -513,3 +517,55 @@ class TestShmHygiene:
         journal = JobJournal(str(state))
         CellScheduler(str(state), journal, workers=1)
         assert not (state / "shm.json").exists()
+
+
+def _running(pid):
+    """True while *pid* exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestOrphanedWorkers:
+    """A SIGKILLed daemon cannot shut its pool down: its forked workers
+    must notice on their own and exit."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_pool_worker_exits_when_its_daemon_is_killed(self):
+        import repro
+
+        # a stand-in daemon: a process whose pool uses the scheduler's
+        # initializer, reports its worker's pid, then idles
+        code = (
+            "import os, time\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from repro.service.scheduler import _exit_with_daemon\n"
+            "pool = ProcessPoolExecutor(\n"
+            "    1, initializer=_exit_with_daemon, initargs=(os.getpid(),))\n"
+            "print(pool.submit(os.getpid).result(), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        daemon = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env
+        )
+        worker = None
+        try:
+            worker = int(daemon.stdout.readline())
+            assert _running(worker)
+            daemon.kill()
+            daemon.wait(timeout=10)
+            deadline = time.monotonic() + 10 * ORPHAN_POLL_SECONDS + 5
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker)
+        finally:
+            daemon.kill()
+            daemon.wait(timeout=10)
+            daemon.stdout.close()
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)

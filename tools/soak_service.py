@@ -17,7 +17,9 @@ whole contract at once:
 * **no work leaked** — every cell of every job is journalled terminal;
 * **no zombie work** — cancelled jobs go terminal as ``cancelled`` and
   no cell of theirs lands ``done`` after the cancel was acknowledged
-  (in-flight cells are written off at the cell boundary).
+  (in-flight cells are written off at the cell boundary);
+* **no orphaned process** — every child of the SIGKILLed daemon (its
+  pool workers, its resource tracker) has exited by the end.
 
 Usage (full soak, then the shortened CI variant)::
 
@@ -141,6 +143,44 @@ def fault_plan(marker_dir: str, seed: int) -> FaultPlan:
     )
 
 
+def _stat(pid: int):
+    """``(ppid, state, start time)`` of a live process, from /proc."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return int(fields[1]), fields[0], fields[19]
+
+
+def children_of(pid: int) -> dict:
+    """Direct children of *pid*: ``{child pid: start time}`` (Linux)."""
+    children = {}
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if entry.isdigit():
+            stat = _stat(int(entry))
+            if stat is not None and stat[0] == pid:
+                children[int(entry)] = stat[2]
+    return children
+
+
+def surviving(children: dict, grace: float = 10.0) -> list:
+    """Processes of *children* still running after up to *grace* s.
+
+    A pid counts as the same process only with the same start time, and
+    a zombie has exited (only its reaping is pending)."""
+    deadline = time.monotonic() + grace
+    while True:
+        alive = []
+        for pid, started in sorted(children.items()):
+            stat = _stat(pid)
+            if stat is not None and stat[2] == started and stat[1] != "Z":
+                alive.append(pid)
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.2)
+
+
 def start_daemon(
     state_dir: str, workers: int, env: dict, telemetry: str = None
 ) -> subprocess.Popen:
@@ -222,6 +262,7 @@ def main(argv=None) -> int:
         env["REPRO_FAULT_PLAN"] = plan.to_json()
 
     problems = []
+    killed_children = {}
     daemon = start_daemon(state_dir, args.workers, env, args.telemetry)
     client = ServiceClient(state_dir)
     try:
@@ -266,7 +307,11 @@ def main(argv=None) -> int:
             # let the daemon get properly busy, then SIGKILL it — no
             # drain, no cleanup — and restart on the same state dir
             time.sleep(6.0)
-            print(f"soak: SIGKILL daemon pid {daemon.pid}, restarting")
+            killed_children = children_of(daemon.pid)
+            print(
+                f"soak: SIGKILL daemon pid {daemon.pid} "
+                f"({len(killed_children)} children), restarting"
+            )
             daemon.send_signal(signal.SIGKILL)
             daemon.wait()
             daemon = start_daemon(state_dir, args.workers, env, args.telemetry)
@@ -363,6 +408,16 @@ def main(argv=None) -> int:
         except subprocess.TimeoutExpired:
             daemon.kill()
             daemon.wait()
+
+    # -- the killed daemon's processes must all have gone -------------
+    for pid in surviving(killed_children):
+        problems.append(
+            f"process {pid} of the SIGKILLed daemon is still alive"
+        )
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
 
     # -- verify the journal against the fault-free reference ----------
     journal_path = os.path.join(state_dir, "journal.json")
