@@ -20,6 +20,13 @@ lookup, per-report stamping) is what the GA pays per genome.  The
 timed passes alternate serial/batched so machine-state drift hits both
 paths equally and cancels out of the ratio.
 
+The guarded ``speedup`` is the **median of the per-round ratios** over
+nine rounds, as in ``bench_store_tier.py``: one round's two legs run
+back to back, so drift cancels within the round, and the median sheds
+the odd preempted round that a ratio of sums would carry (the batched
+leg lasts about a tenth of a second).  ``round_ratios`` and
+``ratio_quartiles`` record the spread.
+
 Rounds are timed in **user CPU time** (``getrusage``): both legs
 allocate and free multi-megabyte accounting arrays every pass, and
 glibc's adaptive mmap threshold decides — from heap history that
@@ -39,7 +46,8 @@ committed baseline (``benchmarks/BENCH_batch_baseline.json``).
 from __future__ import annotations
 
 import resource
-from typing import Dict
+import statistics
+from typing import Dict, List
 
 from repro.arch import PENTIUM4
 from repro.jvm.inlining import InliningParameters
@@ -63,7 +71,7 @@ def _count_mismatches(serial_rows, batch_rows) -> int:
 
 
 def run_batch_eval(
-    n_genomes: int = 50, seed: int = 0, rounds: int = 3
+    n_genomes: int = 50, seed: int = 0, rounds: int = 9
 ) -> Dict[str, object]:
     """Measure serial-memoized vs generation-batched evaluation."""
     programs = SPECJVM98.programs(seed=0)
@@ -93,8 +101,8 @@ def run_batch_eval(
     mismatches = _count_mismatches(serial_sweep(), batch_sweep())
     dedup_stats = batch_vm.perf_stats.as_dict()
 
-    serial_secs = 0.0
-    batch_secs = 0.0
+    serial_times: List[float] = []
+    batch_times: List[float] = []
     for _ in range(rounds):
         # results are discarded inside the timed region on purpose —
         # holding both generations' rows alive while the other leg
@@ -104,8 +112,11 @@ def run_batch_eval(
         mid = clock()
         batch_sweep()
         end = clock()
-        serial_secs += mid - start
-        batch_secs += end - mid
+        serial_times.append(mid - start)
+        batch_times.append(end - mid)
+    ratios = [s / b for s, b in zip(serial_times, batch_times)]
+    serial_secs = sum(serial_times)
+    batch_secs = sum(batch_times)
 
     # post-loop identity check on the warm steady state the rounds
     # actually measured
@@ -121,7 +132,9 @@ def run_batch_eval(
         "batch_seconds": batch_secs,
         "serial_evals_per_sec": evaluations / serial_secs,
         "batch_evals_per_sec": evaluations / batch_secs,
-        "speedup": serial_secs / batch_secs,
+        "speedup": statistics.median(ratios),
+        "round_ratios": ratios,
+        "ratio_quartiles": statistics.quantiles(ratios, n=4),
         "mismatched_fields": mismatches,
         "accelerator_stats": dedup_stats,
     }
@@ -138,7 +151,10 @@ def test_batch_eval_speedup():
             f"({result['serial_evals_per_sec']:8.1f} evals/s)",
             f"batched:         {result['batch_seconds']:7.3f}s "
             f"({result['batch_evals_per_sec']:8.1f} evals/s)",
-            f"speedup:         {result['speedup']:7.2f}x",
+            f"speedup:         {result['speedup']:7.2f}x (median of "
+            f"{result['rounds']} round ratios; quartiles "
+            + ", ".join(f"{q:.2f}" for q in result["ratio_quartiles"])
+            + ")",
             f"report hit rate: {stats['report_hit_rate']:.1%}   "
             f"batch dedup rate: {stats['batch_dedup_rate']:.1%}",
         ],

@@ -23,24 +23,24 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    checkpoint resume and the benchmark scripts, so no configuration is
    ever simulated twice across process restarts.
 4. **Generation batching** (:mod:`repro.perf.batch`) — whole GA
-   generations resolve against the region cache in one broadcast match,
-   deduplicate by plan signature across genomes before any simulation,
-   and account the residual representatives as (genomes x methods)
-   matrices.
+   generations resolve against the region cache in one pass (a single
+   C call on the compiled rung) that compiles each distinct parameter
+   region once and fans it out to every genome it covers, deduplicate
+   by plan signature across genomes before any simulation, and account
+   the residual representatives as (genomes x methods) matrices.
 5. **Adaptive batch kernel** (:mod:`repro.perf.adaptivekernel`) — under
    *Adapt*, the unresolved representatives of a generation become
-   columns of one (methods x representatives) matrix propagation, the
-   final-version accounting runs as matrix expressions over the
-   representative dimension, and cold promoted methods are compiled
-   once per distinct parameter region with the traced plan fanned out
-   to every genome the region covers.
+   columns of one (methods x representatives) matrix propagation and
+   the final-version accounting runs as matrix expressions over the
+   representative dimension.
 6. **Zero-copy transport and compiled kernels** (:mod:`repro.perf.shm`,
    :mod:`repro.perf.native`) — workload archives and genome/result
    shuttles live in named ``multiprocessing.shared_memory`` segments
    that pool workers map read-only instead of rebuilding after a
-   pickle, and the serial-by-construction invocation propagation and
-   the cold path's plan expansion (:mod:`repro.perf.fastcompile`) run
-   as compiled loops (a ``cc``-built C extension) chosen through
+   pickle, and the serial-by-construction invocation propagation, the
+   cold path's plan expansion (:mod:`repro.perf.fastcompile`) and the
+   per-generation resolve run as compiled loops (a ``cc``-built C
+   extension) chosen through
    the graceful-degradation ladder compiled -> numpy -> serial
    memoized -> reference; a missing compiler never breaks a run.
 

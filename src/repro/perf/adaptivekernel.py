@@ -24,12 +24,14 @@ three stages across the generation:
   row-wise pressure helper (:func:`repro.perf.batch.batched_cache_pressure`).
 * **grouped cold-path compilation** — when several genomes miss on the
   same promoted method, each freshly traced plan is fanned out to every
-  still-pending genome its parameter region covers
-  (:meth:`MethodPlanCache.covers`), so one
+  later genome its parameter region covers, so one
   :class:`~repro.perf.fastcompile.TracedCompiler` plan is emitted per
   distinct region instead of one per genome, while the plan cache is
   fed in exactly the serial reference's entry order (genome-major,
-  promotion order within a genome).
+  promotion order within a genome).  This is the batched resolve every
+  scenario shares (:meth:`EvaluationAccelerator._resolve_pending`, one
+  C call on the compiled rung); the kernel counts its fan-outs
+  (``adaptive_grouped_compiles``, ``adaptive_group_covered``).
 
 **Bitwise identity is the contract.**  Columns are independent: every
 floating-point operation a column experiences — the division by
@@ -82,40 +84,19 @@ class AdaptiveBatchKernel:
         params_list: Sequence[InliningParameters],
         values_matrix: np.ndarray,
         resolved: np.ndarray,
-        missing_rows: np.ndarray,
     ) -> None:
-        """Fetch or compile what the broadcast match left unresolved,
-        grouped.
+        """Fill what the broadcast match left open, grouped.
 
-        Visits the unresolved genomes in population order and fills
-        each through :meth:`EvaluationAccelerator._resolve_missing` —
-        the serial path's helper, so the plan cache receives the
-        identical entry sequence.  After each genome, every new
-        entry's region bounds are broadcast against the whole
-        generation's parameter matrix and every covered genome is
-        resolved in place: genomes sharing a plan's region never reach
-        the compiler or the archive (the serial path rediscovered this
-        with a full per-genome re-match).
+        Delegates to the batched Python helper
+        (:meth:`EvaluationAccelerator._resolve_pending`) with the
+        fan-out counters on: each traced plan is fanned out to every
+        later genome its region covers, so genomes sharing a region
+        never reach the compiler or the archive.  The compiled rung
+        runs the same step in C and does not come through here.
         """
-        stats = self.accelerator.stats
-        promotions = state.skeleton.promotions
-        cache = state.cache
-        for g in missing_rows.tolist():
-            row = resolved[g]
-            values = params_list[g].as_tuple()
-            missing = [(mid, mid, level) for mid, level in promotions if row[mid] < 0]
-            first = len(cache)
-            builds = self.accelerator._resolve_missing(state, values, missing, row)
-            compiled = len(cache) - builds
-            for entry in range(first, len(cache)):
-                # fan the new version out to every genome the region
-                # covers; regions of one method are disjoint, so no
-                # covered genome can already hold a different entry
-                covered = np.flatnonzero(cache.covers(entry, values_matrix))
-                resolved[covered, cache.method_of(entry)] = entry
-                if entry >= compiled and len(covered) > 1:
-                    stats.adaptive_grouped_compiles += 1
-                    stats.adaptive_group_covered += len(covered) - 1
+        self.accelerator._resolve_pending(
+            state, params_list, values_matrix, resolved, count_groups=True
+        )
 
     # ------------------------------------------------------------------
     # matrix invocation propagation
@@ -170,8 +151,6 @@ class AdaptiveBatchKernel:
             mid: entry_matrix[:, i] for i, mid in enumerate(state.key_mids)
         }
         self_rate_col = cache.self_rate_column()
-        edge_count_col = cache.edge_count_column()
-        edge_arrays = cache.edge_arrays
         rep_range = np.arange(n_reps)
 
         counts = np.zeros((n_methods, n_reps), dtype=np.float64)
@@ -209,18 +188,10 @@ class AdaptiveBatchKernel:
             # duplicate call sites) accumulates in the reference's order.
             c = c / (1.0 - self_rate_col[entries])
             counts[mid] = c
-            edge_counts = edge_count_col[entries]
-            if not edge_counts.any():
+            callee_idx, rates_flat, edge_counts = cache.edge_rows(entries)
+            if not len(callee_idx):
                 continue
-            callee_parts = []
-            rate_parts = []
-            for e in entries.tolist():
-                callees, rates = edge_arrays(e)
-                callee_parts.append(callees)
-                rate_parts.append(rates)
             col_idx = np.repeat(rep_range, edge_counts)
-            callee_idx = np.concatenate(callee_parts)
-            rates_flat = np.concatenate(rate_parts)
             np.add.at(counts, (callee_idx, col_idx), c[col_idx] * rates_flat)
         return counts
 

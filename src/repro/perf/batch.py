@@ -6,10 +6,14 @@ each genome to a *plan signature* — the tuple of region-cache entries
 serving each method.  This module exploits the batch dimension on top
 of that:
 
-* **batched resolution** — one broadcast bound check
-  (:meth:`~repro.perf.plancache.MethodPlanCache.match_many`) resolves
-  the entire generation against every cached region at once, instead of
-  one vectorized lookup per genome;
+* **batched resolution** — the entire generation is matched against
+  every cached region at once, then the genomes with open slots compile
+  them in population order, and each new version is fanned out to every
+  later genome its region covers, so one compile serves a whole region
+  of the population.  On the compiled rung that whole step is one C
+  call per program (``repro_resolve_generation``); the numpy rung runs
+  the same algorithm in Python
+  (:meth:`EvaluationAccelerator._resolve_pending`);
 * **cross-genome dedup** — the resolved entry rows are partitioned by
   signature (``np.unique`` over the key columns); exactly one
   representative per equivalence class is simulated, and its
@@ -26,9 +30,9 @@ of that:
   equal to the serial memoized path.  *Adapt* representatives go
   through :class:`repro.perf.adaptivekernel.AdaptiveBatchKernel`, which
   stacks them as columns of one matrix propagation and batches the
-  final-version accounting and the cold-path compilation the same way
-  (``use_adaptive_kernel=False`` falls back to the accelerator's
-  per-signature :meth:`EvaluationAccelerator._account_adaptive`).
+  final-version accounting the same way (``use_adaptive_kernel=False``
+  falls back to the accelerator's per-signature
+  :meth:`EvaluationAccelerator._account_adaptive`).
 
 The batch layer shares the accelerator's caches and report memo, so
 serial ``vm.run`` calls and batched generations see (and populate) the
@@ -187,7 +191,7 @@ class GenerationBatchEvaluator:
         stats.method_lookups += n_genomes * len(key_mids)
 
         builds_before = stats.method_builds
-        resolved = self._resolve_batch(state, params_list, values_matrix, key_mids, adaptive)
+        resolved = self._resolve_batch(state, params_list, values_matrix)
         if state.archived is not None:
             builds = stats.method_builds - builds_before
             stats.plan_warm_hits += n_genomes * len(key_mids) - builds
@@ -287,47 +291,36 @@ class GenerationBatchEvaluator:
         state,
         params_list: Sequence[InliningParameters],
         values_matrix: np.ndarray,
-        key_mids: Sequence[int],
-        adaptive: bool,
     ) -> np.ndarray:
-        """Resolve all genomes to entry rows, fetching or compiling
-        what's missing.
+        """Resolve all genomes to entry rows, compiling what's missing.
 
-        The broadcast match covers everything already cached; genomes
-        with unresolved methods are then visited in population order —
-        an entry added for an earlier genome can cover a later one, so
-        each such genome re-matches against the by-then-current cache
-        before :meth:`EvaluationAccelerator._resolve_missing` fills the
-        remainder (exactly the serial ordering).
+        Every genome is matched against every cached region; genomes
+        with open slots are then filled in population order, and the
+        versions each one adds are fanned out to every later genome
+        their regions cover — exactly the serial entry sequence, with
+        each compile shared by all the genomes of its region.  On the
+        compiled rung the whole step is one C call
+        (:meth:`EvaluationAccelerator._resolve_compiled`); the numpy
+        rung and program states with a plan-archive view run the same
+        algorithm in Python
+        (:meth:`EvaluationAccelerator._resolve_pending`, through
+        :meth:`AdaptiveBatchKernel.resolve_missing` under the adaptive
+        kernel).
         """
         acc = self.accelerator
-        cache = state.cache
-        resolved = cache.match_many(values_matrix)
-        if not key_mids:
-            return resolved
-        missing_rows = np.flatnonzero((resolved[:, key_mids] < 0).any(axis=1))
-        if not len(missing_rows):
-            return resolved
-
-        if adaptive and self._kernel is not None:
-            # grouped cold path: one traced plan per distinct region,
-            # fanned out to every genome the region covers
-            self._kernel.resolve_missing(
-                state, params_list, values_matrix, resolved, missing_rows
-            )
-            return resolved
-
-        if adaptive:
-            wanted = state.skeleton.promotions
+        if state.archived is None:
+            backend = acc.native_backend()
+            if backend is not None:
+                resolved = acc._resolve_compiled(
+                    state, backend, values_matrix, self._kernel is not None
+                )
+                if resolved is not None:
+                    return resolved
+        resolved = state.cache.match_many(values_matrix)
+        if self._kernel is not None:
+            self._kernel.resolve_missing(state, params_list, values_matrix, resolved)
         else:
-            level = self.vm.scenario.opt_level
-            wanted = [(mid, level) for mid in key_mids]
-        for g in missing_rows.tolist():
-            values = params_list[g].as_tuple()
-            row = cache.match(values)
-            missing = [(mid, mid, lvl) for mid, lvl in wanted if row[mid] < 0]
-            acc._resolve_missing(state, values, missing, row)
-            resolved[g] = row
+            acc._resolve_pending(state, params_list, values_matrix, resolved)
         return resolved
 
     # ------------------------------------------------------------------

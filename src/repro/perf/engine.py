@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,6 +252,7 @@ class _ProgramState:
         "promotion_level",
         "native_ctx",
         "archived",
+        "slots",
     )
 
     def __init__(self, program: Program) -> None:
@@ -282,6 +283,9 @@ class _ProgramState:
         # cache miss; None compiles privately (and gates the
         # warm-hit/recompile accounting)
         self.archived: Optional[ArchivedPlans] = None
+        # (method ids, levels) of the versions a genome needs, in
+        # compile order; built on the first batched resolve
+        self.slots: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 class EvaluationAccelerator:
@@ -409,10 +413,11 @@ class EvaluationAccelerator:
         compiles, in listed order, through one
         :meth:`TracedCompiler.compile` call — a single C call on the
         compiled rung — whose batch is appended as columns
-        (:meth:`MethodPlanCache.add_batch`).  Every resolution path —
-        serial and batched, Opt and Adapt — goes through here, so they
-        append the same entry sequence.  Returns the number of
-        compiles.
+        (:meth:`MethodPlanCache.add_batch`).  The serial path and the
+        batched Python helper (:meth:`_resolve_pending`), Opt and Adapt,
+        go through here, and the compiled generation resolve
+        (:meth:`_resolve_compiled`) replays it, so every path appends
+        the same entry sequence.  Returns the number of compiles.
 
         A compiled-rung failure other than a genuine compile error
         degrades this accelerator to the numpy rung permanently
@@ -488,6 +493,143 @@ class EvaluationAccelerator:
             return []
         taken = set(taken)
         return [m for j, m in enumerate(missing) if j not in taken]
+
+    # ------------------------------------------------------------------
+    # whole-generation resolution (repro.perf.batch)
+    # ------------------------------------------------------------------
+    def _slots(self, state: _ProgramState) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(method_ids, levels)`` every genome needs resolved, in
+        compile order: the reachable methods at the Opt level, or the
+        Adapt skeleton's promotions (skeleton already ensured)."""
+        slots = state.slots
+        if slots is None:
+            if self.vm.scenario.is_adaptive:
+                pairs = list(state.skeleton.promotions)
+            else:
+                level = self.vm.scenario.opt_level
+                pairs = [(mid, level) for mid in state.reachable_list]
+            slots = state.slots = (
+                np.array([mid for mid, _ in pairs], dtype=np.int64),
+                np.array([level for _, level in pairs], dtype=np.int64),
+            )
+        return slots
+
+    def _resolve_pending(
+        self,
+        state: _ProgramState,
+        params_list: Sequence[InliningParameters],
+        values_matrix: np.ndarray,
+        resolved: np.ndarray,
+        count_groups: bool = False,
+    ) -> None:
+        """Fill the slots a generation's broadcast match left open.
+
+        *resolved* is :meth:`MethodPlanCache.match_many` of
+        *values_matrix*.  Genomes with open slots are visited in
+        population order and filled through :meth:`_resolve_missing`,
+        the serial path's helper, so the plan cache receives the
+        serial path's entry sequence.  The entries a genome adds are
+        then fanned out to every later genome their regions cover, with
+        one block bound check (:meth:`MethodPlanCache.covers`): a later
+        genome's row is then exactly what a fresh match against the
+        grown cache would return, and a genome the fan-outs completed
+        never reaches the archive or the compiler.
+
+        This is the numpy rung's resolve and that of program states
+        with a plan-archive view; the compiled rung runs the same
+        algorithm in one C call (:meth:`_resolve_compiled`).  With
+        *count_groups* (the adaptive kernel), every compiled entry
+        covering later genomes counts one ``adaptive_grouped_compiles``
+        and its covered genomes ``adaptive_group_covered``.
+        """
+        cache = state.cache
+        methods, levels = self._slots(state)
+        n_genomes = len(values_matrix)
+        for g in np.flatnonzero((resolved[:, methods] < 0).any(axis=1)).tolist():
+            row = resolved[g]
+            open_slots = np.flatnonzero(row[methods] < 0)
+            if not len(open_slots):
+                continue  # completed by an earlier genome's fan-out
+            mids = methods[open_slots].tolist()
+            missing = list(zip(mids, mids, levels[open_slots].tolist()))
+            first = len(cache)
+            builds = self._resolve_missing(
+                state, params_list[g].as_tuple(), missing, row
+            )
+            stop = len(cache)
+            if stop == first or g + 1 == n_genomes:
+                continue
+            # regions of one method are disjoint, so a covered genome
+            # cannot hold a different version of that method
+            hit = cache.covers(first, stop, values_matrix[g + 1 :])
+            entries, later = np.nonzero(hit)
+            entries += first
+            resolved[later + (g + 1), cache.methods_of(entries)] = entries
+            if count_groups:
+                covered = hit[stop - builds - first :].sum(axis=1)
+                self.stats.adaptive_grouped_compiles += int(np.count_nonzero(covered))
+                self.stats.adaptive_group_covered += int(covered.sum())
+
+    def _resolve_compiled(
+        self,
+        state: _ProgramState,
+        backend,
+        values_matrix: np.ndarray,
+        count_groups: bool = False,
+    ) -> Optional[np.ndarray]:
+        """:meth:`_resolve_pending`'s algorithm as one compiled call.
+
+        The broadcast match, the per-genome compiles, the cache
+        appends and the fan-outs all run inside
+        ``repro_resolve_generation`` (:meth:`TracedCompiler.resolve`),
+        which returns the generation's entry rows.  The entries, the
+        rows and the counters are those of the Python helper.  A row
+        failing the :class:`CompiledMethod` checks raises its
+        :class:`~repro.errors.CompilationError` with the earlier
+        genomes' entries kept, as the helper would.  Any other failure
+        truncates the cache to its length before the call, degrades this
+        accelerator to the numpy rung (``native_fallbacks``) and returns
+        None: the caller then resolves through the Python helper.
+        """
+        cache = state.cache
+        methods, levels = self._slots(state)
+        hot_sites = state.skeleton.hot_sites if state.skeleton is not None else None
+        counts = np.zeros(3, dtype=np.int64)
+        first = len(cache)
+        try:
+            resolved = self._traced(state).resolve(
+                values_matrix,
+                methods,
+                levels,
+                hot_sites,
+                self.vm.scenario.uses_hot_callsite_heuristic,
+                backend,
+                cache,
+                counts,
+            )
+        except (KeyboardInterrupt, SystemExit, ReproError):
+            self._count_compiled(counts, count_groups)  # the committed genomes
+            raise
+        except Exception:
+            cache.truncate(first)
+            self.stats.native_fallbacks += 1
+            self.disable_native()
+            _log.warning(
+                "compiled resolve failed on %s; degrading this "
+                "accelerator to the numpy path",
+                state.program.name,
+                exc_info=True,
+            )
+            return None
+        self._count_compiled(counts, count_groups)
+        return resolved
+
+    def _count_compiled(self, counts: np.ndarray, count_groups: bool) -> None:
+        builds, grouped, covered = counts.tolist()
+        self.stats.method_builds += builds
+        if count_groups:
+            self.stats.adaptive_grouped_compiles += grouped
+            self.stats.adaptive_group_covered += covered
 
     # ------------------------------------------------------------------
     def run(
@@ -631,7 +773,7 @@ class EvaluationAccelerator:
                 self.disable_native()
         counts: List[float] = [0.0] * len(program)
         counts[program.entry_id] = 1.0
-        self_rates = cache._self_rate
+        self_rate_of = cache.self_rate
         edges = cache.edges
         for mid, c in enumerate(counts):
             if c <= 0.0:
@@ -641,7 +783,7 @@ class EvaluationAccelerator:
                 raise SimulationError(
                     f"method {mid} of {program.name!r} is invoked but has no compiled version"
                 )
-            self_rate = self_rates[entry]
+            self_rate = self_rate_of(entry)
             if self_rate > 0.0:
                 c = c / (1.0 - self_rate)
                 counts[mid] = c

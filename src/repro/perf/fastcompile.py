@@ -18,7 +18,10 @@ flat site tables built once per program; without one (the numpy rung)
 the same loop runs in Python per method.  Both return the versions as
 one flat :class:`~repro.perf.plancache.CompiledBatch`, which the plan
 cache appends as columns: no ``CompiledMethod``/``ParamRegion``
-record is built unless something asks for it.  **Bitwise identity is
+record is built unless something asks for it.  On the compiled rung
+:meth:`TracedCompiler.resolve` also runs a program's whole generation
+resolve in C (``repro_resolve_generation``): the same per-method loop,
+writing straight into the plan cache's column buffers.  **Bitwise identity is
 the contract**: both rungs perform every floating-point operation in the
 same order with the same operands as the reference path — expansion
 accumulates ``expanded_size`` site by site, absorbed work accumulates
@@ -106,6 +109,7 @@ class TracedCompiler:
             None, None,
         )
         self._loop_ready = False
+        self._vetted_levels: Optional[np.ndarray] = None
 
     def _loop_tables(self) -> None:
         """Build the Python loop's tables (the numpy rung) on first use."""
@@ -202,6 +206,62 @@ class TracedCompiler:
             edge_callees=np.array(callees, dtype=np.int64),
             edge_rates=np.array(rates, dtype=np.float64),
         )
+
+    def resolve(
+        self,
+        values_matrix: np.ndarray,
+        slot_methods: np.ndarray,
+        slot_levels: np.ndarray,
+        hot_sites: Optional[FrozenSet[Tuple[int, int]]],
+        use_hot_heuristic: bool,
+        backend,
+        cache,
+        counts: np.ndarray,
+    ) -> np.ndarray:
+        """Resolve a whole generation against *cache*, compiling in C.
+
+        One ``repro_resolve_generation`` call (the compiled rung only)
+        matches every genome of ``(genomes, 5)`` *values_matrix*
+        against every cached region, then in population order compiles
+        each genome's open ``(slot_methods[k], slot_levels[k])`` slots
+        into the cache's column buffers, checks and commits them, and
+        fans each new entry out to the later genomes its region covers.
+        Returns the ``(genomes, methods)`` entry rows;
+        *counts* (``int64[3]``) accumulates the compiles, the grouped
+        compiles and the genomes those covered, also when this raises.
+
+        When the cache's buffers run out the call stops at a genome
+        boundary; the buffers grow and the call carries on at that
+        genome.  A row failing the :class:`CompiledMethod` checks
+        raises its :class:`~repro.errors.CompilationError` with the
+        earlier genomes committed.
+        """
+        bound = self._bind(backend)
+        if slot_levels is not self._vetted_levels:
+            for level in set(slot_levels.tolist()):
+                self._level_consts(level)  # the reference's ConfigurationError
+            self._vetted_levels = slot_levels
+        hot = hot_sites if (use_hot_heuristic and hot_sites) else _EMPTY_KEY
+        site_hot = self._site_hot(hot) if hot else None
+        values = np.ascontiguousarray(values_matrix, dtype=np.int64)
+        resolved = np.empty((len(values), len(self.program)), dtype=np.int64)
+        progress = np.zeros(4, dtype=np.int64)
+        try:
+            while True:
+                status, n_entries, n_edges, want_entries, want_edges = bound.resolve(
+                    cache.columns(), len(cache), cache.n_edges, values,
+                    slot_methods, slot_levels, site_hot, resolved, progress,
+                )
+                cache.commit(n_entries, n_edges)
+                if status == bound.GROW:
+                    cache.reserve(want_entries, want_edges)
+                elif status == bound.INVALID:
+                    cache.check_rows(n_entries, want_entries)
+                    raise RuntimeError("compiled resolve rejected a valid row")
+                else:
+                    return resolved
+        finally:
+            counts += progress[1:]
 
     def _bind(self, backend):
         """This program's tables bound to *backend*'s compiled loop."""

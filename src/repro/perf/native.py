@@ -1,16 +1,18 @@
 """Compiled kernel backend: the top rung of the degradation ladder.
 
-The accelerated evaluator spends most of its time in three pure-Python
-scalar loops: on the accounting side, the Opt batch's
-per-representative invocation propagation
-(:meth:`EvaluationAccelerator._propagate`) and the adaptive kernel's
-per-column propagation chains; on the cold path, the fused plan
-expansion + region trace + compile of
+The accelerated evaluator spends most of its time in four Python
+loops: on the accounting side, the Opt batch's per-representative
+invocation propagation (:meth:`EvaluationAccelerator._propagate`) and
+the adaptive kernel's per-column propagation chains; on the cold path,
+the fused plan expansion + region trace + compile of
 :class:`~repro.perf.fastcompile.TracedCompiler`, which runs for every
-method a genome's parameter vector leaves unresolved.  This module
-compiles the three loops (``_kernels.c``) and selects an
-implementation at runtime through the graceful-degradation ladder the
-rest of the perf stack already follows::
+method a genome's parameter vector leaves unresolved, and the
+per-generation resolve around it
+(:meth:`EvaluationAccelerator._resolve_pending`: match every genome,
+compile what is open, append, fan out).  This module compiles the four
+loops (``_kernels.c``) and selects an implementation at runtime through
+the graceful-degradation ladder the rest of the perf stack already
+follows::
 
     compiled (cc-built C extension) -> numpy -> serial memoized -> reference
 
@@ -199,6 +201,60 @@ class _TracedProgramStruct(ctypes.Structure):
     ]
 
 
+class _PlanColumnsStruct(ctypes.Structure):
+    """``repro_plan_columns`` of ``_kernels.c``, field for field."""
+
+    _fields_ = [
+        ("lo", _VP),
+        ("hi", _VP),
+        ("method", _VP),
+        ("level", _VP),
+        ("code_size", _VP),
+        ("compile_cycles", _VP),
+        ("cycles_per_invocation", _VP),
+        ("self_rate", _VP),
+        ("inline_count", _VP),
+        ("edge_offsets", _VP),
+        ("edge_callees", _VP),
+        ("edge_rates", _VP),
+        ("entry_capacity", _I64),
+        ("edge_capacity", _I64),
+        ("n_entries", _I64),
+        ("n_edges", _I64),
+        ("want_entries", _I64),
+        ("want_edges", _I64),
+    ]
+
+
+#: dtypes of :meth:`MethodPlanCache.columns`, in ``repro_plan_columns``
+#: order
+_COLUMN_DTYPES = (
+    (np.int64,) * 4 + (np.float64,) * 4 + (np.int64,) * 3 + (np.float64,)
+)
+
+
+def _plan_columns(columns) -> _PlanColumnsStruct:
+    """A ``repro_plan_columns`` over a plan cache's column buffers,
+    after checking their dtypes, contiguity and shapes."""
+    if len(columns) != len(_COLUMN_DTYPES):
+        raise ValueError("expected the plan cache's 12 column buffers")
+    for column, dtype in zip(columns, _COLUMN_DTYPES):
+        _typed(column, dtype)
+    lo, hi, *entry_columns, offsets, callees, rates = columns
+    capacity = len(lo)
+    if lo.shape != (capacity, 5) or hi.shape != (capacity, 5):
+        raise ValueError("region bounds must be (capacity, 5)")
+    if any(len(column) != capacity for column in entry_columns):
+        raise ValueError("entry columns differ in capacity")
+    if len(offsets) != capacity + 1 or len(rates) != len(callees):
+        raise ValueError("edge CSR does not match the entry capacity")
+    return _PlanColumnsStruct(
+        *(column.ctypes.data for column in columns),
+        capacity,
+        len(callees),
+    )
+
+
 def _typed(array: np.ndarray, dtype) -> np.ndarray:
     """*array* as a C-contiguous array of *dtype* (checked, not cast)."""
     if array.dtype != dtype or not array.flags.c_contiguous:
@@ -213,7 +269,8 @@ class TracedProgram:
     reference (kept alive here), the compile scratch and reusable
     output buffers.  :meth:`compile` runs a whole missing list in one
     C call; the returned arrays are views of the output buffers, valid
-    until the next call.
+    until the next call.  :meth:`resolve` runs a whole generation
+    against a plan cache, appending to the cache's own buffers.
     """
 
     #: initial residual-edge capacity; the buffers double on overflow
@@ -222,6 +279,7 @@ class TracedProgram:
     def __init__(
         self,
         fn,
+        resolve_fn,
         *,
         sizes: np.ndarray,
         work: np.ndarray,
@@ -241,6 +299,10 @@ class TracedProgram:
         call_cost: float,
     ) -> None:
         self._fn = fn
+        self._resolve_fn = resolve_fn
+        # (columns tuple, repro_plan_columns over it): rebuilt when the
+        # plan cache grows its buffers
+        self._columns = None
         n_methods = len(sizes)
         n_sites = len(site_callee)
         for column in (work, growth, ceil_sizes, floor_sizes):
@@ -295,6 +357,7 @@ class TracedProgram:
             *(array.ctypes.data for array in self._scratch),
         )
         self._n_sites = n_sites
+        self._n_methods = n_methods
         self._values = np.zeros(5, dtype=np.int64)
         self._values_ptr = self._values.ctypes.data
         self._grow_requests(max(1, n_methods))
@@ -329,6 +392,86 @@ class TracedProgram:
     def edge_capacity(self) -> int:
         """Current residual-edge capacity of the output buffers."""
         return self._edges
+
+    #: :meth:`resolve` statuses (``repro_resolve_generation`` codes)
+    DONE, GROW, INVALID = 0, 1, 2
+
+    def resolve(
+        self,
+        columns,
+        n_entries: int,
+        n_edges: int,
+        values: np.ndarray,
+        slot_methods: np.ndarray,
+        slot_levels: np.ndarray,
+        site_hot: Optional[np.ndarray],
+        resolved: np.ndarray,
+        progress: np.ndarray,
+    ):
+        """One ``repro_resolve_generation`` call over a plan cache.
+
+        *columns* are :meth:`MethodPlanCache.columns`, holding
+        *n_entries* committed entries with *n_edges* edges; *values* is
+        the ``(genomes, 5)`` generation, *resolved* its ``(genomes,
+        methods)`` output and *progress* the ``int64[4]`` genome to
+        carry on at and compile counters, which the call advances (a
+        call after a :attr:`GROW` passes the same *resolved* and
+        *progress* back).  Every array is checked for dtype, contiguity
+        and size before its pointer is passed.
+        Returns ``(status, n_entries, n_edges, want_entries,
+        want_edges)``: the committed counts after the call and, unless
+        the status is :attr:`DONE`, the extent of the genome it stopped
+        at (see ``repro_resolve_generation``).  Raises
+        :class:`IndexError` on an unknown method or level.
+        """
+        cols = self._columns
+        if cols is None or cols[0] is not columns:
+            cols = self._columns = (columns, _plan_columns(columns))
+        struct = cols[1]
+        if not (
+            0 <= n_entries <= struct.entry_capacity
+            and 0 <= n_edges <= struct.edge_capacity
+            and columns[9][n_entries] == n_edges
+        ):
+            raise ValueError("committed counts do not match the plan columns")
+        n_genomes = len(_typed(values, np.int64))
+        if values.shape != (n_genomes, 5):
+            raise ValueError("values must be (genomes, 5)")
+        if _typed(resolved, np.int64).shape != (n_genomes, self._n_methods):
+            raise ValueError("resolved must be (genomes, methods)")
+        n_slots = len(_typed(slot_methods, np.int64))
+        if len(_typed(slot_levels, np.int64)) != n_slots:
+            raise ValueError("slot methods and levels differ in length")
+        if len(_typed(progress, np.int64)) != 4 or not 0 <= progress[0] <= n_genomes:
+            raise ValueError("progress must hold a genome index and three counters")
+        hot = None
+        if site_hot is not None:
+            if len(_typed(site_hot, np.uint8)) != self._n_sites:
+                raise ValueError("site_hot must hold one flag per call site")
+            hot = site_hot.ctypes.data
+        struct.n_entries = n_entries
+        struct.n_edges = n_edges
+        status = self._resolve_fn(
+            ctypes.byref(self._struct),
+            ctypes.byref(struct),
+            n_genomes,
+            values.ctypes.data,
+            n_slots,
+            slot_methods.ctypes.data,
+            slot_levels.ctypes.data,
+            hot,
+            resolved.ctypes.data,
+            progress.ctypes.data,
+        )
+        if status < 0:
+            raise IndexError(
+                f"slot {-status - 1}: unknown method "
+                f"{slot_methods[-status - 1]} or level {slot_levels[-status - 1]}"
+            )
+        return (
+            status, struct.n_entries, struct.n_edges,
+            struct.want_entries, struct.want_edges,
+        )
 
     def compile(self, values, methods, levels, site_hot: Optional[np.ndarray]):
         """Compile ``methods[k]`` at ``levels[k]`` under *values*.
@@ -386,15 +529,17 @@ class TracedProgram:
 
 
 class KernelBackend:
-    """The C extension's three loops behind NumPy-facing entry points.
+    """The C extension's four loops behind NumPy-facing entry points.
 
     The two propagation entry points take contiguous arrays, run the
     compiled loop and raise the reference's
     :class:`~repro.errors.SimulationError` on a missing compiled
     version; :meth:`traced_program` binds one program's tables to the
-    compiled cold path.  Any *infrastructure* failure (a bad load, an
-    interface mismatch) surfaces as an ordinary exception that the
-    callers catch to fall down the ladder.
+    compiled cold path (:meth:`TracedProgram.compile` for one missing
+    list, :meth:`TracedProgram.resolve` for a whole generation).  Any
+    *infrastructure* failure (a bad load, an interface mismatch)
+    surfaces as an ordinary exception that the callers catch to fall
+    down the ladder.
     """
 
     #: the rung's name, as telemetry and the benchmark fingerprint
@@ -428,6 +573,13 @@ class KernelBackend:
         self._traced_fn.argtypes = [
             ctypes.POINTER(_TracedProgramStruct), _VP, _I64, _VP, _VP, _VP,
             _VP, _VP, _VP, _VP, _I64, _VP, _VP,
+        ]
+        self._resolve_fn = lib.repro_resolve_generation
+        self._resolve_fn.restype = _I64
+        self._resolve_fn.argtypes = [
+            ctypes.POINTER(_TracedProgramStruct),
+            ctypes.POINTER(_PlanColumnsStruct),
+            _I64, _VP, _I64, _VP, _VP, _VP, _VP, _VP,
         ]
         # per-method-count scratch pool for the counts output.  A
         # generation's counts matrix is ~1 MB — above glibc's mmap
@@ -568,7 +720,7 @@ class KernelBackend:
     def traced_program(self, **tables) -> TracedProgram:
         """Bind one program's compile tables to the compiled cold path
         (see :class:`TracedProgram` for the keyword arguments)."""
-        return TracedProgram(self._traced_fn, **tables)
+        return TracedProgram(self._traced_fn, self._resolve_fn, **tables)
 
     #: aliases: the per-layer tracer of ``benchmarks/e2e`` hooks these
     #: names as well as the two above

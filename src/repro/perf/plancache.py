@@ -14,15 +14,16 @@ most one entry per method, which lets the cache answer "which cached
 version serves each method under these parameters?" for the whole
 program with a single vectorized bound check over all entries.
 
-The cache keeps every version as *columns*: the region bounds, the
-per-version scalars the runtime accounting needs (compile cycles, code
-size, cycles/invocation, inline count, residual self-rate) and the
-per-entry residual edges, so the accelerated runtime does its
-accounting with NumPy gathers instead of attribute chasing.  The
-:class:`~repro.jvm.compiled.CompiledMethod` and :class:`ParamRegion`
-records of entries appended as a :class:`CompiledBatch` (compiled on
-a miss, or loaded from a plan archive) are built from those columns on
-first access only; the accounting never needs them.
+The cache keeps every version as *columns* in capacity-doubling ndarray
+buffers: the region bounds, the method and level, the per-version
+scalars the runtime accounting needs (code size, compile cycles,
+cycles/invocation, residual self-rate, inline count) and the residual
+edges as one CSR.  The accelerated runtime does its accounting with
+NumPy gathers over views of those buffers, and the compiled resolve
+(:mod:`repro.perf.native`) appends a whole generation's versions to
+them in place.  The :class:`~repro.jvm.compiled.CompiledMethod` and
+:class:`ParamRegion` records are built from the columns on first
+access only; the accounting never needs them.
 """
 
 from __future__ import annotations
@@ -70,93 +71,192 @@ class CompiledBatch(NamedTuple):
 class MethodPlanCache:
     """Program-wide store of region-tagged compiled method versions."""
 
+    #: initial entry and residual-edge capacity of the column buffers;
+    #: each doubles whenever an append outgrows it
     _INITIAL_CAPACITY = 256
 
     def __init__(self, n_methods: int) -> None:
         self.n_methods = n_methods
-        # records, parallel to the entry list; None until first access
-        # for entries appended by add_batch
+        self._n = 0
+        self._n_edges = 0
+        # records, parallel to the entries; None until first access for
+        # entries appended as columns
         self._versions: List[Optional[CompiledMethod]] = []
         self._regions: List[Optional[ParamRegion]] = []
+        # residual forward edges as (callee_ids, rates) tuples, built per
+        # entry on first edges() access: the Python propagation loop
+        # consumes them scalar by scalar, where tuple indexing beats
+        # ndarray item access
+        self._edges: Dict[int, Tuple[Tuple[int, ...], Tuple[float, ...]]] = {}
         # one int object per method id, shared by every built record
         self._method_ids: List[int] = list(range(n_methods))
-        # column arrays, parallel to the entry list
-        self._opt_level: List[int] = []
-        self._compile_cycles: List[float] = []
-        self._code_size: List[float] = []
-        self._cycles_per_invocation: List[float] = []
-        self._inline_count: List[int] = []
-        self._self_rate: List[float] = []
-        # residual forward edges per entry: (callee_ids, rates) tuples —
-        # the Python propagation loop consumes them scalar by scalar,
-        # where tuple indexing beats ndarray item access.  None for
-        # entries appended by add_batch until first edges() access:
-        # their edges live in the CSR below
-        self._edges: List[Optional[Tuple[Tuple[int, ...], Tuple[float, ...]]]] = []
-        # dense matcher arrays, written row-by-row at insert time with
-        # capacity doubling so match() never rebuilds them from scratch
-        cap = self._INITIAL_CAPACITY
-        self._LO = np.zeros((cap, 5), dtype=np.int64)
-        self._HI = np.zeros((cap, 5), dtype=np.int64)
-        self._ENTRY_METHOD = np.zeros(cap, dtype=np.int64)
-        # ndarray views of the scalar columns, rebuilt lazily when the
-        # entry count changes (the batch accounting gathers from these)
-        self._column_cache: Optional[Tuple[np.ndarray, ...]] = None
         # restricted-match row table: (method-id key, entry count at
         # build, entry rows of those methods, position of each row's
-        # method within the key); rebuilt when entries were added
+        # method within the key); rebuilt when the entry count changed
         self._method_rows_cache: Optional[
             Tuple[Tuple[int, ...], int, np.ndarray, np.ndarray]
         ] = None
-        self._self_rate_cache: Optional[np.ndarray] = None
-        # per-entry residual edges as ndarray pairs, plus the per-entry
-        # edge count column — built lazily for the adaptive matrix
-        # kernel's flattened row scatters
-        self._edge_array_cache: dict = {}
-        self._edge_count_cache: Optional[np.ndarray] = None
-        # whole-cache CSR of the residual edges, for the compiled
-        # propagation kernels (repro.perf.native).  Grown incrementally
-        # — entries are append-only, so new entries' edges extend the
-        # tail of capacity-doubling buffers instead of rebuilding the
-        # whole CSR (the serial accelerator asks for the CSR after
-        # every compile while caches are cold)
-        self._csr_entries = 0
-        self._csr_edges = 0
-        self._csr_offsets = np.zeros(1, dtype=np.int64)
-        self._csr_callees = np.empty(0, dtype=np.int64)
-        self._csr_rates = np.empty(0, dtype=np.float64)
+        self._buffers: Tuple[np.ndarray, ...] = ()
+        self._allocate(self._INITIAL_CAPACITY, self._INITIAL_CAPACITY)
+
+    # ------------------------------------------------------------------
+    # column storage
+    # ------------------------------------------------------------------
+    def _allocate(self, entry_capacity: int, edge_capacity: int) -> None:
+        """(Re)allocate every column buffer at the given capacities,
+        keeping the committed entries and edges."""
+        n, n_edges = self._n, self._n_edges
+        layout = (
+            ((entry_capacity, 5), np.int64, n),  # lo
+            ((entry_capacity, 5), np.int64, n),  # hi
+            (entry_capacity, np.int64, n),  # method
+            (entry_capacity, np.int64, n),  # opt level
+            (entry_capacity, np.float64, n),  # code size
+            (entry_capacity, np.float64, n),  # compile cycles
+            (entry_capacity, np.float64, n),  # cycles per invocation
+            (entry_capacity, np.float64, n),  # residual self-rate
+            (entry_capacity, np.int64, n),  # inline count
+            (entry_capacity + 1, np.int64, n + 1),  # edge offsets
+            (edge_capacity, np.int64, n_edges),  # edge callees
+            (edge_capacity, np.float64, n_edges),  # edge rates
+        )
+        buffers = []
+        for i, (shape, dtype, keep) in enumerate(layout):
+            buffer = np.zeros(shape, dtype=dtype)
+            if self._buffers:
+                buffer[:keep] = self._buffers[i][:keep]
+            buffers.append(buffer)
+        self._buffers = tuple(buffers)
+        (
+            self._lo,
+            self._hi,
+            self._method,
+            self._level,
+            self._code_size,
+            self._compile_cycles,
+            self._cycles_per_invocation,
+            self._self_rate,
+            self._inline_count,
+            self._offsets,
+            self._callees,
+            self._rates,
+        ) = buffers
+
+    def reserve(self, n_entries: int, n_edges: int = 0) -> None:
+        """Grow the column buffers (capacity doubling) to hold
+        *n_entries* entries with *n_edges* residual edges in total."""
+        entry_capacity = len(self._method)
+        edge_capacity = len(self._callees)
+        if n_entries <= entry_capacity and n_edges <= edge_capacity:
+            return
+        if n_entries > entry_capacity:
+            entry_capacity = max(2 * entry_capacity, n_entries)
+        if n_edges > edge_capacity:
+            edge_capacity = max(2 * edge_capacity, n_edges)
+        self._allocate(entry_capacity, edge_capacity)
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """The column buffers at full capacity, for appends in place.
+
+        ``(lo, hi, method, opt_level, code_size, compile_cycles,
+        cycles_per_invocation, self_rate, inline_count, edge_offsets,
+        edge_callees, edge_rates)``: the entry columns hold
+        ``len(self)`` committed rows, the edge columns
+        :attr:`n_edges` committed edges.  The compiled resolve
+        (:mod:`repro.perf.native`) writes new rows past them, and
+        :meth:`commit` adopts them.  :meth:`reserve` replaces the tuple
+        when it grows the buffers.
+        """
+        return self._buffers
+
+    @property
+    def n_edges(self) -> int:
+        """Residual forward edges over all entries."""
+        return self._n_edges
+
+    def commit(self, n_entries: int, n_edges: int) -> None:
+        """Adopt the rows written in place past the committed ones: the
+        cache now holds *n_entries* entries with *n_edges* edges (their
+        records are built on first access)."""
+        added = n_entries - self._n
+        self._versions.extend([None] * added)
+        self._regions.extend([None] * added)
+        self._n = n_entries
+        self._n_edges = n_edges
+
+    def truncate(self, n_entries: int) -> None:
+        """Drop every entry from *n_entries* on (undoes a failed append)."""
+        if n_entries >= self._n:
+            return
+        del self._versions[n_entries:]
+        del self._regions[n_entries:]
+        for entry in [e for e in self._edges if e >= n_entries]:
+            del self._edges[entry]
+        self._n = n_entries
+        self._n_edges = int(self._offsets[n_entries])
+        self._method_rows_cache = None
+
+    def check_rows(self, start: int, stop: int) -> None:
+        """Raise the first error :class:`CompiledMethod` would raise for
+        the rows ``start:stop`` (which may lie past the committed ones).
+
+        The checks are the record's own, vectorized; the first failing
+        row is then built as a record, which raises the same
+        :class:`~repro.errors.CompilationError`.
+        """
+        size = self._code_size[start:stop]
+        cycles = self._compile_cycles[start:stop]
+        cpi = self._cycles_per_invocation[start:stop]
+        self_rate = self._self_rate[start:stop]
+        invalid = (
+            (size <= 0.0)
+            | (cycles < 0.0)
+            | (cpi < 0.0)
+            | ~((self_rate >= 0.0) & (self_rate < 1.0))
+        )
+        if invalid.any():
+            k = start + int(np.flatnonzero(invalid)[0])
+            CompiledMethod(  # raises the record's CompilationError
+                method_id=int(self._method[k]),
+                opt_level=int(self._level[k]),
+                code_size=float(self._code_size[k]),
+                compile_cycles=float(self._compile_cycles[k]),
+                cycles_per_invocation=float(self._cycles_per_invocation[k]),
+                residual_forward=(),
+                residual_self_rate=float(self._self_rate[k]),
+            )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._versions)
+        return self._n
 
     def version(self, entry: int) -> CompiledMethod:
         """The compiled method stored at *entry* (built on first access
-        for entries appended by :meth:`add_batch`)."""
+        for entries appended as columns)."""
         version = self._versions[entry]
         if version is None:
             callees, rates = self.edges(entry)
             version = CompiledMethod(
-                method_id=self._method_ids[self._ENTRY_METHOD[entry]],
-                opt_level=self._opt_level[entry],
-                code_size=self._code_size[entry],
-                compile_cycles=self._compile_cycles[entry],
-                cycles_per_invocation=self._cycles_per_invocation[entry],
+                method_id=self._method_ids[self._method[entry]],
+                opt_level=int(self._level[entry]),
+                code_size=float(self._code_size[entry]),
+                compile_cycles=float(self._compile_cycles[entry]),
+                cycles_per_invocation=float(self._cycles_per_invocation[entry]),
                 residual_forward=tuple(zip(callees, rates)),
-                residual_self_rate=self._self_rate[entry],
-                inline_count=self._inline_count[entry],
+                residual_self_rate=float(self._self_rate[entry]),
+                inline_count=int(self._inline_count[entry]),
             )
             self._versions[entry] = version
         return version
 
     def region(self, entry: int) -> ParamRegion:
         """The validity region of *entry* (built on first access for
-        entries appended by :meth:`add_batch`)."""
+        entries appended as columns)."""
         region = self._regions[entry]
         if region is None:
-            hi = self._HI[entry].tolist()
+            hi = self._hi[entry].tolist()
             region = ParamRegion(
-                lo=tuple(self._LO[entry].tolist()),
+                lo=tuple(self._lo[entry].tolist()),
                 hi=tuple(map(_SHARED_BOUNDS.get, hi, hi)),
             )
             self._regions[entry] = region
@@ -164,45 +264,50 @@ class MethodPlanCache:
 
     def method_of(self, entry: int) -> int:
         """The method *entry* is a version of."""
-        return self._method_ids[self._ENTRY_METHOD[entry]]
+        return self._method_ids[self._method[entry]]
 
-    def covers(self, entry: int, values_matrix: np.ndarray) -> np.ndarray:
+    def methods_of(self, entries: np.ndarray) -> np.ndarray:
+        """The methods *entries* are versions of, as an int64 array."""
+        return self._method[entries]
+
+    def covers(self, start: int, stop: int, values_matrix: np.ndarray) -> np.ndarray:
         """Which rows of ``(n, 5)`` *values_matrix* fall inside the
-        region of *entry*: one broadcast bound check, so a fresh
-        version can be fanned out to every pending genome it serves."""
+        regions of entries ``start:stop``: a ``(stop - start, n)``
+        boolean block from one broadcast bound check, so the versions a
+        genome just added can be fanned out to every genome they
+        serve."""
         p = np.asarray(values_matrix, dtype=np.int64)
-        return ((self._LO[entry] <= p) & (p <= self._HI[entry])).all(axis=1)
-
-    def _reserve(self, n_entries: int) -> None:
-        """Grow the matcher arrays (capacity doubling) to hold
-        *n_entries* entries."""
-        cap = len(self._ENTRY_METHOD)
-        if n_entries <= cap:
-            return
-        grow = max(2 * cap, n_entries) - cap
-        self._LO = np.vstack([self._LO, np.zeros((grow, 5), np.int64)])
-        self._HI = np.vstack([self._HI, np.zeros((grow, 5), np.int64)])
-        self._ENTRY_METHOD = np.concatenate(
-            [self._ENTRY_METHOD, np.zeros(grow, np.int64)]
-        )
+        lo = self._lo[start:stop, None, :]
+        hi = self._hi[start:stop, None, :]
+        return ((lo <= p) & (p <= hi)).all(axis=2)
 
     def add(self, method_id: int, region: ParamRegion, version: CompiledMethod) -> int:
-        """Insert a version with its region; returns the new entry id."""
-        entry = len(self._versions)
-        self._reserve(entry + 1)
-        self._LO[entry] = region.lo
-        self._HI[entry] = region.hi
-        self._ENTRY_METHOD[entry] = method_id
-        self._versions.append(version)
-        self._regions.append(region)
-        self._opt_level.append(version.opt_level)
-        self._compile_cycles.append(version.compile_cycles)
-        self._code_size.append(version.code_size)
-        self._cycles_per_invocation.append(version.cycles_per_invocation)
-        self._inline_count.append(version.inline_count)
-        self._self_rate.append(version.residual_self_rate)
+        """Insert one version with its region (a one-row
+        :meth:`add_batch` that keeps the given records); returns the
+        new entry id."""
         forward = version.residual_forward
-        self._edges.append(tuple(zip(*forward)) if forward else _NO_EDGES)
+        entry = self.add_batch(
+            CompiledBatch(
+                method_ids=[method_id],
+                levels=[version.opt_level],
+                bounds=np.array([region.lo + region.hi], dtype=np.int64),
+                scalars=np.array(
+                    [[
+                        version.code_size,
+                        version.compile_cycles,
+                        version.cycles_per_invocation,
+                        version.residual_self_rate,
+                    ]],
+                    dtype=np.float64,
+                ),
+                inline_count=np.array([version.inline_count], dtype=np.int64),
+                edge_offsets=np.array([0, len(forward)], dtype=np.int64),
+                edge_callees=np.array([c for c, _ in forward], dtype=np.int64),
+                edge_rates=np.array([r for _, r in forward], dtype=np.float64),
+            )
+        )
+        self._versions[entry] = version
+        self._regions[entry] = region
         return entry
 
     def add_batch(self, batch: CompiledBatch) -> int:
@@ -211,56 +316,36 @@ class MethodPlanCache:
 
         Only the columns are written: the records are built on first
         :meth:`version` / :meth:`region` access.  The rows are checked
-        the way :class:`CompiledMethod` checks its fields first, so an
-        invalid row raises the same :class:`CompilationError` and
-        leaves the cache unchanged.
+        the way :class:`CompiledMethod` checks its fields first
+        (:meth:`check_rows`), so an invalid row raises the same
+        :class:`CompilationError` and leaves the cache unchanged.  A
+        method id outside the program (a malformed archive row) raises
+        :class:`ValueError`, also leaving the cache unchanged: the
+        compiled resolve indexes its output rows by these ids.
         """
-        n = len(batch.method_ids)
+        first = self._n
+        stop = first + len(batch.method_ids)
+        pos = self._n_edges
+        end = pos + len(batch.edge_callees)
+        self.reserve(stop, end)
         size, cycles, cpi, self_rate = batch.scalars.T
-        invalid = (
-            (size <= 0.0)
-            | (cycles < 0.0)
-            | (cpi < 0.0)
-            | ~((self_rate >= 0.0) & (self_rate < 1.0))
-        )
-        if invalid.any():
-            k = int(np.flatnonzero(invalid)[0])
-            CompiledMethod(  # raises the record's CompilationError
-                method_id=batch.method_ids[k],
-                opt_level=batch.levels[k],
-                code_size=float(size[k]),
-                compile_cycles=float(cycles[k]),
-                cycles_per_invocation=float(cpi[k]),
-                residual_forward=(),
-                residual_self_rate=float(self_rate[k]),
-            )
-        # flush the edges add() left to the CSR, so the batch's edges
-        # can go straight into its tails
-        self.edge_csr()
-        first = len(self._versions)
-        self._reserve(first + n)
-        self._LO[first : first + n] = batch.bounds[:, :5]
-        self._HI[first : first + n] = batch.bounds[:, 5:]
-        self._ENTRY_METHOD[first : first + n] = batch.method_ids
-        self._versions.extend([None] * n)
-        self._regions.extend([None] * n)
-        self._opt_level.extend(batch.levels)
-        self._code_size.extend(size.tolist())
-        self._compile_cycles.extend(cycles.tolist())
-        self._cycles_per_invocation.extend(cpi.tolist())
-        self._self_rate.extend(self_rate.tolist())
-        self._inline_count.extend(batch.inline_count.tolist())
-        # the edges go straight into the CSR; their tuples are built on
-        # first edges() access
-        n_edges = len(batch.edge_callees)
-        pos = self._csr_edges
-        self._reserve_csr(first + n, pos + n_edges)
-        self._csr_callees[pos : pos + n_edges] = batch.edge_callees
-        self._csr_rates[pos : pos + n_edges] = batch.edge_rates
-        self._csr_offsets[first + 1 : first + n + 1] = batch.edge_offsets[1:] + pos
-        self._csr_entries = first + n
-        self._csr_edges = pos + n_edges
-        self._edges.extend([None] * n)
+        self._lo[first:stop] = batch.bounds[:, :5]
+        self._hi[first:stop] = batch.bounds[:, 5:]
+        self._method[first:stop] = batch.method_ids
+        self._level[first:stop] = batch.levels
+        self._code_size[first:stop] = size
+        self._compile_cycles[first:stop] = cycles
+        self._cycles_per_invocation[first:stop] = cpi
+        self._self_rate[first:stop] = self_rate
+        self._inline_count[first:stop] = batch.inline_count
+        self._offsets[first + 1 : stop + 1] = batch.edge_offsets[1:] + pos
+        self._callees[pos:end] = batch.edge_callees
+        self._rates[pos:end] = batch.edge_rates
+        methods = self._method[first:stop]
+        if len(methods) and not 0 <= methods.min() <= methods.max() < self.n_methods:
+            raise ValueError(f"method ids outside the program's {self.n_methods}")
+        self.check_rows(first, stop)
+        self.commit(stop, end)
         return first
 
     # ------------------------------------------------------------------
@@ -272,17 +357,15 @@ class MethodPlanCache:
         ``(entries, 5)`` bound check resolves the whole program.
         """
         resolved = np.full(self.n_methods, -1, dtype=np.int64)
-        n = len(self._versions)
+        n = self._n
         if not n:
             return resolved
-        lo = self._LO[:n]
-        hi = self._HI[:n]
         p = np.asarray(values, dtype=np.int64)
-        mask = ((lo <= p) & (p <= hi)).all(axis=1)
+        mask = ((self._lo[:n] <= p) & (p <= self._hi[:n])).all(axis=1)
         hits = np.flatnonzero(mask)
         # regions of one method are disjoint, so each method gets at
         # most one hit; later entries would simply overwrite equals
-        resolved[self._ENTRY_METHOD[:n][hits]] = hits
+        resolved[self._method[hits]] = hits
         return resolved
 
     def _method_rows(
@@ -294,15 +377,14 @@ class MethodPlanCache:
         *key* and, parallel to them, each entry's method's index within
         *key*.  Cached until the entry count changes.
         """
-        n = len(self._versions)
+        n = self._n
         cached = self._method_rows_cache
         if cached is not None and cached[0] == key and cached[1] == n:
             return cached[2], cached[3]
         mids = np.asarray(key, dtype=np.int64)
         pos_lookup = np.full(self.n_methods, -1, dtype=np.int64)
         pos_lookup[mids] = np.arange(len(mids), dtype=np.int64)
-        entry_methods = self._ENTRY_METHOD[:n]
-        pos = pos_lookup[entry_methods]
+        pos = pos_lookup[self._method[:n]]
         rows = np.flatnonzero(pos >= 0)
         rows_pos = pos[rows]
         self._method_rows_cache = (key, n, rows, rows_pos)
@@ -322,13 +404,13 @@ class MethodPlanCache:
         """
         key = tuple(method_ids)
         resolved = np.full(len(key), -1, dtype=np.int64)
-        if not len(self._versions) or not key:
+        if not self._n or not key:
             return resolved
         rows, rows_pos = self._method_rows(key)
         if not len(rows):
             return resolved
         p = np.asarray(values, dtype=np.int64)
-        mask = ((self._LO[rows] <= p) & (p <= self._HI[rows])).all(axis=1)
+        mask = ((self._lo[rows] <= p) & (p <= self._hi[rows])).all(axis=1)
         hits = np.flatnonzero(mask)
         resolved[rows_pos[hits]] = rows[hits]
         return resolved
@@ -350,11 +432,11 @@ class MethodPlanCache:
         """
         p = np.asarray(values_matrix, dtype=np.int64)
         resolved = np.full((len(p), self.n_methods), -1, dtype=np.int64)
-        n = len(self._versions)
+        n = self._n
         if not n or not len(p):
             return resolved
-        lo = self._LO[:n]
-        hi = self._HI[:n]
+        lo = self._lo[:n]
+        hi = self._hi[:n]
         mask: Optional[np.ndarray] = None
         for d in range(p.shape[1]):
             values, inverse = np.unique(p[:, d], return_inverse=True)
@@ -362,7 +444,7 @@ class MethodPlanCache:
             expanded = dim_hit[inverse]  # (genomes, entries)
             mask = expanded if mask is None else (mask & expanded)
         g_idx, hits = np.nonzero(mask)
-        resolved[g_idx, self._ENTRY_METHOD[:n][hits]] = hits
+        resolved[g_idx, self._method[hits]] = hits
         return resolved
 
     # ------------------------------------------------------------------
@@ -370,105 +452,70 @@ class MethodPlanCache:
     # ------------------------------------------------------------------
     def column_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(compile_cycles, code_size, cycles_per_invocation,
-        inline_count)`` as ndarray columns over all entries.
+        inline_count)`` over all entries: views of the column buffers,
+        valid until the next append (the batch accounting gathers from
+        them with fancy indexing)."""
+        n = self._n
+        return (
+            self._compile_cycles[:n],
+            self._code_size[:n],
+            self._cycles_per_invocation[:n],
+            self._inline_count[:n],
+        )
 
-        The batch accounting gathers from these with fancy indexing;
-        the float conversions are exact (the columns hold Python floats
-        produced by the compilers).  Rebuilt only when entries were
-        added since the last call.
-        """
-        cols = self._column_cache
-        n = len(self._versions)
-        if cols is None or len(cols[0]) != n:
-            cols = (
-                np.array(self._compile_cycles, dtype=np.float64),
-                np.array(self._code_size, dtype=np.float64),
-                np.array(self._cycles_per_invocation, dtype=np.float64),
-                np.array(self._inline_count, dtype=np.int64),
-            )
-            self._column_cache = cols
-        return cols
-
-    def compile_cycles_of(self, entries: np.ndarray) -> List[float]:
+    def compile_cycles_of(self, entries: Sequence[int]) -> List[float]:
         """Compile-cycle column values for *entries* (Python floats)."""
-        cc = self._compile_cycles
-        return [cc[e] for e in entries]
+        return self._compile_cycles[entries].tolist()
 
-    def code_sizes_of(self, entries: np.ndarray) -> np.ndarray:
+    def code_sizes_of(self, entries: Sequence[int]) -> np.ndarray:
         """Code-size column values for *entries*."""
-        cs = self._code_size
-        return np.array([cs[e] for e in entries], dtype=np.float64)
+        return self._code_size[entries]
 
-    def cycles_per_invocation_of(self, entries: np.ndarray) -> np.ndarray:
+    def cycles_per_invocation_of(self, entries: Sequence[int]) -> np.ndarray:
         """Cycles-per-invocation column values for *entries*."""
-        cpi = self._cycles_per_invocation
-        return np.array([cpi[e] for e in entries], dtype=np.float64)
+        return self._cycles_per_invocation[entries]
 
-    def inline_counts_of(self, entries: np.ndarray) -> int:
+    def inline_counts_of(self, entries: Sequence[int]) -> int:
         """Total inline sites across *entries* (exact integer sum)."""
-        ic = self._inline_count
-        return sum(ic[e] for e in entries)
+        return int(self._inline_count[entries].sum())
 
     def self_rate(self, entry: int) -> float:
         """Residual self-recursion rate of one entry."""
-        return self._self_rate[entry]
+        return float(self._self_rate[entry])
 
     def self_rate_column(self) -> np.ndarray:
-        """Residual self-rate as an ndarray column over all entries.
-
-        Grown incrementally when entries were added since the last
-        call (a capacity-doubling buffer; only the new tail is
-        written); the adaptive matrix kernel gathers per-group scalars
+        """Residual self-rate over all entries: a view of the column
+        buffer (the adaptive matrix kernel gathers per-group scalars
         from it and the compiled propagation kernels index it per
-        entry.
-        """
-        col = self._self_rate_cache
-        n = len(self._versions)
-        if col is None or col.base.shape[0] < n:
-            cap = max(64, 2 * n)
-            grown = np.empty(cap, dtype=np.float64)
-            grown[:n] = self._self_rate
-            self._self_rate_cache = col = grown[:n]
-        elif col.shape[0] != n:
-            old = col.shape[0]
-            base = col.base
-            base[old:n] = self._self_rate[old:]
-            self._self_rate_cache = col = base[:n]
-        return col
+        entry)."""
+        return self._self_rate[: self._n]
 
     def edges(self, entry: int) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
         """Residual forward edges ``(callee_ids, rates)`` of one entry."""
-        pair = self._edges[entry]
+        pair = self._edges.get(entry)
         if pair is None:
-            lo, hi = self._csr_offsets[entry : entry + 2].tolist()
+            lo, hi = self._offsets[entry : entry + 2].tolist()
             if lo == hi:
                 pair = _NO_EDGES
             else:
-                callees = self._csr_callees[lo:hi].tolist()
                 pair = (
-                    tuple(map(self._method_ids.__getitem__, callees)),
-                    tuple(self._csr_rates[lo:hi].tolist()),
+                    tuple(map(self._method_ids.__getitem__, self._callees[lo:hi].tolist())),
+                    tuple(self._rates[lo:hi].tolist()),
                 )
             self._edges[entry] = pair
         return pair
 
-    def edge_arrays(self, entry: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Residual forward edges of one entry as an ndarray pair.
+    def edge_rows(
+        self, entries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The residual edges of *entries*, entry after entry.
 
-        ``(callee_ids int64, rates float64)`` in edge order, cached per
-        entry: the adaptive matrix kernel concatenates these across a
-        promoted row's columns to apply every edge contribution with a
-        single scatter.  The float conversion is exact.
+        Returns ``(callees, rates, counts)``: every listed entry's
+        edges concatenated in edge order, and each entry's edge count
+        (one gather, for the adaptive matrix kernel's row scatters).
         """
-        cached = self._edge_array_cache.get(entry)
-        if cached is None:
-            callees, rates = self.edges(entry)
-            cached = (
-                np.array(callees, dtype=np.int64),
-                np.array(rates, dtype=np.float64),
-            )
-            self._edge_array_cache[entry] = cached
-        return cached
+        flat, counts = _csr_rows(self._offsets, np.asarray(entries, dtype=np.int64))
+        return self._callees[flat], self._rates[flat], counts
 
     def edge_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All entries' residual edges as one CSR triple.
@@ -476,72 +523,15 @@ class MethodPlanCache:
         ``(offsets int64 [entries+1], callees int64, rates float64)``
         with entry ``e``'s edges at ``callees[offsets[e]:offsets[e+1]]``
         in edge order — the layout the compiled propagation kernels
-        walk.  The float conversion is exact.
-
-        Entries are append-only, so the CSR grows incrementally:
-        :meth:`add_batch` writes its edges straight into the tails of
-        capacity-doubling buffers, and entries :meth:`add` inserted
-        since the last call are flattened in here (amortized O(new
-        edges) per call, which keeps the per-miss cost flat when the
-        serial accelerator propagates between compiles on a cold
-        cache).  The returned arrays are right-sized read-only views of
-        those buffers.
+        walk.  Views of the column buffers, valid until the next
+        append.
         """
-        n = len(self._versions)
-        if n > self._csr_entries:
-            new_edges = self._edges[self._csr_entries : n]
-            added = sum(len(e[0]) for e in new_edges)
-            self._reserve_csr(n, self._csr_edges + added)
-            pos = self._csr_edges
-            flat_callees: list = []
-            flat_rates: list = []
-            lengths = np.empty(len(new_edges), dtype=np.int64)
-            for i, (entry_callees, entry_rates) in enumerate(new_edges):
-                flat_callees.extend(entry_callees)
-                flat_rates.extend(entry_rates)
-                lengths[i] = len(entry_callees)
-            self._csr_callees[pos : pos + added] = flat_callees
-            self._csr_rates[pos : pos + added] = flat_rates
-            np.cumsum(lengths, out=lengths)
-            lengths += pos
-            self._csr_offsets[self._csr_entries + 1 : n + 1] = lengths
-            self._csr_entries = n
-            self._csr_edges = pos + added
+        n_edges = self._n_edges
         return (
-            self._csr_offsets[: n + 1],
-            self._csr_callees[: self._csr_edges],
-            self._csr_rates[: self._csr_edges],
+            self._offsets[: self._n + 1],
+            self._callees[:n_edges],
+            self._rates[:n_edges],
         )
-
-    def _reserve_csr(self, n_entries: int, n_edges: int) -> None:
-        """Grow the CSR buffers (capacity doubling) to hold *n_entries*
-        entries with *n_edges* edges in total."""
-        if n_entries + 1 > self._csr_offsets.shape[0]:
-            grown = np.zeros(max(64, 2 * (n_entries + 1)), dtype=np.int64)
-            grown[: self._csr_entries + 1] = self._csr_offsets[
-                : self._csr_entries + 1
-            ]
-            self._csr_offsets = grown
-        if n_edges > self._csr_callees.shape[0]:
-            cap = max(256, 2 * n_edges)
-            callees = np.empty(cap, dtype=np.int64)
-            rates = np.empty(cap, dtype=np.float64)
-            callees[: self._csr_edges] = self._csr_callees[: self._csr_edges]
-            rates[: self._csr_edges] = self._csr_rates[: self._csr_edges]
-            self._csr_callees = callees
-            self._csr_rates = rates
-
-    def edge_count_column(self) -> np.ndarray:
-        """Residual-edge count per entry, as an int64 column.
-
-        Rebuilt only when entries were added since the last call.
-        """
-        col = self._edge_count_cache
-        n = len(self._versions)
-        if col is None or len(col) != n:
-            col = np.diff(self.edge_csr()[0])
-            self._edge_count_cache = col
-        return col
 
     # ------------------------------------------------------------------
     # flat-array serialization (shm plan interning)
@@ -549,32 +539,30 @@ class MethodPlanCache:
     def export_arrays(self) -> Dict[str, np.ndarray]:
         """The whole cache as flat numpy arrays, suitable for shm.
 
-        Every column round-trips exactly: the scalar columns hold
-        Python floats, float64 storage is lossless for them, and the
-        residual edges ship as the same CSR triple the compiled kernels
-        walk.  :meth:`load_arrays` reconstructs entries whose
+        Every column round-trips exactly: the columns are float64 and
+        int64 already, and the residual edges ship as the same CSR
+        triple the compiled kernels walk.  :meth:`load_arrays`
+        reconstructs entries whose
         :class:`~repro.jvm.compiled.CompiledMethod` objects compare
         equal to the originals, so a warm-started cache resolves and
         accounts bitwise-identically to the cache that exported it.
         """
-        n = len(self._versions)
+        n = self._n
         offsets, callees, rates = self.edge_csr()
         return {
             "n_methods": np.array([self.n_methods], dtype=np.int64),
-            "entry_method": self._ENTRY_METHOD[:n].copy(),
-            "lo": self._LO[:n].copy(),
-            "hi": self._HI[:n].copy(),
-            "opt_level": np.array(self._opt_level, dtype=np.int64),
-            "compile_cycles": np.array(self._compile_cycles, dtype=np.float64),
-            "code_size": np.array(self._code_size, dtype=np.float64),
-            "cycles_per_invocation": np.array(
-                self._cycles_per_invocation, dtype=np.float64
-            ),
-            "inline_count": np.array(self._inline_count, dtype=np.int64),
-            "self_rate": np.array(self._self_rate, dtype=np.float64),
-            "edge_offsets": np.array(offsets, dtype=np.int64),
-            "edge_callees": np.array(callees, dtype=np.int64),
-            "edge_rates": np.array(rates, dtype=np.float64),
+            "entry_method": self._method[:n].copy(),
+            "lo": self._lo[:n].copy(),
+            "hi": self._hi[:n].copy(),
+            "opt_level": self._level[:n].copy(),
+            "compile_cycles": self._compile_cycles[:n].copy(),
+            "code_size": self._code_size[:n].copy(),
+            "cycles_per_invocation": self._cycles_per_invocation[:n].copy(),
+            "inline_count": self._inline_count[:n].copy(),
+            "self_rate": self._self_rate[:n].copy(),
+            "edge_offsets": offsets.copy(),
+            "edge_callees": callees.copy(),
+            "edge_rates": rates.copy(),
         }
 
     def load_arrays(
@@ -600,8 +588,8 @@ class MethodPlanCache:
                 f"cache holds {self.n_methods}"
             )
         if rows is None:
-            n = len(self._versions)
-            held = _identity_keys(self._ENTRY_METHOD[:n], self._LO[:n], self._HI[:n])
+            n = self._n
+            held = _identity_keys(self._method[:n], self._lo[:n], self._hi[:n])
             incoming = _identity_keys(
                 arrays["entry_method"], arrays["lo"], arrays["hi"]
             )

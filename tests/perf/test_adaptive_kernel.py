@@ -77,38 +77,51 @@ class TestRandomizedSweep:
                 assert_reports_identical(ref, rows[g][p])
 
 
+def assert_same_exports(expected, actual):
+    """Two plan caches' export_arrays payloads are byte for byte equal."""
+    assert expected.keys() == actual.keys()
+    for field, array in expected.items():
+        other = actual[field]
+        assert (array.dtype, array.shape) == (other.dtype, other.shape), field
+        assert array.tobytes() == other.tobytes(), field
+
+
 class TestGroupedColdPath:
     def test_same_entries_and_reports_as_legacy_batch(self, programs):
         """Grouped compilation must leave the caches indistinguishable.
 
         The kernel compiles one plan per distinct region and fans it
-        out; the legacy path re-matches and compiles per genome.  Both
-        must produce identical reports AND identical cache contents —
-        same entries in the same order — since entry ids are part of
-        memo signatures shared with later serial runs.
+        out; the legacy batch and the serial path resolve genome by
+        genome.  All must produce identical reports AND identical cache
+        contents — same entries in the same order, every column — since
+        entry ids are part of memo signatures shared with later serial
+        runs.
         """
         generation = [InliningParameters(*g) for g in bred_generation(n=32, seed=5)]
         legacy_vm = VirtualMachine(PENTIUM4, ADAPTIVE, memoize=True)
         kernel_vm = VirtualMachine(PENTIUM4, ADAPTIVE, memoize=True)
+        serial_vm = VirtualMachine(PENTIUM4, ADAPTIVE, memoize=True)
         legacy_rows = GenerationBatchEvaluator(
             legacy_vm, use_adaptive_kernel=False
         ).run_generation(programs, generation)
         kernel_rows = GenerationBatchEvaluator(kernel_vm).run_generation(
             programs, generation
         )
-        for legacy_row, kernel_row in zip(legacy_rows, kernel_rows):
-            for legacy_report, kernel_report in zip(legacy_row, kernel_row):
+        for g, (legacy_row, kernel_row) in enumerate(zip(legacy_rows, kernel_rows)):
+            for p, (legacy_report, kernel_report) in enumerate(
+                zip(legacy_row, kernel_row)
+            ):
                 assert_reports_identical(legacy_report, kernel_report)
+                assert_reports_identical(
+                    serial_vm.run(programs[p], generation[g]), kernel_report
+                )
         assert legacy_vm.perf_stats.method_builds == kernel_vm.perf_stats.method_builds
+        assert serial_vm.perf_stats.method_builds == kernel_vm.perf_stats.method_builds
         for program in programs:
-            legacy_cache = legacy_vm._accelerator._state_for(program).cache
-            kernel_cache = kernel_vm._accelerator._state_for(program).cache
-            n = len(legacy_cache)
-            assert len(kernel_cache) == n
-            assert (
-                legacy_cache._ENTRY_METHOD[:n].tolist()
-                == kernel_cache._ENTRY_METHOD[:n].tolist()
-            )
+            serial = serial_vm._accelerator._state_for(program).cache.export_arrays()
+            for vm in (legacy_vm, kernel_vm):
+                cache = vm._accelerator._state_for(program).cache
+                assert_same_exports(serial, cache.export_arrays())
 
     def test_fanout_counters(self, programs):
         """Duplicated genomes miss together and are covered by one compile."""
@@ -138,12 +151,21 @@ class TestGroupedColdPath:
             ],
             dtype=np.int64,
         )
-        got = cache.covers(0, probes)
+        got = cache.covers(0, 1, probes)
         expected = [
             all(lo <= v <= hi for lo, v, hi in zip(region.lo, row, region.hi))
             for row in probes.tolist()
         ]
-        assert got.tolist() == expected
+        assert got.tolist() == [expected]
+        # the block form: every entry's row of the block is its own check
+        block = cache.covers(0, len(cache), probes)
+        assert block.shape == (len(cache), len(probes))
+        for entry in range(len(cache)):
+            lo, hi = cache.region(entry).lo, cache.region(entry).hi
+            assert block[entry].tolist() == [
+                all(l <= v <= h for l, v, h in zip(lo, row, hi))
+                for row in probes.tolist()
+            ]
 
 
 class TestRestrictedMatch:

@@ -21,7 +21,7 @@ import pytest
 
 from repro.arch import PENTIUM4, POWERPC_G4
 from repro.core.parameters import TABLE1_SPACE
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import CompilationError, ConfigurationError, SimulationError
 from repro.jvm.inlining import (
     HARD_DEPTH_LIMIT,
     InliningParameters,
@@ -39,7 +39,8 @@ from repro.workloads.generator import generate_program
 from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.suites import SPECJVM98
 
-from tests.perf.test_equivalence import assert_reports_identical
+from tests.perf.test_adaptive_kernel import assert_same_exports
+from tests.perf.test_equivalence import REPORT_FIELDS, assert_reports_identical
 
 #: the compiled rung when the host offers it (the cc-built C
 #: extension); empty on hosts without a C compiler — those still run
@@ -566,6 +567,123 @@ class TestTracedCompile:
                 )
 
 
+def bred_generations(n, rounds, seed):
+    """GA-like generations: the first uniform over the Table 1 space,
+    each later one an elite of the one before plus one-point crossover
+    offspring with one gene redrawn, so genes and whole genomes repeat
+    the way a GA's do."""
+    rng = np.random.default_rng(seed)
+    space = TABLE1_SPACE.to_ga_space()
+
+    def draw():
+        return tuple(int(g) for g in space.random_genome(rng))
+
+    generation = [draw() for _ in range(n)]
+    generations = [generation]
+    for _ in range(rounds - 1):
+        children = [generation[0]]
+        while len(children) < n:
+            a, b = rng.integers(0, n, size=2)
+            cut = int(rng.integers(1, 5))
+            child = list(generation[a][:cut] + generation[b][cut:])
+            gene = int(rng.integers(0, 5))
+            child[gene] = draw()[gene]
+            children.append(tuple(child))
+        generation = children
+        generations.append(generation)
+    return [[InliningParameters(*g) for g in gen] for gen in generations]
+
+
+def assert_reports_bitwise(expected, actual):
+    """Every report field equal, floats compared by their bits."""
+    for field in REPORT_FIELDS:
+        a, b = getattr(expected, field), getattr(actual, field)
+        if isinstance(a, float):
+            a, b = a.hex(), b.hex()
+        assert a == b, field
+
+
+#: (scenario, adaptive kernel on) legs of the whole-run sweep
+WHOLE_RUN_LEGS = [(OPTIMIZING, True), (ADAPTIVE, True), (ADAPTIVE, False)]
+
+
+class TestFuzzedWholeRun:
+    """Whole tuning-shaped runs on the generated extreme shapes: bred
+    generations through ``run_reference``, serial ``vm.run`` and the
+    batched evaluator on every rung, Opt and Adapt with and without the
+    adaptive kernel.  Every report must equal the reference bit for
+    bit, and every program's plan cache must export the same arrays on
+    every path — the batched resolve appends exactly the serial path's
+    entries."""
+
+    def _sweep(self, machine, scenario, use_kernel, programs, generations):
+        reference = VirtualMachine(machine, scenario, memoize=False)
+        serial = VirtualMachine(machine, scenario, memoize=True)
+        runners = {}
+        for backend in [None] + COMPILED_BACKENDS:
+            vm = VirtualMachine(machine, scenario, memoize=True)
+            vm._accelerator.force_native_backend(backend)
+            runners[backend] = GenerationBatchEvaluator(
+                vm, use_adaptive_kernel=use_kernel
+            )
+        for generation in generations:
+            rows = {
+                backend: runner.run_generation(programs, generation)
+                for backend, runner in runners.items()
+            }
+            for g, params in enumerate(generation):
+                for p, program in enumerate(programs):
+                    expected = reference.run_reference(program, params)
+                    assert_reports_bitwise(expected, serial.run(program, params))
+                    for backend_rows in rows.values():
+                        assert_reports_bitwise(expected, backend_rows[g][p])
+        for program in programs:
+            exported = serial._accelerator._state_for(program).cache.export_arrays()
+            assert len(exported["entry_method"])
+            for runner in runners.values():
+                cache = runner.accelerator._state_for(program).cache
+                assert_same_exports(exported, cache.export_arrays())
+        grouped = set()
+        for runner in runners.values():
+            stats = runner.accelerator.stats
+            assert stats.native_fallbacks == 0 and stats.degraded_batches == 0
+            assert stats.method_builds == serial.perf_stats.method_builds
+            grouped.add((stats.adaptive_grouped_compiles, stats.adaptive_group_covered))
+        # the compiled call and the Python helper count the same fan-outs
+        assert len(grouped) == 1
+
+    @pytest.mark.parametrize(
+        "scenario,use_kernel",
+        WHOLE_RUN_LEGS,
+        ids=["Opt", "Adapt-kernel", "Adapt-serial"],
+    )
+    def test_bred_generations_match_reference(
+        self, scenario, use_kernel, fuzz_programs
+    ):
+        programs = [fuzz_programs[shape] for shape in sorted(FUZZ_SHAPES)]
+        self._sweep(
+            PENTIUM4, scenario, use_kernel, programs,
+            bred_generations(n=6, rounds=3, seed=41),
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    @pytest.mark.parametrize(
+        "scenario,use_kernel",
+        WHOLE_RUN_LEGS,
+        ids=["Opt", "Adapt-kernel", "Adapt-serial"],
+    )
+    def test_bred_generations_match_reference_wide(
+        self, machine, scenario, use_kernel, fuzz_programs
+    ):
+        """The CI-sized sweep: both machines and more genomes."""
+        programs = [fuzz_programs[shape] for shape in sorted(FUZZ_SHAPES)]
+        self._sweep(
+            machine, scenario, use_kernel, programs,
+            bred_generations(n=16, rounds=3, seed=42),
+        )
+
+
 class TestColdPathDegradation:
     @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
@@ -574,7 +692,9 @@ class TestColdPathDegradation:
     ):
         """A compiled compile call that raises drops the accelerator to
         the Python loop for good (``native_fallbacks``), and every
-        report is still bitwise equal to the reference."""
+        report is still bitwise equal to the reference.  Both compiled
+        entry points of the cold path fail: the per-genome compile and
+        the batched generation resolve."""
         calls = []
 
         def broken(self, *args):
@@ -582,6 +702,7 @@ class TestColdPathDegradation:
             raise RuntimeError("injected kernel failure")
 
         monkeypatch.setattr(native.TracedProgram, "compile", broken)
+        monkeypatch.setattr(native.TracedProgram, "resolve", broken)
         reference = VirtualMachine(PENTIUM4, scenario, memoize=False)
         vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
         vm._accelerator.force_native_backend(COMPILED_BACKENDS[0])
@@ -598,6 +719,221 @@ class TestColdPathDegradation:
         assert len(calls) == 1 and stats.native_fallbacks == 1
         assert vm._accelerator.native_backend() is None
         assert stats.method_builds > 0
+
+
+def _run_generations(backend, scenario, programs, generations):
+    """Batched runs on one rung; returns the reports, the per-program
+    cache exports and the accelerator."""
+    vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+    vm._accelerator.force_native_backend(backend)
+    runner = GenerationBatchEvaluator(vm)
+    rows = [runner.run_generation(programs, generation) for generation in generations]
+    exports = [
+        vm._accelerator._state_for(program).cache.export_arrays()
+        for program in programs
+    ]
+    return rows, exports, vm._accelerator
+
+
+def _assert_same_runs(expected, actual):
+    expected_rows, expected_exports, _ = expected
+    actual_rows, actual_exports, _ = actual
+    for generation_a, generation_b in zip(expected_rows, actual_rows):
+        for row_a, row_b in zip(generation_a, generation_b):
+            for report_a, report_b in zip(row_a, row_b):
+                assert_reports_bitwise(report_a, report_b)
+    for export_a, export_b in zip(expected_exports, actual_exports):
+        assert_same_exports(export_a, export_b)
+
+
+@pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
+class TestCompiledResolve:
+    """The degradation contract of the fused generation resolve
+    (``repro_resolve_generation``): it grows the plan cache's buffers
+    and carries on, a failure mid-generation rolls the cache back and
+    finishes in Python, and an invalid row fails exactly like the
+    Python helper."""
+
+    @pytest.fixture
+    def generations(self):
+        return bred_generations(n=6, rounds=3, seed=43)
+
+    @pytest.fixture
+    def tiny_buffers(self, monkeypatch):
+        """Plan caches start at capacity 1, so every append grows."""
+        monkeypatch.setattr(MethodPlanCache, "_INITIAL_CAPACITY", 1)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_growth_recalls_match_the_python_helper(
+        self, scenario, fuzz_programs, generations, tiny_buffers, monkeypatch
+    ):
+        """With capacity-1 buffers the call stops for entry room and for
+        edge room, at the first genome and at later ones, and the
+        re-calls still reproduce the Python helper."""
+        programs = [fuzz_programs[shape] for shape in sorted(FUZZ_SHAPES)]
+        expected = _run_generations(None, scenario, programs, generations)
+        original = native.TracedProgram.resolve
+        stops = []
+
+        def spy(self, columns, *args):
+            result = original(self, columns, *args)
+            status, _, _, want_entries, want_edges = result
+            if status == self.GROW:
+                stops.append((
+                    want_entries > len(columns[2]),
+                    want_edges > len(columns[10]),
+                    int(args[-1][0]),
+                ))
+            return result
+
+        monkeypatch.setattr(native.TracedProgram, "resolve", spy)
+        actual = _run_generations(COMPILED_BACKENDS[0], scenario, programs, generations)
+        _assert_same_runs(expected, actual)
+        stats = actual[2].stats
+        assert stats.native_fallbacks == 0 and stats.degraded_batches == 0
+        assert stats.method_builds == expected[2].stats.method_builds
+        assert any(entries for entries, _, _ in stops)
+        assert any(edges for _, edges, _ in stops)
+        assert any(genome > 0 for _, _, genome in stops)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_failure_mid_generation_rolls_back(
+        self, scenario, fuzz_programs, generations, tiny_buffers, monkeypatch
+    ):
+        """A call failing after earlier genomes were committed: the cache
+        is truncated to its length before the generation, one
+        ``native_fallbacks`` is counted, and the Python helper finishes
+        with the same entries and reports."""
+        programs = [fuzz_programs[shape] for shape in sorted(FUZZ_SHAPES)]
+        expected = _run_generations(None, scenario, programs, generations)
+        original_resolve = native.TracedProgram.resolve
+        original_truncate = MethodPlanCache.truncate
+        seen = {"start": None, "failed_at": None, "truncations": []}
+
+        def failing(self, columns, n_entries, *args):
+            if args[-1][0] == 0:
+                seen["start"] = n_entries
+            elif seen["failed_at"] is None:
+                seen["failed_at"] = (seen["start"], n_entries)
+                raise RuntimeError("injected failure mid-generation")
+            return original_resolve(self, columns, n_entries, *args)
+
+        def truncate(self, n_entries):
+            seen["truncations"].append((len(self), n_entries))
+            original_truncate(self, n_entries)
+
+        monkeypatch.setattr(native.TracedProgram, "resolve", failing)
+        monkeypatch.setattr(MethodPlanCache, "truncate", truncate)
+        actual = _run_generations(COMPILED_BACKENDS[0], scenario, programs, generations)
+        start, committed = seen["failed_at"]
+        assert committed > start  # genomes were committed before the failure
+        assert seen["truncations"] == [(committed, start)]
+        stats = actual[2].stats
+        assert stats.native_fallbacks == 1 and actual[2].native_backend() is None
+        assert stats.degraded_batches == 0
+        assert stats.method_builds == expected[2].stats.method_builds
+        _assert_same_runs(expected, actual)
+
+    def test_invalid_row_raises_like_the_python_helper(self, fuzz_programs):
+        """A compiled row the CompiledMethod checks reject raises the
+        same CompilationError on the compiled rung, the batched Python
+        helper and the serial path, and leaves the same cache: the
+        genomes before the failing one committed, none of its rows.
+
+        A method's own size is made negative in the compile tables, so
+        its code size is positive only when inlining grows it: the first
+        genome (inline everything) compiles, the second (inline
+        nothing) fails."""
+        program = fuzz_programs["wide"]
+        vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        probe = TracedCompiler(program, vm.machine, vm.cost_model)
+        missing = [(mid, mid, 2) for mid in range(len(program))]
+        grown = probe.compile(INLINE_ALL, missing).scalars[:, 0] / (
+            vm.cost_model.opt_code_density
+        ) - program.sizes
+        method = int(np.argmax(grown))
+        assert grown[method] > 0.0
+        generation = [
+            InliningParameters(*INLINE_ALL),
+            InliningParameters(1, 1, 1, 1, 1),
+            InliningParameters(30, 12, 4, 900, 80),
+        ]
+
+        def poisoned_vm(backend):
+            vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+            acc = vm._accelerator
+            acc.force_native_backend(backend)
+            traced = acc._traced(acc._state_for(program))
+            traced._sizes_array = traced._sizes_array.copy()
+            traced._sizes_array[method] = -grown[method] / 2.0
+            return vm
+
+        outcomes = []
+        for backend in (COMPILED_BACKENDS[0], None, "serial"):
+            vm = poisoned_vm(None if backend == "serial" else backend)
+            with pytest.raises(CompilationError) as raised:
+                if backend == "serial":
+                    # the accelerator itself: vm.run would degrade the
+                    # error to run_reference
+                    for params in generation:
+                        vm._accelerator.run(program, params)
+                else:
+                    GenerationBatchEvaluator(vm).run_generation([program], generation)
+            cache = vm._accelerator._state_for(program).cache
+            outcomes.append((str(raised.value), cache.export_arrays(), vm.perf_stats))
+        (message, exported, stats), *others = outcomes
+        assert f"method {method}: code_size must be positive" in message
+        assert len(exported["entry_method"]) == stats.method_builds > 0
+        for other_message, other_exported, other_stats in others:
+            assert other_message == message
+            assert_same_exports(exported, other_exported)
+            assert other_stats.method_builds == stats.method_builds
+        assert stats.native_fallbacks == 0
+
+    def test_bad_arguments_are_refused_before_the_call(self, programs):
+        """Sizes, dtypes and contiguity are checked before any pointer
+        reaches C."""
+        program = programs[0]
+        vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
+        traced = TracedCompiler(program, vm.machine, vm.cost_model)
+        bound = traced._bind(COMPILED_BACKENDS[0])
+        cache = MethodPlanCache(len(program))
+        slots = np.arange(len(program), dtype=np.int64)
+        levels = np.full(len(program), 2, dtype=np.int64)
+        values = np.array([INLINE_ALL], dtype=np.int64)
+
+        def call(**changes):
+            args = dict(
+                columns=cache.columns(), n_entries=0, n_edges=0, values=values,
+                slot_methods=slots, slot_levels=levels, site_hot=None,
+                resolved=np.empty((1, len(program)), dtype=np.int64),
+                progress=np.zeros(4, dtype=np.int64),
+            )
+            args.update(changes)
+            return bound.resolve(**args)
+
+        with pytest.raises(TypeError):
+            call(values=values.astype(np.float64))
+        with pytest.raises(TypeError):
+            call(values=np.asfortranarray(np.repeat(values, 2, axis=0)))
+        with pytest.raises(ValueError):
+            call(resolved=np.empty((2, len(program)), dtype=np.int64))
+        with pytest.raises(ValueError):
+            call(slot_levels=levels[:-1])
+        with pytest.raises(ValueError):
+            call(n_entries=len(cache.columns()[2]) + 1)
+        with pytest.raises(ValueError):
+            call(n_edges=3)  # the offsets say entry 0 starts at edge 0
+        with pytest.raises(ValueError):
+            call(progress=np.array([2, 0, 0, 0], dtype=np.int64))
+        with pytest.raises(TypeError):
+            call(columns=cache.columns()[:11] + (cache.columns()[11].astype(np.float32),))
+        with pytest.raises(ValueError):
+            call(site_hot=np.zeros(3, dtype=np.uint8))
+        status, n_entries, *_ = call()
+        # the rows are written in place; the cache adopts them on commit
+        assert status == bound.DONE and n_entries == len(program)
+        assert len(cache) == 0
 
 
 class TestLadderSelection:
@@ -677,18 +1013,21 @@ class TestKernelBuild:
         assert len({base, other_flags, other_compiler}) == 3
 
     @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
-    def test_extension_exports_the_three_kernels(self):
-        """The built object exports both propagation kernels and the
-        compiled cold path, and the backend binds all three."""
+    def test_extension_exports_the_four_kernels(self):
+        """The built object exports both propagation kernels, the
+        compiled cold path and the generation resolve, and the backend
+        binds all four."""
         library = ctypes.CDLL(native._build_shared_object())
         for symbol in (
             "repro_opt_propagate_blocked",
             "repro_adaptive_propagate_blocked",
             "repro_traced_compile",
+            "repro_resolve_generation",
         ):
             assert hasattr(library, symbol), symbol
         backend = native.KernelBackend(library)
         assert backend._traced_fn.restype is ctypes.c_int64
+        assert backend._resolve_fn.restype is ctypes.c_int64
 
     @pytest.mark.parametrize(
         "failure",

@@ -222,3 +222,13 @@ class TestMethodPlanCache:
         with pytest.raises(CompilationError, match="residual_self_rate"):
             cache.add_batch(batch)
         assert len(cache) == 0 and (cache.match((23, 11, 5, 1900, 135)) == -1).all()
+
+    def test_out_of_range_method_raises_and_leaves_cache_unchanged(self, diamond):
+        """A batch naming a method the program lacks (a malformed
+        archive row) is refused before anything is committed."""
+        batch = self._batch(diamond, (23, 11, 5, 1900, 135))
+        batch.method_ids[-1] = len(diamond)
+        cache = MethodPlanCache(len(diamond))
+        with pytest.raises(ValueError, match="method ids"):
+            cache.add_batch(batch)
+        assert len(cache) == 0 and cache.n_edges == 0

@@ -15,7 +15,10 @@ baseline:
   losing it.
 * ``benchmarks/bench_batch_eval.py`` — the same generation through the
   memoized serial path vs generation-batched evaluation
-  (``repro.perf.batch``), steady state.  Results in
+  (``repro.perf.batch``), steady state: it protects the batched
+  resolve (the compiled matcher on the cext rung) and the dedup.  The
+  guarded figure is the median of nine interleaved per-round ratios,
+  with their quartiles recorded.  Results in
   ``benchmarks/BENCH_batch.json``, baseline in
   ``benchmarks/BENCH_batch_baseline.json``, 2x acceptance floor.
 * ``benchmarks/bench_adaptive_batch.py`` — the same generation under
