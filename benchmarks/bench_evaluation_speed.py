@@ -7,9 +7,9 @@ over the full SPECjvm98 training suite — through the reference VM path
 :class:`~repro.jvm.runtime.ExecutionReport` field agrees bit for bit,
 and that the accelerated engine is at least 5x faster.  Cold-cache
 plan compilation (43,012 method builds per run) is most of the
-accelerated leg, and it runs through the compiled cold path
-(``repro_traced_compile``, one C call per genome) when the compiled
-backend resolves; the committed baseline in ``tools/bench_guard.py``
+accelerated leg, and it runs through the compiled cold path (a
+one-genome ``repro_resolve_generation`` call per genome) when the
+compiled backend resolves; the committed baseline in ``tools/bench_guard.py``
 was measured with it, so the 20% regression window fails a run that
 lost it even where the 5x floor would still pass.
 

@@ -1,8 +1,9 @@
-/* Compiled twins of four loops of the evaluation accelerator: the two
- * invocation-propagation loops (repro_opt_propagate_blocked,
- * repro_adaptive_propagate_blocked), the cold path's fused plan
- * expansion + region trace + compile (repro_traced_compile), and the
- * whole-generation resolve around it (repro_resolve_generation).
+/* Compiled twins of four loops of the evaluation accelerator, in three
+ * exported functions: the two invocation-propagation loops
+ * (repro_opt_propagate_blocked, repro_adaptive_propagate_blocked), and
+ * the whole-generation resolve (repro_resolve_generation) with the cold
+ * path's fused plan expansion + region trace + compile (compile_method)
+ * inside it.
  *
  * Built at runtime by repro/perf/native.py (cc with native.CFLAGS:
  * -O2 -ffp-contract=off -fPIC -shared) and loaded through ctypes.
@@ -55,15 +56,16 @@
  * decision cascade, the integer parameter-region bounds, the absorbed
  * work and residual-edge sums, and the final cycle formulas, every
  * floating-point operation with the Python loop's operands in the
- * Python loop's order.  repro_traced_compile runs it over one genome's
- * missing list (the serial path); repro_resolve_generation resolves a
- * whole generation of one program in one call — the broadcast match
- * against every cached region, each genome's compiles appended to the
- * plan cache's column buffers in place, and the fan-out of every new
- * entry to the later genomes its region covers — the compiled twin of
+ * Python loop's order.  repro_resolve_generation resolves a whole
+ * generation of one program in one call — the broadcast match against
+ * every cached region, each genome's compiles appended to the plan
+ * cache's column buffers in place, and the fan-out of every new entry
+ * to the later genomes its region covers — the compiled twin of
  * EvaluationAccelerator._resolve_pending (repro/perf/engine.py).  The
- * outputs are flat columns the Python side turns into CompiledMethod /
- * ParamRegion records on first access.
+ * serial path resolves its one genome through the same call, its
+ * missing methods as the slots.  The outputs are flat columns the
+ * Python side turns into CompiledMethod / ParamRegion records on first
+ * access.
  */
 
 #include <stdint.h>
@@ -230,10 +232,11 @@ int64_t repro_adaptive_propagate_blocked(
     return 0;
 }
 
-/* Per-program tables of repro_traced_compile, built once per program
- * by repro/perf/fastcompile.py::TracedCompiler and mirrored field for
- * field by native._TracedProgram.  The call sites form a CSR in source
- * order: method m's sites are site_*[site_offsets[m]:site_offsets[m+1]].
+/* Per-program tables of compile_method, built once per program by
+ * repro/perf/fastcompile.py::TracedCompiler and mirrored field for
+ * field by native._TracedProgramStruct.  The call sites form a CSR in
+ * source order: method m's sites are
+ * site_*[site_offsets[m]:site_offsets[m+1]].
  *
  * fwd/fwd_seen/touched: per-method scratch for one compile's residual
  *          forward edges; fwd_seen must be all zero between calls
@@ -495,59 +498,6 @@ static int64_t compile_method(
         fwd_seen[c] = 0;
     }
     return pos;
-}
-
-/* A whole missing list through compile_method: every (methods[k],
- * levels[k]) compiles under the one parameter vector `values`.
- *
- * bounds:   (n, 10) region bounds per compile: lo[0..4], hi[0..4]
- * scalars:  (n, 4) code_size, compile_cycles, cycles_per_invocation,
- *           residual_self_rate
- * inlined:  (n) inlined site count
- * edge_offsets/edge_callees/edge_rates: CSR of each compile's residual
- *           forward edges in ascending callee order; edges past
- *           edge_capacity are counted but not written
- *
- * Returns the total number of residual forward edges (the caller grows
- * its edge buffers and calls again when that exceeds edge_capacity),
- * or -(k + 1) when request k names an unknown method or level.
- */
-int64_t repro_traced_compile(
-    const repro_traced_program *prog,
-    const int64_t *values,
-    int64_t n,
-    const int64_t *methods,
-    const int64_t *levels,
-    const uint8_t *site_hot,
-    int64_t *bounds,
-    double *scalars,
-    int64_t *inlined,
-    int64_t *edge_offsets,
-    int64_t edge_capacity,
-    int64_t *edge_callees,
-    double *edge_rates)
-{
-    int64_t k, j, n_edges = 0;
-    compiled_row row;
-
-    for (k = 0; k < n; k++) {
-        if (methods[k] < 0 || methods[k] >= prog->n_methods
-            || levels[k] < 0 || levels[k] >= prog->n_levels)
-            return -(k + 1);
-    }
-    edge_offsets[0] = 0;
-    for (k = 0; k < n; k++) {
-        n_edges = compile_method(
-            prog, values, methods[k], levels[k], site_hot, &row,
-            n_edges, edge_capacity, edge_callees, edge_rates);
-        for (j = 0; j < 10; j++)
-            bounds[10 * k + j] = row.bounds[j];
-        for (j = 0; j < 4; j++)
-            scalars[4 * k + j] = row.scalars[j];
-        inlined[k] = row.inlined;
-        edge_offsets[k + 1] = n_edges;
-    }
-    return n_edges;
 }
 
 /* A plan cache's column buffers (repro/perf/plancache.py::

@@ -312,7 +312,8 @@ class GenerationBatchEvaluator:
             backend = acc.native_backend()
             if backend is not None:
                 resolved = acc._resolve_compiled(
-                    state, backend, values_matrix, self._kernel is not None
+                    state, backend, values_matrix,
+                    count_groups=self._kernel is not None,
                 )
                 if resolved is not None:
                     return resolved

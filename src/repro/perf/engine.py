@@ -410,46 +410,39 @@ class EvaluationAccelerator:
         *missing* lists ``(slot, method_id, level)`` for every unresolved
         ``row[slot]``.  With an archive view the covering archived rows
         are fetched first (:meth:`_fetch`); what is still missing then
-        compiles, in listed order, through one
-        :meth:`TracedCompiler.compile` call — a single C call on the
-        compiled rung — whose batch is appended as columns
-        (:meth:`MethodPlanCache.add_batch`).  The serial path and the
-        batched Python helper (:meth:`_resolve_pending`), Opt and Adapt,
-        go through here, and the compiled generation resolve
-        (:meth:`_resolve_compiled`) replays it, so every path appends
-        the same entry sequence.  Returns the number of compiles.
-
-        A compiled-rung failure other than a genuine compile error
-        degrades this accelerator to the numpy rung permanently
-        (``native_fallbacks``) and recompiles the list in Python, so
-        the entries are bitwise unchanged.
+        compiles in listed order.  On the compiled rung that is the
+        generation resolve over this one genome
+        (:meth:`_resolve_compiled`, the missing methods as its slots),
+        which appends the versions to the cache's column buffers in
+        place; on the numpy rung, or after that call degraded this
+        accelerator, one :meth:`TracedCompiler.compile` call whose
+        batch is appended as columns (:meth:`MethodPlanCache.add_batch`).
+        The serial path and the batched Python helper
+        (:meth:`_resolve_pending`), Opt and Adapt, go through here, and
+        the compiled generation resolve replays it, so every path
+        appends the same entry sequence.  Returns the number of
+        compiles.
         """
         if missing and state.archived is not None:
             missing = self._fetch(state, values, missing, row)
         if not missing:
             return 0
-        cache = state.cache
-        traced = self._traced(state)
-        hot_sites = state.skeleton.hot_sites if state.skeleton is not None else None
-        use_hot = self.vm.scenario.uses_hot_callsite_heuristic
         backend = self.native_backend()
-        try:
-            compiled = traced.compile(values, missing, hot_sites, use_hot, backend)
-        except (KeyboardInterrupt, SystemExit, ReproError):
-            raise  # a genuine compile error: the Python loop raises it too
-        except Exception:
-            if backend is None:
-                raise
-            self.stats.native_fallbacks += 1
-            self.disable_native()
-            _log.warning(
-                "compiled cold path failed on %s; degrading this "
-                "accelerator to the numpy path",
-                state.program.name,
-                exc_info=True,
+        if backend is not None:
+            methods = np.array([mid for _, mid, _ in missing], dtype=np.int64)
+            levels = np.array([level for _, _, level in missing], dtype=np.int64)
+            resolved = self._resolve_compiled(
+                state, backend, np.array([values], dtype=np.int64), (methods, levels)
             )
-            compiled = traced.compile(values, missing, hot_sites, use_hot, None)
-        first = cache.add_batch(compiled)
+            if resolved is not None:
+                for (slot, _, _), entry in zip(missing, resolved[0, methods].tolist()):
+                    row[slot] = entry
+                return len(missing)
+        hot_sites = state.skeleton.hot_sites if state.skeleton is not None else None
+        compiled = self._traced(state).compile(
+            values, missing, hot_sites, self.vm.scenario.uses_hot_callsite_heuristic
+        )
+        first = state.cache.add_batch(compiled)
         for entry, (slot, _, _) in enumerate(missing, first):
             row[slot] = entry
         self.stats.method_builds += len(missing)
@@ -575,6 +568,7 @@ class EvaluationAccelerator:
         state: _ProgramState,
         backend,
         values_matrix: np.ndarray,
+        slots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         count_groups: bool = False,
     ) -> Optional[np.ndarray]:
         """:meth:`_resolve_pending`'s algorithm as one compiled call.
@@ -583,16 +577,18 @@ class EvaluationAccelerator:
         appends and the fan-outs all run inside
         ``repro_resolve_generation`` (:meth:`TracedCompiler.resolve`),
         which returns the generation's entry rows.  The entries, the
-        rows and the counters are those of the Python helper.  A row
-        failing the :class:`CompiledMethod` checks raises its
+        rows and the counters are those of the Python helper.  *slots*
+        defaults to :meth:`_slots`; the serial path
+        (:meth:`_resolve_missing`) passes one genome's missing methods.
+        A row failing the :class:`CompiledMethod` checks raises its
         :class:`~repro.errors.CompilationError` with the earlier
         genomes' entries kept, as the helper would.  Any other failure
         truncates the cache to its length before the call, degrades this
         accelerator to the numpy rung (``native_fallbacks``) and returns
-        None: the caller then resolves through the Python helper.
+        None: the caller then resolves in Python.
         """
         cache = state.cache
-        methods, levels = self._slots(state)
+        methods, levels = self._slots(state) if slots is None else slots
         hot_sites = state.skeleton.hot_sites if state.skeleton is not None else None
         counts = np.zeros(3, dtype=np.int64)
         first = len(cache)
@@ -773,7 +769,9 @@ class EvaluationAccelerator:
                 self.disable_native()
         counts: List[float] = [0.0] * len(program)
         counts[program.entry_id] = 1.0
-        self_rate_of = cache.self_rate
+        # every method's self-rate in one gather (an unresolved method's
+        # -1 gathers a rate the loop never reads)
+        self_rates = cache.self_rate_column()[resolved].tolist()
         edges = cache.edges
         for mid, c in enumerate(counts):
             if c <= 0.0:
@@ -783,7 +781,7 @@ class EvaluationAccelerator:
                 raise SimulationError(
                     f"method {mid} of {program.name!r} is invoked but has no compiled version"
                 )
-            self_rate = self_rate_of(entry)
+            self_rate = self_rates[mid]
             if self_rate > 0.0:
                 c = c / (1.0 - self_rate)
                 counts[mid] = c

@@ -9,26 +9,28 @@ miss, on exactly the large methods whose narrow parameter regions miss
 most often.
 
 :class:`TracedCompiler` fuses expansion, region tracking and
-compilation into one loop over precomputed per-program tables, and
-runs a genome's whole missing list per call.  Two rungs share one
-entry point (:meth:`TracedCompiler.compile`), following the kernel
-ladder of :mod:`repro.perf.native`: with a compiled backend the loop
-runs in C (``repro_traced_compile``), one call per missing list over
-flat site tables built once per program; without one (the numpy rung)
-the same loop runs in Python per method.  Both return the versions as
-one flat :class:`~repro.perf.plancache.CompiledBatch`, which the plan
-cache appends as columns: no ``CompiledMethod``/``ParamRegion``
-record is built unless something asks for it.  On the compiled rung
-:meth:`TracedCompiler.resolve` also runs a program's whole generation
-resolve in C (``repro_resolve_generation``): the same per-method loop,
-writing straight into the plan cache's column buffers.  **Bitwise identity is
-the contract**: both rungs perform every floating-point operation in the
-same order with the same operands as the reference path — expansion
-accumulates ``expanded_size`` site by site, absorbed work accumulates
-in inlined-body order, residual rates in residual order, and the final
-cycle expression reproduces :meth:`OptimizingCompiler.compile` token
-for token.  The equivalence suite (``tests/perf/``) enforces this
-against ``run_reference`` and ``compile_traced``.
+compilation into one loop over precomputed per-program tables.  The
+loop has two rungs, following the kernel ladder of
+:mod:`repro.perf.native`.  On the numpy rung it runs in Python per
+method (:meth:`TracedCompiler.compile`, a genome's whole missing list
+per call), returning the versions as one flat
+:class:`~repro.perf.plancache.CompiledBatch` that the plan cache
+appends as columns.  With a compiled backend it runs in C inside the
+generation resolve (:meth:`TracedCompiler.resolve`,
+``repro_resolve_generation``), over flat site tables built once per
+program, writing straight into the plan cache's column buffers; the
+serial path resolves one genome through the same call.  Neither builds
+a ``CompiledMethod``/``ParamRegion`` record unless something asks for
+it.
+
+**Bitwise identity is the contract**: both rungs perform every
+floating-point operation in the same order with the same operands as
+the reference path — expansion accumulates ``expanded_size`` site by
+site, absorbed work accumulates in inlined-body order, residual rates
+in residual order, and the final cycle expression reproduces
+:meth:`OptimizingCompiler.compile` token for token.  The equivalence
+suite (``tests/perf/``) enforces this against ``run_reference`` and
+``compile_traced``.
 """
 
 from __future__ import annotations
@@ -109,7 +111,6 @@ class TracedCompiler:
             None, None,
         )
         self._loop_ready = False
-        self._vetted_levels: Optional[np.ndarray] = None
 
     def _loop_tables(self) -> None:
         """Build the Python loop's tables (the numpy rung) on first use."""
@@ -166,23 +167,18 @@ class TracedCompiler:
         missing: Sequence[Tuple[int, int, int]],
         hot_sites: Optional[FrozenSet[Tuple[int, int]]] = None,
         use_hot_heuristic: bool = False,
-        backend=None,
     ) -> CompiledBatch:
-        """Compile a genome's missing methods under one parameter vector.
+        """Compile a genome's missing methods under one parameter vector
+        with the Python loop (the numpy rung).
 
         *missing* is the ``(slot, method_id, level)`` list of
         :meth:`EvaluationAccelerator._resolve_missing` (slots are the
         caller's and ignored here).  Returns the versions as one
         :class:`~repro.perf.plancache.CompiledBatch`, row for row;
         appended to a :class:`MethodPlanCache`, each row's record is
-        bitwise equal to ``OptimizingCompiler.compile_traced``.  With a
-        compiled *backend* (:class:`repro.perf.native.KernelBackend`)
-        the whole list is one C call; with None, the Python loop runs
-        per method.
+        bitwise equal to ``OptimizingCompiler.compile_traced``.
         """
         hot = hot_sites if (use_hot_heuristic and hot_sites) else _EMPTY_KEY
-        if backend is not None:
-            return self._compile_native(backend, values, missing, hot)
         self._loop_tables()
         bounds: List[int] = []
         scalars: List[float] = []
@@ -229,6 +225,9 @@ class TracedCompiler:
         Returns the ``(genomes, methods)`` entry rows;
         *counts* (``int64[3]``) accumulates the compiles, the grouped
         compiles and the genomes those covered, also when this raises.
+        An unknown level raises the reference's
+        :class:`~repro.errors.ConfigurationError`, an unknown method
+        :class:`IndexError`.
 
         When the cache's buffers run out the call stops at a genome
         boundary; the buffers grow and the call carries on at that
@@ -237,10 +236,10 @@ class TracedCompiler:
         earlier genomes committed.
         """
         bound = self._bind(backend)
-        if slot_levels is not self._vetted_levels:
-            for level in set(slot_levels.tolist()):
+        levels = set(slot_levels.tolist())
+        if not self._per_level.keys() >= levels:
+            for level in levels:
                 self._level_consts(level)  # the reference's ConfigurationError
-            self._vetted_levels = slot_levels
         hot = hot_sites if (use_hot_heuristic and hot_sites) else _EMPTY_KEY
         site_hot = self._site_hot(hot) if hot else None
         values = np.ascontiguousarray(values_matrix, dtype=np.int64)
@@ -271,9 +270,9 @@ class TracedCompiler:
         machine = self.machine
         cm = self.cost_model
         # per-level constants for every level the machine defines; the
-        # compiled loop indexes them by level, and _compile_native
-        # vets levels against _per_level first, so the NaN fill of an
-        # undefined level is never read
+        # compiled loop indexes them by level, and resolve vets levels
+        # against _per_level first, so the NaN fill of an undefined
+        # level is never read
         levels = set(machine.compile_cycles_per_instruction)
         levels &= set(machine.opt_speed_factor)
         level_rate = np.full(1 + max(levels), np.nan)
@@ -313,23 +312,6 @@ class TracedCompiler:
             )
             self._hot_flags = (hot, flags)
         return flags
-
-    def _compile_native(self, backend, values, missing, hot):
-        """The compiled rung: one ``repro_traced_compile`` call."""
-        bound = self._bind(backend)
-        methods = [mid for _, mid, _ in missing]
-        levels = [level for _, _, level in missing]
-        if not self._per_level.keys() >= set(levels):
-            for level in levels:
-                self._level_consts(level)  # the reference's ConfigurationError
-        bounds, scalars, inlined, offsets, callees, rates = bound.compile(
-            values, methods, levels, self._site_hot(hot) if hot else None
-        )
-        # copies: the outputs are views of buffers the next call reuses
-        return CompiledBatch(
-            methods, levels, bounds.copy(), scalars.copy(), inlined.copy(),
-            offsets.copy(), callees.copy(), rates.copy(),
-        )
 
     def _compile_one(
         self,

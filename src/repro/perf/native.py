@@ -10,7 +10,9 @@ method a genome's parameter vector leaves unresolved, and the
 per-generation resolve around it
 (:meth:`EvaluationAccelerator._resolve_pending`: match every genome,
 compile what is open, append, fan out).  This module compiles the four
-loops (``_kernels.c``) and selects an implementation at runtime through
+loops (``_kernels.c``: the two propagation kernels and the generation
+resolve, which runs the compile loop; the serial path resolves one
+genome through it) and selects an implementation at runtime through
 the graceful-degradation ladder the rest of the perf stack already
 follows::
 
@@ -263,22 +265,16 @@ def _typed(array: np.ndarray, dtype) -> np.ndarray:
 
 
 class TracedProgram:
-    """One program's tables bound to ``repro_traced_compile``.
+    """One program's compile tables bound to ``repro_resolve_generation``.
 
     Holds the ``repro_traced_program`` struct, the arrays its pointers
-    reference (kept alive here), the compile scratch and reusable
-    output buffers.  :meth:`compile` runs a whole missing list in one
-    C call; the returned arrays are views of the output buffers, valid
-    until the next call.  :meth:`resolve` runs a whole generation
-    against a plan cache, appending to the cache's own buffers.
+    reference (kept alive here) and the compile scratch.
+    :meth:`resolve` runs a whole generation against a plan cache,
+    appending to the cache's own buffers.
     """
-
-    #: initial residual-edge capacity; the buffers double on overflow
-    EDGE_CAPACITY = 1024
 
     def __init__(
         self,
-        fn,
         resolve_fn,
         *,
         sizes: np.ndarray,
@@ -298,10 +294,10 @@ class TracedProgram:
         app_cycle_factor: float,
         call_cost: float,
     ) -> None:
-        self._fn = fn
         self._resolve_fn = resolve_fn
-        # (columns tuple, repro_plan_columns over it): rebuilt when the
-        # plan cache grows its buffers
+        # (columns tuple, repro_plan_columns over it), kept until the
+        # plan cache grows its buffers: taking an ndarray's ``.ctypes``
+        # pointers costs more than a one-genome call
         self._columns = None
         n_methods = len(sizes)
         n_sites = len(site_callee)
@@ -358,40 +354,6 @@ class TracedProgram:
         )
         self._n_sites = n_sites
         self._n_methods = n_methods
-        self._values = np.zeros(5, dtype=np.int64)
-        self._values_ptr = self._values.ctypes.data
-        self._grow_requests(max(1, n_methods))
-        self._grow_edges(self.EDGE_CAPACITY)
-
-    # buffer pointers are taken once per allocation: an ndarray's
-    # ``.ctypes`` view costs more than the compiled call it feeds
-    def _grow_requests(self, n: int) -> None:
-        self._methods = np.zeros(n, dtype=np.int64)
-        self._levels = np.zeros(n, dtype=np.int64)
-        self._bounds = np.zeros((n, 10), dtype=np.int64)
-        self._scalars = np.zeros((n, 4), dtype=np.float64)
-        self._inlined = np.zeros(n, dtype=np.int64)
-        self._offsets = np.zeros(n + 1, dtype=np.int64)
-        self._request_ptrs = tuple(
-            array.ctypes.data
-            for array in (
-                self._methods, self._levels, self._bounds,
-                self._scalars, self._inlined, self._offsets,
-            )
-        )
-        self._requests = n
-
-    def _grow_edges(self, n: int) -> None:
-        self._callees = np.zeros(n, dtype=np.int64)
-        self._rates = np.zeros(n, dtype=np.float64)
-        self._edge_ptrs = (self._callees.ctypes.data, self._rates.ctypes.data)
-        self._edges = n
-
-
-    @property
-    def edge_capacity(self) -> int:
-        """Current residual-edge capacity of the output buffers."""
-        return self._edges
 
     #: :meth:`resolve` statuses (``repro_resolve_generation`` codes)
     DONE, GROW, INVALID = 0, 1, 2
@@ -473,70 +435,16 @@ class TracedProgram:
             struct.want_entries, struct.want_edges,
         )
 
-    def compile(self, values, methods, levels, site_hot: Optional[np.ndarray]):
-        """Compile ``methods[k]`` at ``levels[k]`` under *values*.
-
-        *site_hot* is a ``uint8`` flag per call site, or None when the
-        hot-site heuristic does not apply.  Returns ``(bounds, scalars,
-        inlined, edge_offsets, edge_callees, edge_rates)``: views of
-        the output buffers (see ``repro_traced_compile``), valid until
-        the next call.  Raises :class:`IndexError` on an unknown method
-        or level.
-        """
-        n = len(methods)
-        if len(levels) != n:
-            raise ValueError("methods and levels differ in length")
-        if n > self._requests:
-            self._grow_requests(n)
-        self._values[:] = values
-        self._methods[:n] = methods
-        self._levels[:n] = levels
-        hot = None
-        if site_hot is not None:
-            if len(_typed(site_hot, np.uint8)) != self._n_sites:
-                raise ValueError("site_hot must hold one flag per call site")
-            hot = site_hot.ctypes.data
-        methods_ptr, levels_ptr, *outputs = self._request_ptrs
-        while True:
-            total = self._fn(
-                ctypes.byref(self._struct),
-                self._values_ptr,
-                n,
-                methods_ptr,
-                levels_ptr,
-                hot,
-                *outputs,
-                self._edges,
-                *self._edge_ptrs,
-            )
-            if total < 0:
-                raise IndexError(
-                    f"request {-total - 1}: unknown method "
-                    f"{self._methods[-total - 1]} or level "
-                    f"{self._levels[-total - 1]}"
-                )
-            if total <= self._edges:
-                break
-            self._grow_edges(max(2 * self._edges, total))
-        return (
-            self._bounds[:n],
-            self._scalars[:n],
-            self._inlined[:n],
-            self._offsets[: n + 1],
-            self._callees[:total],
-            self._rates[:total],
-        )
-
 
 class KernelBackend:
-    """The C extension's four loops behind NumPy-facing entry points.
+    """The C extension's loops behind NumPy-facing entry points.
 
     The two propagation entry points take contiguous arrays, run the
     compiled loop and raise the reference's
     :class:`~repro.errors.SimulationError` on a missing compiled
     version; :meth:`traced_program` binds one program's tables to the
-    compiled cold path (:meth:`TracedProgram.compile` for one missing
-    list, :meth:`TracedProgram.resolve` for a whole generation).  Any
+    compiled cold path (:meth:`TracedProgram.resolve`, for a whole
+    generation or the serial path's one genome).  Any
     *infrastructure* failure (a bad load, an interface mismatch)
     surfaces as an ordinary exception that the callers catch to fall
     down the ladder.
@@ -567,12 +475,6 @@ class KernelBackend:
             _PF64, _PI64, _PI64, _PF64,
             _PU8, _PF64, _PI64, _PI64, _PF64,
             _PF64, _PF64,
-        ]
-        self._traced_fn = lib.repro_traced_compile
-        self._traced_fn.restype = _I64
-        self._traced_fn.argtypes = [
-            ctypes.POINTER(_TracedProgramStruct), _VP, _I64, _VP, _VP, _VP,
-            _VP, _VP, _VP, _VP, _I64, _VP, _VP,
         ]
         self._resolve_fn = lib.repro_resolve_generation
         self._resolve_fn.restype = _I64
@@ -720,7 +622,7 @@ class KernelBackend:
     def traced_program(self, **tables) -> TracedProgram:
         """Bind one program's compile tables to the compiled cold path
         (see :class:`TracedProgram` for the keyword arguments)."""
-        return TracedProgram(self._traced_fn, self._resolve_fn, **tables)
+        return TracedProgram(self._resolve_fn, **tables)
 
     #: aliases: the per-layer tracer of ``benchmarks/e2e`` hooks these
     #: names as well as the two above

@@ -409,12 +409,35 @@ def version_fields(version, region):
     )
 
 
+def cache_records(cache):
+    """Every ``(version, region)`` record of a plan cache."""
+    return [(cache.version(e), cache.region(e)) for e in range(len(cache))]
+
+
 def records(batch, program):
     """The ``(version, region)`` records of a compiled batch, built the
     way a plan cache builds them."""
     cache = MethodPlanCache(len(program))
-    first = cache.add_batch(batch)
-    return [(cache.version(e), cache.region(e)) for e in range(first, len(cache))]
+    cache.add_batch(batch)
+    return cache_records(cache)
+
+
+def resolve_cache(traced, backend, genomes, missing, hot_sites=None, use_hot=False):
+    """A fresh plan cache after one compiled generation resolve of
+    *genomes* with *missing*'s ``(method, level)`` pairs as the slots:
+    the compiled rung's compile, appended in slot order."""
+    cache = MethodPlanCache(len(traced.program))
+    traced.resolve(
+        np.array(genomes, dtype=np.int64),
+        np.array([mid for _, mid, _ in missing], dtype=np.int64),
+        np.array([level for _, _, level in missing], dtype=np.int64),
+        hot_sites,
+        use_hot,
+        backend,
+        cache,
+        np.zeros(3, dtype=np.int64),
+    )
+    return cache
 
 
 def _compile_requests(machine, scenario, program):
@@ -431,9 +454,10 @@ def _compile_requests(machine, scenario, program):
 
 
 class TestTracedCompile:
-    """The compiled cold path (``repro_traced_compile``) against the
-    Python loop and ``OptimizingCompiler.compile_traced``, field by
-    field, on generated programs of extreme shape."""
+    """The compiled cold path (``compile_method``, run through a
+    one-genome ``repro_resolve_generation`` as the serial path runs it)
+    against the Python loop and ``OptimizingCompiler.compile_traced``,
+    field by field, on generated programs of extreme shape."""
 
     def _sweep(self, backend, program, machine, scenario, use_hot, genomes):
         vm = VirtualMachine(machine, scenario, memoize=True)
@@ -441,12 +465,10 @@ class TestTracedCompile:
         traced = TracedCompiler(program, vm.machine, vm.cost_model)
         missing, hot_sites = _compile_requests(machine, scenario, program)
         for values in genomes:
-            batch = records(
-                traced.compile(values, missing, hot_sites, use_hot, backend), program
+            batch = cache_records(
+                resolve_cache(traced, backend, [values], missing, hot_sites, use_hot)
             )
-            loop = records(
-                traced.compile(values, missing, hot_sites, use_hot, None), program
-            )
+            loop = records(traced.compile(values, missing, hot_sites, use_hot), program)
             params = InliningParameters(*values)
             for (_, mid, level), c_result, py_result in zip(missing, batch, loop):
                 reference = compiler.compile_traced(
@@ -512,19 +534,18 @@ class TestTracedCompile:
 
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS, ids=lambda b: b.name)
     def test_edge_buffer_grows(self, backend, fuzz_programs):
-        """A missing list with more residual edges than the buffer holds
-        grows it and still matches the Python loop."""
+        """A genome with more residual edges than the plan cache's edge
+        buffer holds grows it and still matches the Python loop."""
         program = fuzz_programs["wide"]
         vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
         traced = TracedCompiler(program, vm.machine, vm.cost_model)
         missing = [(mid, mid, 2) for mid in range(len(program))]
         values = (1, 1, 1, 1, 1)  # inlines nothing: every site stays residual
-        batch = traced.compile(values, missing, None, False, backend)
-        n_edges = len(batch.edge_callees)
-        assert n_edges > native.TracedProgram.EDGE_CAPACITY
-        assert traced._bind(backend).edge_capacity >= n_edges
-        loop = traced.compile(values, missing, None, False, None)
-        assert [version_fields(*r) for r in records(batch, program)] == [
+        cache = resolve_cache(traced, backend, [values], missing)
+        assert cache.n_edges > MethodPlanCache._INITIAL_CAPACITY
+        assert len(cache.columns()[10]) >= cache.n_edges
+        loop = traced.compile(values, missing)
+        assert [version_fields(*r) for r in cache_records(cache)] == [
             version_fields(*r) for r in records(loop, program)
         ]
 
@@ -538,9 +559,10 @@ class TestTracedCompile:
         vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
         traced = TracedCompiler(program, vm.machine, vm.cost_model)
         missing = [(mid, mid, 2) for mid in range(len(program))]
-        cache = MethodPlanCache(len(program))
-        for values in (INLINE_ALL, (1, 1, 1, 1, 1), (23, 11, 5, 2048, 135)):
-            cache.add_batch(traced.compile(values, missing, None, False, backend))
+        cache = resolve_cache(
+            traced, backend,
+            [INLINE_ALL, (1, 1, 1, 1, 1), (23, 11, 5, 2048, 135)], missing,
+        )
         ids = {}
         n_unbounded = 0
         for entry in range(len(cache)):
@@ -558,13 +580,15 @@ class TestTracedCompile:
         an unknown method an IndexError, on both rungs."""
         vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
         traced = TracedCompiler(programs[0], vm.machine, vm.cost_model)
-        for rung in (backend, None):
-            with pytest.raises(ConfigurationError):
-                traced.compile(INLINE_ALL, [(0, 0, 7)], None, False, rung)
-            with pytest.raises(IndexError):
-                traced.compile(
-                    INLINE_ALL, [(0, len(programs[0]), 2)], None, False, rung
-                )
+        requests = [
+            ([(0, 0, 7)], ConfigurationError),
+            ([(0, len(programs[0]), 2)], IndexError),
+        ]
+        for missing, error in requests:
+            with pytest.raises(error):
+                resolve_cache(traced, backend, [INLINE_ALL], missing)
+            with pytest.raises(error):
+                traced.compile(INLINE_ALL, missing)
 
 
 def bred_generations(n, rounds, seed):
@@ -685,24 +709,56 @@ class TestFuzzedWholeRun:
 
 
 class TestColdPathDegradation:
-    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
-    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
-    def test_failing_c_compile_degrades_to_the_loop(
-        self, scenario, programs, monkeypatch
-    ):
-        """A compiled compile call that raises drops the accelerator to
-        the Python loop for good (``native_fallbacks``), and every
-        report is still bitwise equal to the reference.  Both compiled
-        entry points of the cold path fail: the per-genome compile and
-        the batched generation resolve."""
+    """A compiled cold path that raises drops the accelerator to the
+    Python loop for good (``native_fallbacks``), and every report is
+    still bitwise equal to the reference."""
+
+    @staticmethod
+    def _break_compiled_resolve(monkeypatch):
         calls = []
 
         def broken(self, *args):
             calls.append(args)
             raise RuntimeError("injected kernel failure")
 
-        monkeypatch.setattr(native.TracedProgram, "compile", broken)
         monkeypatch.setattr(native.TracedProgram, "resolve", broken)
+        return calls
+
+    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_failing_c_compile_degrades_to_the_loop(
+        self, scenario, programs, monkeypatch
+    ):
+        """The serial path: the first genome's compiled compile (a
+        one-genome generation resolve) fails, and that genome and every
+        later one compile through the Python loop."""
+        calls = self._break_compiled_resolve(monkeypatch)
+        reference = VirtualMachine(PENTIUM4, scenario, memoize=False)
+        vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
+        acc = vm._accelerator
+        acc.force_native_backend(COMPILED_BACKENDS[0])
+        for generation in [random_generation(n=6, seed=seed) for seed in (31, 32)]:
+            for params in generation:
+                for program in programs:
+                    # the accelerator itself: vm.run would hide a
+                    # failure behind run_reference
+                    assert_reports_identical(
+                        reference.run(program, params), acc.run(program, params)
+                    )
+        stats = vm.perf_stats
+        assert len(calls) == 1 and len(calls[0][3]) == 1  # one genome
+        assert stats.native_fallbacks == 1
+        assert acc.native_backend() is None
+        assert stats.method_builds > 0
+
+    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_failing_c_resolve_degrades_to_the_python_helper(
+        self, scenario, programs, monkeypatch
+    ):
+        """The batched path: the first generation resolve fails, and
+        every generation resolves through the Python helper."""
+        calls = self._break_compiled_resolve(monkeypatch)
         reference = VirtualMachine(PENTIUM4, scenario, memoize=False)
         vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
         vm._accelerator.force_native_backend(COMPILED_BACKENDS[0])
@@ -716,7 +772,8 @@ class TestColdPathDegradation:
                         reference.run(program, params), rows[g][p]
                     )
         stats = vm.perf_stats
-        assert len(calls) == 1 and stats.native_fallbacks == 1
+        assert len(calls) == 1 and len(calls[0][3]) == 6  # the generation
+        assert stats.native_fallbacks == 1
         assert vm._accelerator.native_backend() is None
         assert stats.method_builds > 0
 
@@ -1013,20 +1070,20 @@ class TestKernelBuild:
         assert len({base, other_flags, other_compiler}) == 3
 
     @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend")
-    def test_extension_exports_the_four_kernels(self):
-        """The built object exports both propagation kernels, the
-        compiled cold path and the generation resolve, and the backend
-        binds all four."""
+    def test_extension_exports_the_three_kernels(self):
+        """The built object exports both propagation kernels and the
+        generation resolve (which runs the compiled cold path), and the
+        backend binds all three."""
         library = ctypes.CDLL(native._build_shared_object())
         for symbol in (
             "repro_opt_propagate_blocked",
             "repro_adaptive_propagate_blocked",
-            "repro_traced_compile",
             "repro_resolve_generation",
         ):
             assert hasattr(library, symbol), symbol
         backend = native.KernelBackend(library)
-        assert backend._traced_fn.restype is ctypes.c_int64
+        assert backend._opt_fn.restype is ctypes.c_int64
+        assert backend._adaptive_fn.restype is ctypes.c_int64
         assert backend._resolve_fn.restype is ctypes.c_int64
 
     @pytest.mark.parametrize(
