@@ -1,39 +1,25 @@
 """Throughput benchmark of the sharded evaluation-store tier.
 
-Two legs, guarding the two protocols the tier replaces
-(``repro.perf.storetier`` vs the legacy single-file
-``repro.perf.store.EvaluationStore``):
+Batched warm-start lookup (the guarded ``speedup``), the sharded tier
+(``repro.perf.storetier``) vs the legacy single-file
+``repro.perf.store.EvaluationStore``: a new job opens an accumulated
+store holding many contexts' records and answers one context's
+genomes.  The legacy store replays the *whole* JSONL file line by line
+on open — every context, every record, JSON-parsed — before the first
+lookup can be served.  The tier answers the same open with one indexed
+SQLite query against the compacted pack (plus a replay of whatever
+uncompacted shard tail exists), loading only the requested context
+into its in-memory hash map.  Both legs then serve the identical lookup
+batch; fitnesses are compared value for value.
 
-* **batched warm-start lookup** (the guarded ``speedup``): a new job
-  opens an accumulated store holding many contexts' records and answers
-  one context's genomes.  The legacy store replays the *whole* JSONL
-  file line by line on open — every context, every record, JSON-parsed
-  — before the first lookup can be served.  The tier answers the same
-  open with one indexed SQLite query against the compacted pack (plus a
-  replay of whatever uncompacted shard tail exists), loading only the
-  requested context into its in-memory hash map.  Both legs then serve
-  the identical lookup batch; fitnesses are compared value for value.
-
-* **concurrent 4-writer append** (``append_speedup``): four writers
-  persist their records under each protocol.  The legacy funnel is the
-  campaign coordinator's single-writer discipline: each worker buffers
-  its records in a readonly store, drains them, and the coordinator
-  replays every batch into the shared file — re-opening (and therefore
-  re-parsing) the growing store per merge, re-serializing every record
-  a second time, and deduping against the loaded map.  The tier leg
-  gives each writer a private shard it appends to directly — one
-  serialization, no merge pass, no re-reads.  After both legs the
-  persisted contents are compared context by context.
-
-Both legs run in this one process so the **user CPU time** clock
-(``getrusage``, see ``bench_batch_eval.py`` for the rationale) captures
-the total work each protocol costs the system, regardless of which
-process would have paid it in a real campaign; fsync waits land in
-system time and are excluded from both legs equally.  Rounds alternate
-legs so allocator and machine drift cancel out of the ratios.
+Both legs run in this one process on the **user CPU time** clock
+(``getrusage``, see ``bench_batch_eval.py`` for the rationale); fsync
+waits land in system time and are excluded from both legs equally.
+Rounds alternate legs so allocator and machine drift cancel out of the
+ratio.
 
 ``run_store_tier`` is importable on its own so ``tools/bench_guard.py``
-can run the measurement headlessly and compare both ratios against the
+can run the measurement headlessly and compare the ratio against the
 committed baseline (``benchmarks/BENCH_store_baseline.json``).
 """
 
@@ -79,11 +65,9 @@ def _build_corpus(
 def run_store_tier(
     n_contexts: int = 8,
     per_context: int = 2500,
-    writers: int = 4,
-    per_writer: int = 2500,
     rounds: int = 5,
 ) -> Dict[str, object]:
-    """Measure legacy single-file replay/funnel vs the sharded tier."""
+    """Measure legacy single-file replay vs the sharded tier's lookup."""
 
     def clock() -> float:
         # user CPU time only — see the module docstring
@@ -92,7 +76,7 @@ def run_store_tier(
     root = tempfile.mkdtemp(prefix="bench-store-tier-")
     mismatches = 0
     try:
-        # -- shared fixture for the lookup leg -------------------------
+        # -- fixture: one accumulated legacy file and its tier ---------
         corpus = _build_corpus(n_contexts, per_context)
         legacy_path = os.path.join(root, "legacy.jsonl")
         for context, records in corpus.items():
@@ -109,7 +93,7 @@ def run_store_tier(
         batch = [genome for genome, _fitness in corpus[target]]
 
         def legacy_lookup() -> List[float]:
-            store = EvaluationStore(legacy_path, context=target, readonly=True)
+            store = EvaluationStore(legacy_path, context=target)
             return [store.get(genome) for genome in batch]
 
         def tier_lookup() -> List[float]:
@@ -123,73 +107,18 @@ def run_store_tier(
             if legacy_value != tier_value:
                 mismatches += 1
 
-        # -- append-leg helpers ---------------------------------------
-        def funnel_append(run: int) -> str:
-            # single-writer discipline: buffer in readonly stores, then
-            # the coordinator replays every drained batch (mirrors
-            # experiments.campaign._merge_pending, including the store
-            # re-open — and therefore full re-parse — per merge)
-            path = os.path.join(root, f"funnel-{run}.jsonl")
-            for w in range(writers):
-                context = f"writer-ctx-{w}"
-                worker = EvaluationStore(path, context=context, readonly=True)
-                for i in range(per_writer):
-                    genome, fitness = (
-                        _genome(w * per_writer + i),
-                        float(w * per_writer + i),
-                    )
-                    worker.record(genome, fitness)
-                pending = worker.drain_pending()
-                with EvaluationStore(path, context=context) as coordinator:
-                    for genome, fitness, per in pending:
-                        if genome in coordinator:
-                            continue
-                        coordinator.record(genome, fitness, per)
-            return path
-
-        def tier_append(run: int) -> str:
-            path = os.path.join(root, f"tier-append-{run}")
-            stores = [
-                TierStore(path, context=f"writer-ctx-{w}")
-                for w in range(writers)
-            ]
-            for w, store in enumerate(stores):
-                for i in range(per_writer):
-                    store.record(
-                        _genome(w * per_writer + i), float(w * per_writer + i)
-                    )
-            for store in stores:
-                store.close()
-            return path
-
-        # untimed warm pass + content parity between the protocols
-        funnel_path = funnel_append(rounds)
-        tier_append_path = tier_append(rounds)
-        for w in range(writers):
-            context = f"writer-ctx-{w}"
-            legacy_entries = EvaluationStore(
-                funnel_path, context=context, readonly=True
-            ).snapshot()
-            tier_entries, _extras, _repairs = StoreTier(
-                tier_append_path
-            ).load_context(context)
-            if legacy_entries != tier_entries:
-                mismatches += 1
-
         # -- timed rounds, legs interleaved ---------------------------
-        # the guarded ratios are the *median of per-round ratios*: the
+        # the guarded ratio is the *median of per-round ratios*: the
         # legs of one round run back to back, so frequency scaling and
         # scheduler drift hit both and cancel within the round, and the
         # median sheds the odd preempted round that a sum would carry
         legacy_lookup_times: List[float] = []
         tier_lookup_times: List[float] = []
-        funnel_times: List[float] = []
-        tier_append_times: List[float] = []
         # the tier open+lookup pass is so fast (a few ms) that one pass
         # sits at the getrusage clock's resolution; time a fixed number
         # of inner repetitions and divide, keeping the per-pass figure
         tier_reps = 20
-        for run in range(rounds):
+        for _round in range(rounds):
             start = clock()
             legacy_lookup()
             mid = clock()
@@ -198,14 +127,6 @@ def run_store_tier(
             end = clock()
             legacy_lookup_times.append(mid - start)
             tier_lookup_times.append((end - mid) / tier_reps)
-
-            start = clock()
-            funnel_append(run)
-            mid = clock()
-            tier_append(run)
-            end = clock()
-            funnel_times.append(mid - start)
-            tier_append_times.append(end - mid)
 
         def median_ratio(slow: List[float], fast: List[float]) -> float:
             ratios = sorted(s / f for s, f in zip(slow, fast))
@@ -216,26 +137,16 @@ def run_store_tier(
 
         legacy_lookup_secs = sum(legacy_lookup_times)
         tier_lookup_secs = sum(tier_lookup_times)
-        funnel_secs = sum(funnel_times)
-        tier_append_secs = sum(tier_append_times)
         lookups = rounds * len(batch)
-        appends = rounds * writers * per_writer
         return {
             "n_contexts": n_contexts,
             "per_context": per_context,
-            "writers": writers,
-            "per_writer": per_writer,
             "rounds": rounds,
             "legacy_lookup_seconds": legacy_lookup_secs,
             "tier_lookup_seconds": tier_lookup_secs,
             "legacy_lookups_per_sec": lookups / legacy_lookup_secs,
             "tier_lookups_per_sec": lookups / tier_lookup_secs,
             "speedup": median_ratio(legacy_lookup_times, tier_lookup_times),
-            "funnel_append_seconds": funnel_secs,
-            "tier_append_seconds": tier_append_secs,
-            "funnel_appends_per_sec": appends / funnel_secs,
-            "tier_appends_per_sec": appends / tier_append_secs,
-            "append_speedup": median_ratio(funnel_times, tier_append_times),
             "mismatched_fields": mismatches,
             "accelerator_stats": {},
         }
@@ -244,24 +155,17 @@ def run_store_tier(
 
 
 def test_store_tier_speedup():
-    """Tier lookups >= 5x legacy replay; 4-writer appends >= 2x the
-    funnel; identical stored values."""
+    """Tier lookups >= 5x legacy replay; identical stored values."""
     result = run_store_tier()
     emit(
-        "store tier (8 contexts x 2500 records; 4 writers x 1500 appends)",
+        "store tier (8 contexts x 2500 records)",
         [
             f"legacy replay+lookup: {result['legacy_lookup_seconds']:7.3f}s "
             f"({result['legacy_lookups_per_sec']:9.1f} lookups/s)",
             f"tier open+lookup:     {result['tier_lookup_seconds']:7.3f}s "
             f"({result['tier_lookups_per_sec']:9.1f} lookups/s)",
             f"lookup speedup:       {result['speedup']:7.2f}x",
-            f"funnel append:        {result['funnel_append_seconds']:7.3f}s "
-            f"({result['funnel_appends_per_sec']:9.1f} appends/s)",
-            f"tier append:          {result['tier_append_seconds']:7.3f}s "
-            f"({result['tier_appends_per_sec']:9.1f} appends/s)",
-            f"append speedup:       {result['append_speedup']:7.2f}x",
         ],
     )
     assert result["mismatched_fields"] == 0
     assert result["speedup"] >= 5.0
-    assert result["append_speedup"] >= 2.0

@@ -97,19 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--store",
         default=None,
-        help="shared evaluation-store path: a JSONL file (legacy "
-        "single-writer store) or a directory/*.tier path (sharded "
-        "store tier). Default: .repro_cache/evaluations.jsonl, or "
-        "<dir>/evaluations.jsonl with --dir",
+        help="shared evaluation-store tier directory (created if "
+        "missing); workers append their own shards and the tier is "
+        "compacted when the campaign finishes. A legacy JSONL store is "
+        "refused: import it with 'repro store migrate'. Default: "
+        ".repro_cache/evaluations.tier, or <dir>/evaluations.tier "
+        "with --dir",
     )
     p_camp.add_argument(
         "--store-tier",
         default=None,
         metavar="DIR",
-        help="shorthand for --store pointing at a sharded "
-        "store-tier directory (created if missing); workers append "
-        "their own shards and the tier is compacted when the "
-        "campaign finishes",
+        help="same as --store",
     )
     p_camp.add_argument(
         "--warm-start",
@@ -391,7 +390,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.experiments.campaign import grid_tasks, run_campaign
+    from repro.experiments.campaign import STORE_TIER_NAME, grid_tasks, run_campaign
     from repro.experiments.tuning import _store_path
     from repro.resilience import RetryPolicy
 
@@ -406,24 +405,14 @@ def _cmd_campaign(args) -> int:
         metrics=[m.strip() for m in args.metrics.split(",") if m.strip()],
         seed=args.seed,
     )
-    if args.store_tier is not None:
-        if args.store is not None:
-            print("error: --store and --store-tier are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        # create the tier up front so every worker resolves the path as
-        # a tier (a bare nonexistent directory would look like a legacy
-        # file path)
-        from repro.perf.storetier import StoreTier
-
-        StoreTier(args.store_tier)
-        store = args.store_tier
-    elif args.store is not None:
-        store = args.store
-    elif args.campaign_dir is not None:
-        store = None  # the campaign directory supplies its default store
-    else:
-        store = _store_path()
+    if args.store_tier is not None and args.store is not None:
+        print("error: --store and --store-tier are mutually exclusive",
+              file=sys.stderr)
+        return 2
+    store = args.store or args.store_tier
+    if store is None and args.campaign_dir is None:
+        # (with --dir the campaign directory supplies its default store)
+        store = _store_path(STORE_TIER_NAME)
     policy = RetryPolicy(
         max_attempts=args.retries, timeout=args.task_timeout, seed=args.seed
     )

@@ -4,8 +4,8 @@ A :class:`HeuristicEvaluator` owns a VM configured for one
 (machine, scenario) pair and a fixed set of training programs.  Calling
 it with a genome decodes the five parameters, runs every program, and
 returns the geometric-mean ``Perf`` — the exact fitness the paper feeds
-ECJ.  Instances are picklable (for the multiprocess evaluator) and
-deterministic.
+ECJ.  Instances are picklable (they can be shipped to worker
+processes) and deterministic.
 """
 
 from __future__ import annotations

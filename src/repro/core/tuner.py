@@ -149,7 +149,6 @@ class InliningTuner:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         evaluator_factory=None,
         store_path: Optional[str] = None,
-        store_readonly: bool = False,
         warm_start_neighbors: bool = False,
         strategy: str = "ga",
         strategy_budget: Optional[int] = None,
@@ -180,11 +179,6 @@ class InliningTuner:
         #: :class:`~repro.perf.storetier.TierStore`; anything else as
         #: the legacy single-file JSONL store.
         self.store_path = store_path
-        #: open a *legacy* store in buffered read-only mode (campaign
-        #: workers: new records accumulate on :attr:`last_store` for the
-        #: coordinating process to collect — single-writer discipline).
-        #: Tier stores ignore this: they append to private shards.
-        self.store_readonly = store_readonly
         #: opt-in, trajectory-changing: when the store is a tier and the
         #: task's context has no recorded entries yet, seed the initial
         #: GA population with the best genomes of the nearest-neighbour
@@ -508,9 +502,7 @@ class InliningTuner:
             self.space,
             programs,
         )
-        store = open_store(
-            self.store_path, context=context, readonly=self.store_readonly
-        )
+        store = open_store(self.store_path, context=context)
         if isinstance(store, TierStore):
             store.tier.register_profile(
                 context,

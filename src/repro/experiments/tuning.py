@@ -100,11 +100,12 @@ def clear_tuning_cache(disk: bool = False) -> None:
 _STORE_FILENAME = "evaluations.jsonl"
 
 
-def _store_path() -> Optional[str]:
+def _store_path(name: str = _STORE_FILENAME) -> Optional[str]:
+    """The store *name* in the cache directory (None when disabled)."""
     root = _cache_dir()
     if root is None:
         return None
-    return os.path.join(root, _STORE_FILENAME)
+    return os.path.join(root, name)
 
 
 def tuned_heuristic(

@@ -3,7 +3,7 @@
 Stands in for ECJ [Luke, 2004], which the paper uses: steady
 generational GA over integer genomes with configurable selection,
 crossover, mutation, elitism, fitness caching, checkpointing and
-optional parallel evaluation.  The library is generic — nothing in this
+generation-batched evaluation.  The library is generic — nothing in this
 package knows about inlining — and is exercised independently by its own
 test suite.
 """
@@ -25,13 +25,12 @@ from repro.ga.mutation import MutationOperator, RandomResetMutation, CreepMutati
 from repro.ga.fitness import FitnessCache
 from repro.ga.statistics import GenerationStats
 from repro.ga.engine import GAConfig, GAEngine, GAResult
-from repro.ga.islands import IslandConfig, IslandGAEngine
 from repro.ga.operators_extra import (
     StochasticUniversalSampling,
     ArithmeticCrossover,
     BoundaryMutation,
 )
-from repro.ga.parallel import SerialEvaluator, BatchEvaluator, MultiprocessEvaluator
+from repro.ga.parallel import SerialEvaluator, BatchEvaluator
 from repro.ga.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
@@ -53,14 +52,11 @@ __all__ = [
     "GAConfig",
     "GAEngine",
     "GAResult",
-    "IslandConfig",
-    "IslandGAEngine",
     "StochasticUniversalSampling",
     "ArithmeticCrossover",
     "BoundaryMutation",
     "SerialEvaluator",
     "BatchEvaluator",
-    "MultiprocessEvaluator",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -20,13 +20,10 @@ bodies: ``repro.search.ga`` imports :class:`GAConfig` from here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import GAError
 from repro.ga.crossover import CrossoverOperator, TwoPointCrossover
-from repro.ga.fitness import FitnessCache
 from repro.ga.individual import Individual, IntVectorSpace
 from repro.ga.mutation import CreepMutation, MutationOperator
 from repro.ga.parallel import BatchEvaluator
@@ -171,35 +168,3 @@ class GAEngine:
             generations_run=result.iterations,
             stopped_early=result.stopped_early,
         )
-
-    # ------------------------------------------------------------------
-    # Building blocks shared with the island model (repro.ga.islands
-    # drives them directly, outside the strategy loop).
-
-    def _initial_population(
-        self,
-        rng: np.random.Generator,
-        initial_genomes: Optional[Sequence[Sequence[int]]],
-    ) -> List[Individual]:
-        from repro.search.ga import initial_population
-
-        return initial_population(self.space, self.config, rng, initial_genomes)
-
-    def _evaluate(self, population: List[Individual], cache: FitnessCache) -> None:
-        """Fill in fitnesses, batching distinct uncached genomes (see
-        :func:`repro.search.driver.evaluate_genomes` for the counting
-        discipline)."""
-        from repro.search.driver import evaluate_genomes
-
-        values = evaluate_genomes(
-            [ind.genome for ind in population], cache, self.evaluator
-        )
-        for ind, value in zip(population, values):
-            ind.fitness = value
-
-    def _breed(
-        self, population: Sequence[Individual], rng: np.random.Generator
-    ) -> List[Individual]:
-        from repro.search.ga import breed
-
-        return breed(self.space, self.config, population, rng)

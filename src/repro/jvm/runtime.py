@@ -251,7 +251,7 @@ class VirtualMachine:
 
     def __getstate__(self):
         # Accelerator caches are rebuilt on the other side of a pickle
-        # (multiprocess workers): ship only whether one was enabled.
+        # (worker processes): ship only whether one was enabled.
         state = self.__dict__.copy()
         state["_accelerator"] = self._accelerator is not None
         return state

@@ -19,7 +19,7 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    the program-level plan signature.
 3. **Persistent evaluation store** (:mod:`repro.perf.store`) — an
    on-disk genome -> fitness store keyed by an evaluation-context
-   fingerprint, shared by the fitness cache, multiprocess workers,
+   fingerprint, shared by the fitness cache, campaign workers,
    checkpoint resume and the benchmark scripts, so no configuration is
    ever simulated twice across process restarts.
 4. **Generation batching** (:mod:`repro.perf.batch`) — whole GA
@@ -34,11 +34,11 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    the final-version accounting runs as matrix expressions over the
    representative dimension.
 6. **Zero-copy transport and compiled kernels** (:mod:`repro.perf.shm`,
-   :mod:`repro.perf.native`) — workload archives and genome/result
-   shuttles live in named ``multiprocessing.shared_memory`` segments
-   that pool workers map read-only instead of rebuilding after a
-   pickle, and the serial-by-construction invocation propagation, the
-   cold path's plan expansion (:mod:`repro.perf.fastcompile`) and the
+   :mod:`repro.perf.native`) — workload and plan archives live in
+   named ``multiprocessing.shared_memory`` segments that pool workers
+   map read-only instead of rebuilding after a pickle, and the
+   serial-by-construction invocation propagation, the cold path's plan
+   expansion (:mod:`repro.perf.fastcompile`) and the
    per-generation resolve run as compiled loops (a ``cc``-built C
    extension) chosen through
    the graceful-degradation ladder compiled -> numpy -> serial
@@ -54,7 +54,6 @@ from repro.perf.batch import GenerationBatchEvaluator, batched_cache_pressure
 from repro.perf.engine import AcceleratorStats, EvaluationAccelerator, aggregate_stats
 from repro.perf.plancache import MethodPlanCache
 from repro.perf.shm import (
-    GenomeShuttle,
     SharedArraySegment,
     WorkloadArchive,
     shared_memory_supported,
@@ -66,7 +65,6 @@ __all__ = [
     "AdaptiveBatchKernel",
     "EvaluationAccelerator",
     "GenerationBatchEvaluator",
-    "GenomeShuttle",
     "MethodPlanCache",
     "SharedArraySegment",
     "WorkloadArchive",

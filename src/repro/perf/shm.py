@@ -1,12 +1,10 @@
 """Zero-copy shared-memory interning for pool workers.
 
-Campaign pool workers historically rebuilt everything on the far side
-of a pickle: each spawned worker re-generated the workload programs
-and re-derived its caches (see ``repro/jvm/runtime.py`` —
-``VirtualMachine.__setstate__`` rebuilds the accelerator), and every
-``map`` call re-pickled genome lists and fitness lists through the
-pool's pipes.  This module moves the bulk payloads into
-``multiprocessing.shared_memory`` segments that workers map read-only:
+Spawned campaign and service workers would otherwise rebuild their
+inputs on the far side of a pickle: each one re-generating the
+workload programs and re-deriving its compiled plans.  This module
+moves those bulk payloads into ``multiprocessing.shared_memory``
+segments that workers map read-only:
 
 * :class:`SharedArraySegment` — one named segment holding several
   named numpy arrays behind a tiny self-describing header, with
@@ -19,10 +17,8 @@ pool's pipes.  This module moves the bulk payloads into
   :class:`~repro.jvm.callgraph.Program` objects whose fingerprints are
   identical to the generator's, so evaluation-store context keys are
   unaffected;
-* :class:`GenomeShuttle` — a generation's genomes packed as one int64
-  matrix plus a float64 result vector that workers fill in place, so
-  batched task submission ships ``(segment, lo, hi)`` ranges instead
-  of pickled genome lists.
+* :class:`PlanArchive` / :class:`PlanArchiveReader` — the epoch-
+  versioned compiled plan caches behind :mod:`repro.perf.planshare`.
 
 Telemetry: segment creation and attachment emit ``shm.create`` /
 ``shm.attach`` events and feed the ``repro_shm_attach_total`` and
@@ -32,8 +28,7 @@ off.
 
 Graceful degradation, as everywhere in the perf stack: every consumer
 of this module falls back to the pickle path when shared memory is
-unavailable (platform without ``/dev/shm``, segment vanished, ragged
-genomes) — shm is a throughput optimization, never a correctness
+unavailable (platform without ``/dev/shm``, segment vanished) — shm is a throughput optimization, never a correctness
 dependency.
 """
 
@@ -53,7 +48,6 @@ from repro.errors import GAError
 __all__ = [
     "SharedArraySegment",
     "WorkloadArchive",
-    "GenomeShuttle",
     "PlanArchive",
     "PlanArchiveReader",
     "shared_memory_supported",
@@ -643,72 +637,3 @@ class PlanArchiveReader:
             self._data.close()
             self._data = None
         self._directory.close()
-
-
-# ----------------------------------------------------------------------
-# genome / fitness shuttle
-# ----------------------------------------------------------------------
-class GenomeShuttle:
-    """One generation's genomes and results in a single segment.
-
-    The coordinator packs the genomes as an int64 ``(n, width)`` matrix
-    next to a zeroed float64 result vector; workers attach writable,
-    read their ``[lo, hi)`` genome rows straight from the mapping and
-    write fitnesses into the same rows of the result vector.  Ranges
-    are disjoint, so concurrent workers never touch the same bytes,
-    and a resubmitted range (after a worker death) simply overwrites
-    its slice with the identical pure-function values.
-    """
-
-    def __init__(self, segment: SharedArraySegment) -> None:
-        self.segment = segment
-
-    @property
-    def name(self) -> str:
-        return self.segment.name
-
-    @classmethod
-    def publish(cls, genomes: Sequence[Sequence[int]]) -> "GenomeShuttle":
-        """Pack *genomes* into a fresh owned segment.
-
-        Raises :class:`ValueError` for ragged genome lists — callers
-        treat that as "use the pickle path".
-        """
-        try:
-            matrix = np.array([tuple(g) for g in genomes], dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"genomes must be rectangular to pack: {exc}") from exc
-        if matrix.ndim != 2:
-            raise ValueError("genomes must be rectangular to pack")
-        segment = SharedArraySegment.create(
-            {
-                "genomes": matrix,
-                "results": np.zeros(len(matrix), dtype=np.float64),
-            }
-        )
-        return cls(segment)
-
-    @classmethod
-    def attach(cls, name: str) -> "GenomeShuttle":
-        """Worker-side writable attachment (results are filled in place)."""
-        return cls(SharedArraySegment.attach(name, readonly=False))
-
-    def genome_rows(self, lo: int, hi: int) -> List[Tuple[int, ...]]:
-        """The ``[lo, hi)`` genomes as plain tuples."""
-        matrix = self.segment.arrays["genomes"]
-        return [tuple(int(v) for v in row) for row in matrix[lo:hi]]
-
-    def write_results(self, lo: int, values: Sequence[float]) -> None:
-        """Store a completed range's fitnesses at row *lo* onward."""
-        results = self.segment.arrays["results"]
-        results[lo : lo + len(values)] = values
-
-    def results(self) -> np.ndarray:
-        """A private copy of the result vector (coordinator side)."""
-        return self.segment.arrays["results"].copy()
-
-    def close(self) -> None:
-        self.segment.close()
-
-    def unlink(self) -> None:
-        self.segment.unlink()

@@ -1,20 +1,16 @@
 """Sharded, content-addressed evaluation-store tier.
 
-The single-file :class:`~repro.perf.store.EvaluationStore` serializes
-every append through one writer: campaign workers buffer records in
-memory, ship them back with their results, and the coordinator replays
-them — re-reading the whole JSONL file per merge — under single-writer
-discipline.  That round-trip is the storage ceiling for running many
-concurrent campaigns against one accumulated body of evaluations.
-
-This module promotes the store to a *tier*: a directory whose records
-are content-addressed by ``(evaluation context, genome)`` and spread
+The single-file :class:`~repro.perf.store.EvaluationStore` has exactly
+one writer, so it cannot serve concurrent workers.  Every multi-process
+job (``repro campaign``, the ``repro serve`` daemon) stores its
+evaluations in a *tier* instead: a directory whose records are
+content-addressed by ``(evaluation context, genome)`` and spread
 over many files, so that
 
 * **N writers append without coordination** — every process owns a
   private active shard (a JSONL file created with ``O_EXCL``) and
-  appends durable records directly; there is no pending buffer and no
-  coordinator funnel.  Record identity is the 64-bit
+  appends durable records directly, with no coordinator in between.
+  Record identity is the 64-bit
   :func:`record_key` hash of ``ctx|genome``; duplicate appends of the
   same record by racing writers are idempotent by construction (same
   key, same fitness — later loads collapse them).
@@ -89,6 +85,7 @@ import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import GAError
+from repro.resilience.faults import get_fault_injector
 from repro.rng import stable_hash
 from repro.telemetry import emit as telemetry_emit
 
@@ -161,19 +158,13 @@ def is_tier_path(path: Optional[str]) -> bool:
     return os.path.exists(os.path.join(path, TIER_MARKER))
 
 
-def open_store(
-    path: str,
-    context: str,
-    readonly: bool = False,
-    flush_every: Optional[int] = None,
-):
+def open_store(path: str, context: str, flush_every: Optional[int] = None):
     """Open the right store implementation for *path*.
 
     Directories (and ``*.tier`` paths) open as a :class:`TierStore`
     bound to *context*; anything else opens the legacy single-file
-    :class:`~repro.perf.store.EvaluationStore`.  ``readonly`` only
-    matters for the legacy store — tier writers are per-process shards,
-    so every :class:`TierStore` may append without coordination.
+    :class:`~repro.perf.store.EvaluationStore`.  ``flush_every=None``
+    takes the store's default batch.
     """
     if is_tier_path(path):
         return TierStore(path, context=context, flush_every=flush_every)
@@ -182,8 +173,7 @@ def open_store(
     return EvaluationStore(
         path,
         context=context,
-        readonly=readonly,
-        flush_every=flush_every or DEFAULT_FLUSH_EVERY,
+        flush_every=DEFAULT_FLUSH_EVERY if flush_every is None else flush_every,
     )
 
 
@@ -325,6 +315,23 @@ class _ShardWriter:
         if self._unflushed:
             telemetry_emit("store.flush", records=self._unflushed)
         self._unflushed = 0
+
+    def tear(self, record: dict) -> None:
+        """Write only a prefix of *record*'s line and abandon the shard,
+        as a crash mid-append would (the ``torn-write`` fault site).
+
+        The lock goes too, as stale locks of dead writers are reaped,
+        so compaction folds the shard and drops its torn tail.
+        """
+        line = json.dumps(record) + "\n"
+        self._handle.write(line[: max(1, len(line) // 2)])
+        self._handle.flush()
+        self._finalizer.detach()
+        self._handle.close()
+        try:
+            os.remove(self.lock_path)
+        except OSError:  # pragma: no cover - already reaped
+            pass
 
     def close(self) -> None:
         if self._handle.closed:
@@ -608,8 +615,6 @@ class StoreTier:
         duplicated between the new pack and a not-yet-removed input,
         which load-time dedup collapses.  Returns summary counts.
         """
-        from repro.resilience.faults import get_fault_injector
-
         injector = get_fault_injector()
         hot = self._hot_shards() if not include_hot else set()
         shards = [s for s in self.shard_files() if s not in hot]
@@ -872,14 +877,12 @@ class TierStore:
 
     Drop-in for :class:`~repro.perf.store.EvaluationStore` wherever the
     GA stack touches a store (:class:`~repro.ga.fitness.FitnessCache`,
-    :class:`~repro.ga.engine.GAEngine`, checkpoints,
-    :class:`~repro.ga.parallel.MultiprocessEvaluator` snapshots), with
-    two deliberate differences:
+    :class:`~repro.ga.engine.GAEngine`, checkpoints), with two
+    deliberate differences:
 
     * **every instance may write.**  Appends go straight to a private
-      shard — durable immediately, no readonly buffering, no
-      ``drain_pending`` round-trip (it always returns ``[]``).  The
-      ``appended`` counter reports what this instance persisted.
+      shard, durable at the next flush; the ``appended`` counter
+      reports what this instance recorded.
     * **pickles re-open lazily.**  A copy landing in a worker process
       builds its own shard writer on first append; the entries map
       travels with the pickle, so lookups need no disk access.
@@ -893,14 +896,13 @@ class TierStore:
         path: str,
         context: str = "default",
         flush_every: Optional[int] = None,
-        readonly: bool = False,  # accepted for signature compatibility
     ) -> None:
-        flush_every = flush_every or self.DEFAULT_FLUSH_EVERY
+        if flush_every is None:
+            flush_every = self.DEFAULT_FLUSH_EVERY
         if flush_every < 1:
             raise GAError(f"flush_every must be >= 1, got {flush_every}")
         self.path = path
         self.context = context
-        self.readonly = False  # tier stores always append shard-locally
         self.flush_every = flush_every
         self.tier = StoreTier(path)
         self.hits = 0
@@ -967,17 +969,19 @@ class TierStore:
             self._writer = _ShardWriter(
                 self.tier.shards_dir, flush_every=self.flush_every
             )
-        self._writer.append(record)
+        injector = get_fault_injector()
+        if injector is not None and injector.should_fire(
+            "torn-write", key=str(list(key))
+        ):
+            # the record survives in memory and is counted; the next
+            # append opens a fresh shard, and readers skip the torn tail
+            self._writer.tear(record)
+            self._writer = None
+        else:
+            self._writer.append(record)
         self.appended += 1
 
-    # -- compatibility surface -----------------------------------------
-    def drain_pending(self) -> List[Tuple[Genome, float, Optional[dict]]]:
-        """Tier appends are direct; nothing ever buffers."""
-        return []
-
-    def snapshot(self) -> Dict[Genome, float]:
-        return dict(self._entries)
-
+    # -- bookkeeping ---------------------------------------------------
     @property
     def size(self) -> int:
         return len(self._entries)

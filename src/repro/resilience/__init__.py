@@ -1,7 +1,7 @@
 """Fault tolerance for long-running tuning campaigns.
 
-The supervision layer around the campaign runner, the multiprocess /
-batched evaluators and the persistence layer:
+The supervision layer around the campaign runner, the batched
+evaluators and the persistence layer:
 
 * :mod:`repro.resilience.supervisor` — bounded retries with backoff +
   jitter, per-task timeouts, worker-death detection with pool rebuild,

@@ -26,8 +26,9 @@ Supported sites (the constants below):
     ``maybe_raise`` from inside the generation-batched accelerator —
     exercises the graceful-degradation fallback to the serial path.
 ``torn-write``
-    :meth:`EvaluationStore.record` writes only a prefix of the JSONL
-    line and drops the append — simulates a crash mid-write.
+    :meth:`EvaluationStore.record` and :meth:`TierStore.record` write
+    only a prefix of the JSONL line and drop the file handle (a tier
+    abandons the shard) — simulates a crash mid-write.
 ``slow-task``
     ``maybe_delay`` sleeps for the spec's ``delay`` — exercises
     per-task timeouts.

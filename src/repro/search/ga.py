@@ -4,8 +4,7 @@ This is ``GAEngine.run`` factored into ask/tell form — the breeding,
 elitism, early stopping, ``ga.generation`` spans, v2 checkpoint bytes
 and RNG stream are all preserved exactly, pinned by the randomized
 parity sweep in ``tests/search/test_ga_parity.py``.  ``GAEngine``
-remains the public API and delegates here; ``repro.ga.islands`` keeps
-using the shared operators directly.
+remains the public API and delegates here.
 """
 
 from __future__ import annotations

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.campaign import (
     CampaignResult,
-    CellRequest,
     grid_tasks,
     run_campaign,
 )
 from repro.ga.engine import GAConfig
+from repro.resilience import CampaignManifest, campaign_fingerprint
 
 TINY_GA = GAConfig(population_size=6, generations=2, seed=0)
 
@@ -44,7 +47,7 @@ class TestRunCampaign:
             run_campaign(tasks=tasks + tasks, ga_config=TINY_GA)
 
     def test_serial_campaign_shares_one_store(self, tmp_path):
-        store_path = str(tmp_path / "evals.jsonl")
+        store_path = str(tmp_path / "evals.tier")
         tasks = grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"])
         lines = []
         result = run_campaign(
@@ -58,13 +61,12 @@ class TestRunCampaign:
         assert result.processes == 1
         assert [r.task_name for r in result.results] == [t.name for t in tasks]
         assert result.total_evaluations > 0
-        # single-writer: every simulated genome was persisted by the
-        # coordinator
+        # every simulated genome was appended to the tier
         assert result.total_new_records == result.total_evaluations
         assert len(lines) == len(tasks)
 
     def test_second_run_answers_entirely_from_store(self, tmp_path):
-        store_path = str(tmp_path / "evals.jsonl")
+        store_path = str(tmp_path / "evals.tier")
         tasks = grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"])
         first = run_campaign(
             tasks, ga_config=TINY_GA, store_path=store_path, serial=True
@@ -90,7 +92,7 @@ class TestRunCampaign:
         result = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "evals.jsonl"),
+            store_path=str(tmp_path / "evals.tier"),
             serial=True,
         )
         totals = result.accelerator_totals()
@@ -104,13 +106,13 @@ class TestRunCampaign:
         serial = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "serial.jsonl"),
+            store_path=str(tmp_path / "serial.tier"),
             serial=True,
         )
         parallel = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "parallel.jsonl"),
+            store_path=str(tmp_path / "parallel.tier"),
             processes=2,
         )
         assert parallel.processes == 2
@@ -127,7 +129,7 @@ class TestCampaignStrategies:
         result = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "evals.jsonl"),
+            store_path=str(tmp_path / "evals.tier"),
             serial=True,
             strategy="cmaes",
         )
@@ -173,10 +175,51 @@ class TestCampaignStrategies:
         assert resumed.failures == ()
         assert resumed.total_evaluations == 0  # every cell answered by skip
 
-    def test_cell_request_payload_strategy_roundtrip(self):
-        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
-        base = (tasks[0], TINY_GA, None, 0, None, None, None, False)
-        legacy = CellRequest.from_payload(base)
-        assert legacy.strategy == "ga"
-        tagged = CellRequest.from_payload(base + ("bandit",))
-        assert tagged.strategy == "bandit"
+
+class TestTierOnlyStore:
+    """Campaigns write a store tier; a legacy JSONL store is refused."""
+
+    TASKS = grid_tasks(machines=["pentium4"], scenarios=["opt"])
+
+    def test_jsonl_store_is_refused(self, tmp_path):
+        path = str(tmp_path / "evals.jsonl")
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            run_campaign(self.TASKS, ga_config=TINY_GA, store_path=path)
+        assert not os.path.exists(path)
+
+    def test_existing_file_is_refused(self, tmp_path):
+        path = tmp_path / "evals"
+        path.write_text("")
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            run_campaign(self.TASKS, ga_config=TINY_GA, store_path=str(path))
+
+    def test_plain_path_is_created_as_a_tier(self, tmp_path):
+        path = str(tmp_path / "evals")
+        result = run_campaign(
+            self.TASKS, ga_config=TINY_GA, store_path=path, serial=True
+        )
+        assert os.path.exists(os.path.join(path, "tier.json"))
+        assert result.total_new_records == result.total_evaluations
+
+    def test_campaign_dir_defaults_to_a_tier(self, tmp_path):
+        campaign_dir = str(tmp_path / "camp")
+        run_campaign(
+            self.TASKS, ga_config=TINY_GA, campaign_dir=campaign_dir, serial=True
+        )
+        with open(os.path.join(campaign_dir, "manifest.json")) as handle:
+            named = json.load(handle)["store_path"]
+        assert named == os.path.join(campaign_dir, "evaluations.tier")
+        assert os.path.isdir(named)
+
+    def test_manifest_naming_a_jsonl_store_is_rejected(self, tmp_path):
+        campaign_dir = str(tmp_path / "camp")
+        legacy = str(tmp_path / "camp" / "evaluations.jsonl")
+        fingerprint = campaign_fingerprint(
+            [t.name for t in self.TASKS], TINY_GA, 0
+        )
+        CampaignManifest.create(campaign_dir, fingerprint, legacy)
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            run_campaign(
+                self.TASKS, ga_config=TINY_GA, campaign_dir=campaign_dir,
+                serial=True, resume=True,
+            )

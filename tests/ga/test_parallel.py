@@ -1,25 +1,10 @@
 """Tests for the batch evaluators."""
 
-import pytest
-
-from repro.errors import GAError
-from repro.ga.parallel import BatchEvaluator, MultiprocessEvaluator, SerialEvaluator
-from repro.perf.store import EvaluationStore
+from repro.ga.parallel import BatchEvaluator, SerialEvaluator
 
 
 def square_sum(genome):
     return float(sum(g * g for g in genome))
-
-
-def raise_on_three(genome):
-    if genome[0] == 3:
-        raise RuntimeError("injected worker failure")
-    return 0.0
-
-
-def fail_if_called(genome):
-    raise AssertionError(f"worker simulated {genome} instead of answering "
-                         "from the snapshot")
 
 
 class _BatchCapable:
@@ -66,67 +51,3 @@ class TestBatchEvaluator:
 
     def test_close_is_noop(self):
         BatchEvaluator().close()
-
-
-class TestMultiprocessEvaluator:
-    def test_invalid_config(self):
-        with pytest.raises(GAError):
-            MultiprocessEvaluator(processes=0)
-        with pytest.raises(GAError):
-            MultiprocessEvaluator(chunksize=0)
-
-    def test_empty_batch_without_pool(self):
-        evaluator = MultiprocessEvaluator(processes=1)
-        assert evaluator.map(square_sum, []) == []
-        assert evaluator._pool is None  # pool created lazily
-
-    def test_default_chunksize_never_zero(self):
-        evaluator = MultiprocessEvaluator(processes=4)
-        # fewer genomes than workers: chunks of one, not zero
-        assert evaluator._chunksize_for(3) == 1
-        assert evaluator._chunksize_for(0) == 1
-        assert evaluator._chunksize_for(160) == 10
-
-    def test_explicit_chunksize_honored(self):
-        evaluator = MultiprocessEvaluator(processes=4, chunksize=7)
-        assert evaluator._chunksize_for(3) == 7
-        assert evaluator._chunksize_for(1000) == 7
-
-    @pytest.mark.slow
-    def test_parallel_map_matches_serial(self):
-        genomes = [(i, i + 1) for i in range(8)]
-        with MultiprocessEvaluator(processes=2) as evaluator:
-            parallel = evaluator.map(square_sum, genomes)
-        serial = SerialEvaluator().map(square_sum, genomes)
-        assert parallel == serial
-
-    @pytest.mark.slow
-    def test_pool_reused_across_batches(self):
-        with MultiprocessEvaluator(processes=2) as evaluator:
-            evaluator.map(square_sum, [(1,)])
-            pool = evaluator._pool
-            evaluator.map(square_sum, [(2,)])
-            assert evaluator._pool is pool
-
-    @pytest.mark.slow
-    def test_worker_error_terminates_pool(self):
-        """A raising worker propagates and leaves no stale pool behind."""
-        evaluator = MultiprocessEvaluator(processes=2)
-        with pytest.raises(RuntimeError, match="injected"):
-            evaluator.map(raise_on_three, [(1,), (3,)])
-        assert evaluator._pool is None
-        # the evaluator stays usable: the next map builds a fresh pool
-        assert evaluator.map(square_sum, [(2,)]) == [4.0]
-        evaluator.close()
-
-    @pytest.mark.slow
-    def test_snapshot_delta_reaches_existing_pool(self, tmp_path):
-        """Entries recorded after pool creation still reach workers."""
-        store = EvaluationStore(str(tmp_path / "evals.jsonl"))
-        store.record((1, 2), 5.0)
-        with MultiprocessEvaluator(processes=1, store=store) as evaluator:
-            # base snapshot, shipped at pool creation
-            assert evaluator.map(fail_if_called, [(1, 2)]) == [5.0]
-            # recorded into a live pool: ships as a per-map delta
-            store.record((3, 4), 7.0)
-            assert evaluator.map(fail_if_called, [(3, 4)]) == [7.0]

@@ -1,10 +1,10 @@
-"""Zero-copy shared-memory interning: segments, archives, shuttles.
+"""Zero-copy shared-memory interning: segments and workload archives.
 
 The shm layer's contract is strict: workers map payloads read-only and
 see exactly the bytes the coordinator published — reconstructed
 programs carry the *same fingerprints* as the originals so persistent
 evaluation-store context keys are unaffected — and every failure mode
-degrades to the pickle transport instead of breaking a run.
+degrades to local regeneration instead of breaking a run.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GAError
-from repro.ga.parallel import MultiprocessEvaluator, SerialEvaluator
 from repro.perf.shm import (
     SEGMENT_PREFIX,
-    GenomeShuttle,
     SharedArraySegment,
     WorkloadArchive,
     shared_memory_supported,
@@ -135,56 +133,3 @@ class TestWorkloadArchive:
                 attached.close()
         finally:
             archive.unlink()
-
-
-class TestGenomeShuttle:
-    GENOMES = [(17, 4, 6, 2100, 140), (23, 11, 5, 1900, 135), (1, 1, 1, 1, 1)]
-
-    def test_rows_and_results_roundtrip(self):
-        shuttle = GenomeShuttle.publish(self.GENOMES)
-        try:
-            worker = GenomeShuttle.attach(shuttle.name)
-            try:
-                assert worker.genome_rows(0, 3) == list(self.GENOMES)
-                assert worker.genome_rows(1, 2) == [self.GENOMES[1]]
-                worker.write_results(1, [0.5, 0.25])
-            finally:
-                worker.close()
-            assert shuttle.results().tolist() == [0.0, 0.5, 0.25]
-        finally:
-            shuttle.unlink()
-
-    def test_ragged_genomes_are_rejected(self):
-        with pytest.raises(ValueError, match="rectangular"):
-            GenomeShuttle.publish([(1, 2, 3), (1, 2)])
-        with pytest.raises(ValueError, match="rectangular"):
-            GenomeShuttle.publish([3, 4])  # scalar rows
-
-
-def _square_sum(genome):
-    return float(sum(g * g for g in genome))
-
-
-@pytest.mark.slow
-class TestMultiprocessShmTransport:
-    GENOMES = [(i, i + 1, i + 2, i + 3, i + 4) for i in range(10)]
-
-    def test_shm_transport_matches_serial(self):
-        expected = SerialEvaluator().map(_square_sum, self.GENOMES)
-        before = _shm_entries()
-        with MultiprocessEvaluator(processes=2, use_shared_memory=True) as ev:
-            values = ev.map(_square_sum, self.GENOMES)
-            assert values == expected
-            assert ev.use_shared_memory  # no degradation happened
-        assert _shm_entries() <= before  # every shuttle was unlinked
-
-    def test_ragged_genomes_degrade_to_pickle(self):
-        ragged = [(1, 2, 3), (4, 5)]
-        expected = SerialEvaluator().map(_square_sum, ragged)
-        with MultiprocessEvaluator(processes=2, use_shared_memory=True) as ev:
-            assert ev.map(_square_sum, ragged) == expected
-            assert not ev.use_shared_memory  # degraded permanently
-            # the pickle transport keeps serving subsequent generations
-            assert ev.map(_square_sum, self.GENOMES) == SerialEvaluator().map(
-                _square_sum, self.GENOMES
-            )

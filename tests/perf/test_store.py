@@ -79,13 +79,6 @@ class TestEvaluationStore:
         assert store.size == 0
         assert store.get((1, 2, 3, 4, 5)) is None
 
-    def test_snapshot_is_detached(self, tmp_path):
-        store = EvaluationStore(str(tmp_path / "store.jsonl"))
-        store.record((1, 2, 3, 4, 5), 0.5)
-        snap = store.snapshot()
-        store.record((2, 2, 2, 2, 2), 0.25)
-        assert snap == {(1, 2, 3, 4, 5): 0.5}
-
     def test_describe_mentions_path_and_entries(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
         store = EvaluationStore(path, context="ctx")
@@ -118,35 +111,14 @@ class TestContextKey:
 
 
 class TestStorePickling:
-    """A pickled store lands in another process — never the writer."""
+    """Only one process may write a JSONL store, so none may pickle it."""
 
-    def test_unpickled_store_is_readonly(self, tmp_path):
+    def test_pickling_raises(self, tmp_path):
         import pickle
 
-        path = str(tmp_path / "store.jsonl")
-        with EvaluationStore(path, context="ctx") as store:
-            store.record((1, 2, 3, 4, 5), 0.75)
-        writable = EvaluationStore(path, context="ctx")
-        assert not writable.readonly
-        clone = pickle.loads(pickle.dumps(writable))
-        # the far side must re-assert readonly even though the
-        # pickling side was the single writer
-        assert clone.readonly is True
-        assert clone.get((1, 2, 3, 4, 5)) == 0.75
-
-    def test_unpickled_store_buffers_to_pending(self, tmp_path):
-        import pickle
-
-        path = str(tmp_path / "store.jsonl")
-        with EvaluationStore(path, context="ctx") as store:
-            store.record((1, 2, 3, 4, 5), 0.75)
-        clone = pickle.loads(pickle.dumps(EvaluationStore(path, context="ctx")))
-        clone.record((9, 9, 9, 9, 9), 0.125)
-        # served in-process, buffered for drain, never written to disk
-        assert clone.get((9, 9, 9, 9, 9)) == 0.125
-        assert clone.drain_pending() == [((9, 9, 9, 9, 9), 0.125, None)]
-        reopened = EvaluationStore(path, context="ctx")
-        assert reopened.get((9, 9, 9, 9, 9)) is None
+        store = EvaluationStore(str(tmp_path / "store.jsonl"), context="ctx")
+        with pytest.raises(TypeError, match="store tier"):
+            pickle.dumps(store)
 
 
 class TestFitnessCacheStore:

@@ -89,7 +89,7 @@ class TestTierStoreBasics:
         root = str(tmp_path / "tier")
         store = TierStore(root, context="ctx")
         store.record((9, 9, 9, 9, 9), 0.125)
-        assert store.drain_pending() == []
+        assert not hasattr(store, "drain_pending")  # no buffer to drain
         # durable before close: a second handle sees it after a flush
         store.flush()
         assert TierStore(root, context="ctx").get((9, 9, 9, 9, 9)) == 0.125
@@ -368,9 +368,9 @@ class TestMigrateLegacy:
         assert tier.pack_files()  # migration compacts by default
         for context in ("a", "b"):
             entries, _extras, _repairs = tier.load_context(context)
-            assert entries == EvaluationStore(
-                legacy_path, context=context, readonly=True
-            ).snapshot()
+            legacy = EvaluationStore(legacy_path, context=context)
+            assert len(entries) == legacy.size
+            assert all(legacy.get(g) == value for g, value in entries.items())
 
     def test_legacy_file_is_left_untouched(self, tmp_path):
         legacy_path = str(tmp_path / "evals.jsonl")

@@ -6,6 +6,7 @@ fitnesses bitwise-identical to a fault-free run, and ``--resume`` after
 an abort must re-simulate nothing that was recorded.
 """
 
+import glob
 import os
 
 import pytest
@@ -14,11 +15,13 @@ from repro.cli import build_parser, main
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
+from repro.perf.shm import SEGMENT_PREFIX
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     clear_fault_plan,
+    get_fault_injector,
     install_fault_plan,
 )
 
@@ -30,11 +33,15 @@ def _tasks_1x2():
     return grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"])
 
 
+def _shm_entries():
+    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+
+
 class TestFaultedCampaignBitwise:
     def test_serial_faults_do_not_change_results(self, tmp_path):
         tasks = _tasks_1x2()
         baseline = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.tier"),
             serial=True,
         )
         install_fault_plan(
@@ -48,11 +55,13 @@ class TestFaultedCampaignBitwise:
             propagate=False,
         )
         faulted = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.tier"),
             serial=True, retry_policy=FAST,
         )
         assert faulted.ok
         assert [f.kind for f in faulted.failures] == ["exception"]
+        fired = {site for site, _key in get_fault_injector().fired}
+        assert "torn-write" in fired
         for clean, dirty in zip(baseline.results, faulted.results):
             assert dirty.task_name == clean.task_name
             assert dirty.tuned.fitness == clean.tuned.fitness
@@ -64,9 +73,10 @@ class TestFaultedCampaignBitwise:
         batch-kernel failure + task exception during a 2x2 campaign."""
         tasks = grid_tasks()  # 2 machines x 2 scenarios
         baseline = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.tier"),
             serial=True,
         )
+        before = _shm_entries()
         install_fault_plan(
             FaultPlan(
                 sites={
@@ -79,11 +89,14 @@ class TestFaultedCampaignBitwise:
             )
         )
         faulted = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.tier"),
             processes=2, retry_policy=FAST,
         )
         assert faulted.ok, f"failures: {[str(f) for f in faulted.failures]}"
         assert faulted.failures  # the faults really fired and were survived
+        assert os.path.exists(tmp_path / "markers" / "torn-write.0.fired")
+        # the killed worker held shared-memory mappings; none may leak
+        assert not _shm_entries() - before
         for clean, dirty in zip(baseline.results, faulted.results):
             assert dirty.task_name == clean.task_name
             assert dirty.tuned.fitness == clean.tuned.fitness
@@ -102,7 +115,7 @@ class TestCampaignResume:
         assert all(r.status == "done" for r in first.results)
         assert os.path.exists(os.path.join(campaign_dir, "manifest.json"))
         # the campaign dir supplied the default shared store
-        assert os.path.exists(os.path.join(campaign_dir, "evaluations.jsonl"))
+        assert os.path.isdir(os.path.join(campaign_dir, "evaluations.tier"))
 
         second = run_campaign(
             tasks, ga_config=TINY, serial=True,
@@ -197,13 +210,28 @@ class TestCampaignCLI:
             [
                 "campaign", "--machines", "pentium4", "--scenarios", "opt",
                 "--serial", "--generations", "2", "--population", "6",
-                "--store", str(tmp_path / "s.jsonl"), "--retries", "1",
+                "--store", str(tmp_path / "s.tier"), "--retries", "1",
             ]
         )
         captured = capsys.readouterr()
         assert code == 1
         assert "FAIL" in captured.out
         assert "cell(s) failed" in captured.err
+
+    def test_jsonl_store_exits_2_naming_migrate(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text("")
+        code = main(
+            [
+                "campaign", "--machines", "pentium4", "--scenarios", "opt",
+                "--serial", "--generations", "2", "--population", "6",
+                "--store", str(legacy),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "repro store migrate" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_campaign_dir_cli_round_trip(self, tmp_path, capsys):
         campaign_dir = str(tmp_path / "camp")

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import GAError
 from repro.perf.store import EvaluationStore
+from repro.perf.storetier import StoreTier, TierStore, open_store
 from repro.resilience.faults import FaultPlan, FaultSpec, install_fault_plan
 
 
@@ -36,16 +37,6 @@ class TestTornTrailingLine:
         with open(path, "rb") as handle:
             data = handle.read()
         assert data == intact.encode() + b"\n"
-
-    def test_readonly_store_skips_without_touching_file(self, tmp_path):
-        path = str(tmp_path / "evals.jsonl")
-        _write_lines(path, _record_line("c", [1, 2], 0.5), torn_tail='{"ctx"')
-        size_before = os.path.getsize(path)
-
-        store = EvaluationStore(path, context="c", readonly=True)
-        assert store.get((1, 2)) == 0.5
-        assert any("read-only" in event for event in store.repair_log)
-        assert os.path.getsize(path) == size_before
 
     def test_torn_complete_trailing_line_is_also_repaired(self, tmp_path):
         # a crash can land exactly after a partial line plus newline from
@@ -83,6 +74,11 @@ class TestFlushBatching:
     def test_flush_every_validation(self, tmp_path):
         with pytest.raises(GAError):
             EvaluationStore(str(tmp_path / "s.jsonl"), flush_every=0)
+        with pytest.raises(GAError):
+            TierStore(str(tmp_path / "s.tier"), flush_every=0)
+        for path in ("s.jsonl", "s.tier"):
+            with pytest.raises(GAError):
+                open_store(str(tmp_path / path), "c", flush_every=0)
 
     def test_records_buffer_until_threshold(self, tmp_path):
         path = str(tmp_path / "evals.jsonl")
@@ -140,3 +136,28 @@ class TestTornWriteInjection:
         reloaded.record((1,), 1.0)
         reloaded.close()
         assert EvaluationStore(path, context="c").size == 2
+
+    def test_injected_tier_tear_abandons_the_shard(self, tmp_path):
+        root = str(tmp_path / "evals.tier")
+        install_fault_plan(
+            FaultPlan(sites={"torn-write": FaultSpec(max_fires=1)}),
+            propagate=False,
+        )
+        store = TierStore(root, context="c", flush_every=1)
+        store.record((1,), 1.0)  # the injected tear: half a line on disk
+        assert store.get((1,)) == 1.0  # in-memory view is intact
+        assert store.appended == 1  # counted like any other record
+        store.record((2,), 2.0)  # the next append opens a fresh shard
+        store.close()
+        tier = StoreTier(root)
+        assert len(tier.shard_files()) == 2
+
+        reloaded = TierStore(root, context="c")
+        assert any("torn" in event for event in reloaded.repair_log)
+        assert reloaded.get((2,)) == 2.0
+        assert reloaded.get((1,)) is None  # the torn record needs re-recording
+        # the abandoned shard holds no lock, so compaction folds it
+        summary = tier.compact()
+        assert summary == {
+            "records": 1, "shards": 2, "packs": 0, "skipped_hot": 0,
+        }

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.core.tuner import InliningTuner
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
 from repro.perf.storetier import StoreTier, TierStore
@@ -23,6 +24,7 @@ from repro.resilience.faults import (
     clear_fault_plan,
     install_fault_plan,
 )
+from repro.workloads.suites import SPECJVM98
 
 TINY = GAConfig(population_size=6, generations=2, seed=0)
 FAST = RetryPolicy(max_attempts=3, backoff_base=0.0)
@@ -41,19 +43,24 @@ def _assert_bitwise(baseline, other):
 
 class TestTierCampaignParity:
     def test_tier_campaign_matches_legacy_store_campaign(self, tmp_path):
+        """Tier == legacy: every cell equals its task tuned in-process
+        on a single-file JSONL store."""
         tasks = _tasks_1x2()
-        baseline = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.jsonl"),
-            serial=True,
-        )
         tiered = run_campaign(
             tasks, ga_config=TINY, store_path=str(tmp_path / "evals.tier"),
             serial=True,
         )
         assert tiered.ok
-        _assert_bitwise(baseline, tiered)
-        # the tier persisted every simulation the legacy store did
-        assert tiered.total_new_records == baseline.total_new_records
+        programs = SPECJVM98.programs(seed=0)
+        for task, cell in zip(tasks, tiered.results):
+            tuner = InliningTuner(TINY, store_path=str(tmp_path / "clean.jsonl"))
+            legacy = tuner.tune(task, programs)
+            assert cell.task_name == task.name
+            assert cell.tuned.params == legacy.params
+            assert cell.tuned.fitness == legacy.fitness
+            assert cell.tuned.evaluations == legacy.evaluations
+            # the tier persisted every simulation the legacy store did
+            assert cell.new_records == tuner.last_store.size
         assert tiered.total_new_records == tiered.total_evaluations
 
     def test_campaign_end_compacts_the_tier(self, tmp_path):

@@ -10,6 +10,7 @@ campaign emits a schema-valid, summarizable event stream.
 import glob
 import json
 import os
+import sqlite3
 
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
@@ -30,7 +31,7 @@ def _run(tmp_path, label, telemetry_dir=None):
     result = run_campaign(
         tasks,
         ga_config=TINY,
-        store_path=str(tmp_path / f"{label}-evals.jsonl"),
+        store_path=str(tmp_path / f"{label}-evals.tier"),
         serial=True,
         campaign_dir=campaign_dir,
         telemetry_dir=telemetry_dir,
@@ -42,6 +43,28 @@ def _run(tmp_path, label, telemetry_dir=None):
 def _read(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _tier_bytes(root):
+    """What a store tier holds: every pack row in key order, every
+    shard's lines, and the profile and scoreboard files byte-for-byte
+    (pack and shard file names are random, so they are not compared)."""
+    rows = []
+    for pack in glob.glob(os.path.join(root, "packs", "*.sqlite")):
+        conn = sqlite3.connect(pack)
+        try:
+            rows += conn.execute("SELECT * FROM evals").fetchall()
+        finally:
+            conn.close()
+    shards = sorted(
+        _read(path) for path in glob.glob(os.path.join(root, "shards", "*.jsonl"))
+    )
+    files = {
+        os.path.relpath(path, root): _read(path)
+        for path in glob.glob(os.path.join(root, "profiles", "*.json"))
+        + [os.path.join(root, "tier.json")]
+    }
+    return sorted(rows), shards, files
 
 
 def _checkpoints(tmp_path, label):
@@ -63,8 +86,8 @@ class TestBitwiseNeutrality:
             assert instrumented.new_records == clean.new_records
 
         # the shared evaluation store: byte-for-byte
-        assert _read(str(tmp_path / "probed-evals.jsonl")) == _read(
-            str(tmp_path / "plain-evals.jsonl")
+        assert _tier_bytes(str(tmp_path / "probed-evals.tier")) == _tier_bytes(
+            str(tmp_path / "plain-evals.tier")
         )
 
         # every GA checkpoint: byte-for-byte

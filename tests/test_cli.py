@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -102,7 +104,7 @@ class TestCampaignCommand:
                 "6",
                 "--serial",
                 "--store",
-                str(tmp_path / "evals.jsonl"),
+                str(tmp_path / "evals.tier"),
             ]
         )
         assert code == 0
@@ -111,6 +113,18 @@ class TestCampaignCommand:
         assert "Opt:balance@pentium4" in out
         assert "new store records" in out
         assert "report hit rate" in out
+
+    def test_default_store_is_a_tier_in_the_cache(self, capsys):
+        argv = [
+            "campaign", "--machines", "pentium4", "--scenarios", "opt",
+            "--generations", "2", "--population", "6", "--serial",
+        ]
+        assert main(argv) == 0
+        tier = os.path.join(os.environ["REPRO_CACHE_DIR"], "evaluations.tier")
+        assert os.path.exists(os.path.join(tier, "tier.json"))
+        capsys.readouterr()
+        assert main(argv) == 0  # the re-run answers everything from the tier
+        assert "; 0 simulations, 0 new store records" in capsys.readouterr().out
 
     def test_unknown_machine_is_clean_error(self, capsys):
         assert main(["campaign", "--machines", "itanium", "--serial"]) == 2

@@ -39,9 +39,7 @@ baseline:
 * ``benchmarks/bench_store_tier.py`` — the sharded store tier
   (``repro.perf.storetier``) vs the legacy single-file store: batched
   warm-start lookup against an 8-context store (indexed pack query vs
-  full JSONL replay; ``speedup``, 5x floor) and 4-writer append
-  throughput (private shards vs the coordinator's single-writer merge
-  funnel; ``append_speedup``, 2x floor).  Results in
+  full JSONL replay), 5x acceptance floor.  Results in
   ``benchmarks/BENCH_store.json``, baseline in
   ``benchmarks/BENCH_store_baseline.json``.
 
@@ -74,10 +72,7 @@ BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 MAX_REGRESSION = 0.20
 
 #: the guarded measurements: (label, module, runner attr, result file,
-#: baseline file, acceptance floor[, extra ratio floors]).  The
-#: optional seventh element maps additional result keys to their own
-#: acceptance floors — those ratios are guarded exactly like
-#: ``speedup`` (floor + 20% regression window against the baseline)
+#: baseline file, acceptance floor of the ``speedup`` ratio)
 GUARDS = (
     (
         "evaluation",
@@ -118,7 +113,6 @@ GUARDS = (
         "BENCH_store.json",
         "BENCH_store_baseline.json",
         5.0,
-        {"append_speedup": 2.0},
     ),
 )
 
@@ -133,20 +127,17 @@ def _measure(module_name: str, runner_name: str) -> dict:
 
 
 def _guard_one(label, module_name, runner_name, result_file, baseline_file,
-               floor, rebaseline, extra_floors=None):
+               floor, rebaseline):
     """Run one measurement and return its list of failure strings."""
     result_path = os.path.join(BENCH_DIR, result_file)
     baseline_path = os.path.join(BENCH_DIR, baseline_file)
-    ratios = {"speedup": floor}
-    ratios.update(extra_floors or {})
 
     result = _measure(module_name, runner_name)
     with open(result_path, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[{label}] wrote {os.path.relpath(result_path, REPO_ROOT)}")
-    for ratio in ratios:
-        print(f"[{label}] {ratio} {result[ratio]:.2f}x")
+    print(f"[{label}] speedup {result['speedup']:.2f}x")
 
     failures = []
     if result["mismatched_fields"]:
@@ -154,20 +145,18 @@ def _guard_one(label, module_name, runner_name, result_file, baseline_file,
             f"[{label}] {result['mismatched_fields']} fields "
             "diverged between the compared paths"
         )
-    for ratio, ratio_floor in ratios.items():
-        if result[ratio] < ratio_floor:
-            failures.append(
-                f"[{label}] {ratio} {result[ratio]:.2f}x is below the "
-                f"{ratio_floor:.1f}x acceptance floor (see the {label!r} "
-                "entry in tools/bench_guard.py)"
-            )
+    if result["speedup"] < floor:
+        failures.append(
+            f"[{label}] speedup {result['speedup']:.2f}x is below the "
+            f"{floor:.1f}x acceptance floor (see the {label!r} "
+            "entry in tools/bench_guard.py)"
+        )
 
     if rebaseline:
         baseline = {
             "accelerator_stats": result["accelerator_stats"],
+            "speedup": result["speedup"],
         }
-        for ratio in ratios:
-            baseline[ratio] = result[ratio]
         for key in result:
             if key.endswith("_per_sec"):
                 baseline[key] = result[key]
@@ -184,22 +173,19 @@ def _guard_one(label, module_name, runner_name, result_file, baseline_file,
         with open(baseline_path, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
         baseline_rel = os.path.relpath(baseline_path, REPO_ROOT)
-        for ratio in ratios:
-            if ratio not in baseline:
-                continue
-            floor_ratio = baseline[ratio] * (1.0 - MAX_REGRESSION)
-            print(
-                f"[{label}] baseline {ratio} {baseline[ratio]:.2f}x   "
-                f"regression floor {floor_ratio:.2f}x   ({baseline_rel})"
+        floor_ratio = baseline["speedup"] * (1.0 - MAX_REGRESSION)
+        print(
+            f"[{label}] baseline speedup {baseline['speedup']:.2f}x   "
+            f"regression floor {floor_ratio:.2f}x   ({baseline_rel})"
+        )
+        if result["speedup"] < floor_ratio:
+            failures.append(
+                f"[{label}] speedup {result['speedup']:.2f}x regressed more "
+                f"than {MAX_REGRESSION:.0%} below the committed "
+                f"{baseline['speedup']:.2f}x in {baseline_rel} "
+                f"(allowed minimum {floor_ratio:.2f}x; rerun with "
+                "--rebaseline only for an intentional change)"
             )
-            if result[ratio] < floor_ratio:
-                failures.append(
-                    f"[{label}] {ratio} {result[ratio]:.2f}x regressed more "
-                    f"than {MAX_REGRESSION:.0%} below the committed "
-                    f"{baseline[ratio]:.2f}x in {baseline_rel} "
-                    f"(allowed minimum {floor_ratio:.2f}x; rerun with "
-                    "--rebaseline only for an intentional change)"
-                )
     return failures
 
 
@@ -220,17 +206,9 @@ def main(argv=None) -> int:
 
     failures = []
     for guard in GUARDS:
-        label, module_name, runner_name, result_file, baseline_file, floor = guard[:6]
-        extra_floors = guard[6] if len(guard) > 6 else None
-        if args.only is not None and label != args.only:
+        if args.only is not None and guard[0] != args.only:
             continue
-        failures.extend(
-            _guard_one(
-                label, module_name, runner_name,
-                result_file, baseline_file, floor, args.rebaseline,
-                extra_floors,
-            )
-        )
+        failures.extend(_guard_one(*guard, args.rebaseline))
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
