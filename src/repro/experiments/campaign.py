@@ -35,7 +35,6 @@ cells and restarts interrupted ones from their last generation.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, replace
@@ -194,20 +193,23 @@ class CampaignResult:
         return total.as_dict()
 
 
-# Worker-side cache of the campaign's shared workload archive, keyed by
-# segment name (one archive per campaign, attached at most once per
+# Worker-side cache of the service's shared workload archive, keyed by
+# segment name (one archive per workload seed, attached at most once per
 # worker process — every cell the worker runs then reuses the mapped
-# programs instead of regenerating them).
+# programs instead of regenerating them).  Campaign workers carry no
+# archive name: they inherit the coordinator's generated programs.
 _ARCHIVE_CACHE: Dict[str, object] = {}
 
 
 def _workload_programs(workload_seed: int, archive_name: Optional[str]) -> List:
-    """The training programs, from the shm archive when available.
+    """The training programs, from the shm archive when one is named.
 
-    The archive is strictly an IPC optimization: reconstruction from
-    the segment yields programs whose fingerprints equal the
-    generator's, and *any* failure (segment gone, platform without
-    shared memory) falls back to regenerating the suite locally.
+    The service names one because a job's workload seed arrives after
+    its pool has forked.  The archive is strictly an IPC optimization:
+    reconstruction from the segment yields programs whose fingerprints
+    equal the generator's, and *any* failure (segment gone, platform
+    without shared memory) falls back to regenerating the suite
+    locally.
     """
     from repro.workloads.suites import SPECJVM98
 
@@ -234,9 +236,10 @@ class CellRequest:
     campaign runner and the :mod:`repro.service` daemon.
 
     Everything a worker process needs to tune one cell rides in here
-    (picklable for spawn pools): the tuning task, the GA budget, the
-    shared store, and the campaign-scope optimizations (workload
-    archive, plan archive) that degrade to nothing when absent.
+    (pickled onto the pool's call queue): the tuning task, the GA
+    budget, the shared store, and the shared-memory optimizations
+    (the service's workload archive, the plan archive) that degrade to
+    nothing when absent.
     """
 
     task: TuningTask
@@ -506,30 +509,21 @@ def _run_campaign_impl(
 
     parallel = not (serial or len(todo) <= 1)
 
-    # Parallel runs intern the workload once in a shared-memory archive
-    # so every spawned worker maps the programs instead of regenerating
-    # the suite per process.  Purely an IPC optimization: workers fall
-    # back to local generation when the segment is unreachable, and the
-    # fingerprints of reconstructed programs equal the originals'.
-    archive = None
+    # Parallel runs generate the workload once, here, before the pool
+    # forks: every worker inherits the programs through SPECJVM98's
+    # cache instead of regenerating the suite per process.
     if parallel:
-        try:
-            from repro.perf.shm import WorkloadArchive
-            from repro.workloads.suites import SPECJVM98
+        from repro.workloads.suites import SPECJVM98
 
-            archive = WorkloadArchive.publish(
-                SPECJVM98.programs(seed=workload_seed)
-            )
-        except Exception:
-            archive = None
+        SPECJVM98.programs(seed=workload_seed)
 
     # Parallel runs also share *compiled plan caches*: each finished
     # cell returns its plan exports, the coordinator merges them into a
     # PlanArchive and republishes, and later cells' workers warm-start
     # from the newest epoch instead of recompiling identical plans.
-    # Like the workload archive this is purely a throughput
-    # optimization — warm-started cells are bitwise-identical to cold
-    # ones, and any failure degrades the campaign to private caches.
+    # This is purely a throughput optimization — warm-started cells are
+    # bitwise-identical to cold ones, and any failure degrades the
+    # campaign to private caches.
     # With a store tier the archive additionally *persists* under
     # <tier>/plans, so a future coordinator warm-starts its compiled
     # plans from disk before the first cell even finishes.
@@ -558,7 +552,6 @@ def _run_campaign_impl(
                 checkpoint_path=checkpoint_path_for(campaign_dir, task.name)
                 if campaign_dir is not None
                 else None,
-                archive_name=archive.name if archive is not None else None,
                 plan_base=plan_publisher.base
                 if plan_publisher is not None
                 else None,
@@ -675,34 +668,6 @@ def _run_campaign_impl(
             "repro_strategy_evaluations_total", strategy=strategy
         ).inc(0)
 
-    def on_pool_rebuild(reason: str) -> None:
-        # Replacement workers will re-attach the workload archive; make
-        # sure it still exists (a hostile operator or tmpfs cleaner may
-        # have unlinked it while the pool was down) and republish when
-        # it does not.  Workers degrade to local generation either way.
-        nonlocal archive
-        if archive is None:
-            return
-        try:
-            from repro.perf.shm import SharedArraySegment, WorkloadArchive
-            from repro.workloads.suites import SPECJVM98
-
-            probe = SharedArraySegment.attach(archive.name, readonly=True)
-            probe.close()
-        except FileNotFoundError:
-            # republish under the SAME name: the in-flight requests
-            # already carry it
-            try:
-                stale_name = archive.name
-                archive.close()
-                archive = WorkloadArchive.publish(
-                    SPECJVM98.programs(seed=workload_seed), name=stale_name
-                )
-            except Exception:
-                archive = None
-        except Exception:
-            pass
-
     try:
         with trace("campaign", tasks=len(todo)):
             if not parallel:
@@ -720,13 +685,9 @@ def _run_campaign_impl(
                     execute_cell,
                     policy=policy,
                     max_workers=n_processes,
-                    mp_context=multiprocessing.get_context("spawn"),
                     on_result=on_result,
-                    on_pool_rebuild=on_pool_rebuild,
                 )
     finally:
-        if archive is not None:
-            archive.unlink()
         if plan_publisher is not None:
             plan_publisher.unlink()
 

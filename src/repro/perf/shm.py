@@ -1,17 +1,19 @@
 """Zero-copy shared-memory interning for pool workers.
 
-Spawned campaign and service workers would otherwise rebuild their
-inputs on the far side of a pickle: each one re-generating the
-workload programs and re-deriving its compiled plans.  This module
-moves those bulk payloads into ``multiprocessing.shared_memory``
-segments that workers map read-only:
+Pool workers would otherwise rebuild their inputs on the far side of
+a pickle: each service worker, forked before a job names its workload
+seed, re-generating the workload programs, and every worker
+re-deriving its compiled plans.  (Campaign workers need no workload
+archive: the coordinator generates the programs before its pool
+forks.)  This module moves those bulk payloads into
+``multiprocessing.shared_memory`` segments that workers map read-only:
 
 * :class:`SharedArraySegment` — one named segment holding several
   named numpy arrays behind a tiny self-describing header, with
   crash-safe lifecycle (owner-side atexit unlink; attach-side
   resource-tracker unregistration so a SIGKILLed worker can never
   unlink a segment it does not own);
-* :class:`WorkloadArchive` — the campaign's training programs interned
+* :class:`WorkloadArchive` — a service job's training programs interned
   as flat arrays (method tables, instruction mixes, call sites, name
   blobs); workers attach and reconstruct
   :class:`~repro.jvm.callgraph.Program` objects whose fingerprints are
@@ -125,8 +127,7 @@ class SharedArraySegment:
     payloads, each 64-byte aligned.  ``create`` copies the given
     arrays in and owns the segment (close + unlink); ``attach`` maps
     an existing segment and exposes zero-copy ndarray views —
-    read-only by default, so a worker bug cannot corrupt a shared
-    plan table.
+    read-only, so a worker bug cannot corrupt a shared plan table.
     """
 
     def __init__(self, shm, arrays: Dict[str, np.ndarray], owner: bool) -> None:
@@ -183,12 +184,12 @@ class SharedArraySegment:
         return segment
 
     @classmethod
-    def attach(cls, name: str, readonly: bool = True) -> "SharedArraySegment":
-        """Map an existing segment by name (non-owner side).
+    def attach(cls, name: str) -> "SharedArraySegment":
+        """Map an existing segment by name, read-only (non-owner side).
 
         On 3.13+ the attachment passes ``track=False`` so it adds no
         resource-tracker registration of its own.  On older Pythons the
-        constructor re-registers the name, which is harmless: spawned
+        constructor re-registers the name, which is harmless: forked
         pool workers share the coordinator's tracker process, whose
         cache is a per-name set — the worker's add is idempotent
         against the owner's registration, and only the owner's
@@ -211,8 +212,7 @@ class SharedArraySegment:
             view = np.ndarray(
                 shape, dtype=dtype, buffer=shm.buf, offset=payload_base + rel
             )
-            if readonly:
-                view.flags.writeable = False
+            view.flags.writeable = False
             views[key] = view
         segment = cls(shm, views, owner=False)
         _emit_shm("shm.attach", segment.name, shm.size)
@@ -370,7 +370,7 @@ class WorkloadArchive:
     @classmethod
     def attach(cls, name: str) -> "WorkloadArchive":
         """Map a published archive by segment name (worker side)."""
-        return cls(SharedArraySegment.attach(name, readonly=True))
+        return cls(SharedArraySegment.attach(name))
 
     # ------------------------------------------------------------------
     def programs(self) -> List:
@@ -569,7 +569,7 @@ class PlanArchiveReader:
 
     @classmethod
     def attach(cls, base: str) -> "PlanArchiveReader":
-        return cls(SharedArraySegment.attach(base, readonly=True), base)
+        return cls(SharedArraySegment.attach(base), base)
 
     @property
     def epoch(self) -> int:
@@ -594,9 +594,7 @@ class PlanArchiveReader:
             if epoch == self._epoch and self._exports is not None:
                 return epoch, self._exports
             try:
-                data = SharedArraySegment.attach(
-                    f"{self.base}-e{epoch}", readonly=True
-                )
+                data = SharedArraySegment.attach(f"{self.base}-e{epoch}")
             except FileNotFoundError:
                 continue  # republished under our feet; re-read the epoch
             if int(data.arrays["__commit__"][0]) != epoch:

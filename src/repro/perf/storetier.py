@@ -877,15 +877,11 @@ class TierStore:
 
     Drop-in for :class:`~repro.perf.store.EvaluationStore` wherever the
     GA stack touches a store (:class:`~repro.ga.fitness.FitnessCache`,
-    :class:`~repro.ga.engine.GAEngine`, checkpoints), with two
-    deliberate differences:
-
-    * **every instance may write.**  Appends go straight to a private
-      shard, durable at the next flush; the ``appended`` counter
-      reports what this instance recorded.
-    * **pickles re-open lazily.**  A copy landing in a worker process
-      builds its own shard writer on first append; the entries map
-      travels with the pickle, so lookups need no disk access.
+    :class:`~repro.ga.engine.GAEngine`, checkpoints), with one
+    deliberate difference: **every instance may write.**  Appends go
+    straight to a private shard, durable at the next flush; the
+    ``appended`` counter reports what this instance recorded.  Worker
+    processes open their own instance from the tier path.
     """
 
     #: tier appends batch flush+fsync at this many records
@@ -1023,21 +1019,6 @@ class TierStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # shard writers are process-private; the far side re-opens its
-        # own on first append (that is the whole point of the tier)
-        state["_writer"] = None
-        # a copy landing in another process counts its own activity
-        state["hits"] = 0
-        state["misses"] = 0
-        state["appended"] = 0
-        state["_folded"] = (0, 0, 0)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
 
 
 # ----------------------------------------------------------------------

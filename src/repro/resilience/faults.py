@@ -43,10 +43,10 @@ Supported sites (the constants below):
 
 The injector is test-only configuration: production code calls
 :func:`get_fault_injector`, which returns ``None`` unless a plan was
-installed in-process (:func:`install_fault_plan`) or — so spawned
-worker processes inherit it — via the ``REPRO_FAULT_PLAN`` environment
-variable holding the plan as JSON.  The ``None`` check is the entire
-overhead of an undisturbed run.
+installed in-process (:func:`install_fault_plan`; forked pool workers
+inherit it) or — so interpreters started afterwards inherit it — via
+the ``REPRO_FAULT_PLAN`` environment variable holding the plan as JSON.
+The ``None`` check is the entire overhead of an undisturbed run.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ SITE_SLOW_TASK = "slow-task"
 SITE_JOB_ADMIT = "job-admit"
 SITE_JOURNAL_IO = "journal-io"
 
-#: environment variable carrying the plan JSON into spawned workers
+#: environment variable carrying the plan JSON into child interpreters
 PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
 
@@ -243,7 +243,8 @@ def install_fault_plan(plan: FaultPlan, propagate: bool = True) -> FaultInjector
     """Install *plan* process-wide and return its injector.
 
     ``propagate=True`` also exports the plan via ``REPRO_FAULT_PLAN``
-    so worker processes spawned afterwards pick it up on first use.
+    so interpreters started afterwards pick it up on first use; forked
+    workers inherit the installed plan either way.
     """
     global _INJECTOR, _ENV_CHECKED
     _INJECTOR = FaultInjector(plan)
@@ -264,8 +265,8 @@ def clear_fault_plan() -> None:
 def get_fault_injector() -> Optional[FaultInjector]:
     """The process's injector, or None when no plan is configured.
 
-    Checks the environment once per process, so spawned workers inherit
-    the coordinator's plan without explicit plumbing.
+    Checks the environment once per process, so a child interpreter
+    inherits the coordinator's plan without explicit plumbing.
     """
     global _INJECTOR, _ENV_CHECKED
     if _INJECTOR is not None:

@@ -12,10 +12,15 @@ exception in one task, a task hanging.  :func:`run_supervised` wraps a
   from scratch, and tasks with attempts remaining are resubmitted;
 * **per-task timeouts**: a task that exceeds ``RetryPolicy.timeout``
   is written off for that attempt; since a running future cannot be
-  cancelled, the pool is rebuilt to reclaim the stuck worker;
+  cancelled, the pool is retired (its workers killed, the stuck one
+  included) and rebuilt;
 * **structured failure accounting**: every failed attempt becomes a
   :class:`FailureReport`; callers receive the results that succeeded
   plus the full failure list instead of one opaque exception.
+
+Both orchestrators, this supervisor and the service's
+:class:`~repro.service.scheduler.CellScheduler`, build their pools with
+:func:`process_pool` and drop them with :func:`retire_pool`.
 
 Tasks must be idempotent and deterministic (the campaign's are: genome
 evaluation is pure and the store answer-or-simulate protocol makes
@@ -24,6 +29,9 @@ re-execution free), because a retried task simply runs again.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -34,12 +42,76 @@ from repro.errors import ConfigurationError
 from repro.rng import stable_hash
 from repro.telemetry import emit as telemetry_emit
 
-__all__ = ["RetryPolicy", "FailureReport", "run_supervised", "run_supervised_serial"]
+__all__ = [
+    "RetryPolicy",
+    "FailureReport",
+    "process_pool",
+    "retire_pool",
+    "run_supervised",
+    "run_supervised_serial",
+]
 
 #: failure kinds recorded in FailureReport.kind
 KIND_EXCEPTION = "exception"
 KIND_WORKER_DEATH = "worker-death"
 KIND_TIMEOUT = "timeout"
+
+#: how often a pool worker checks that its coordinator is still alive
+ORPHAN_POLL_SECONDS = 0.5
+
+#: how long retiring a pool waits for each killed worker to exit
+RETIRE_JOIN_SECONDS = 5.0
+
+
+def _exit_with_coordinator(coordinator_pid: int) -> None:
+    """Pool initializer: end this worker once its coordinator is gone.
+
+    A SIGKILLed coordinator cannot shut its pool down, and a worker
+    blocked on the call queue never sees it go (it holds the queue's
+    other end), so it would idle on, orphaned.  A daemon thread polls
+    the parent pid and exits the worker when it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == coordinator_pid:
+            time.sleep(ORPHAN_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-orphan-watch", daemon=True).start()
+
+
+def process_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A pool of *max_workers* workers forked from this process.
+
+    The ``fork`` context is named, not left to the platform default
+    (forkserver on Linux from Python 3.14): forked workers inherit the
+    coordinator's imports and generated programs instead of paying for
+    them again, and they are the coordinator's children, which the
+    orphan watch they start with relies on.
+    """
+    return ProcessPoolExecutor(
+        max_workers,
+        multiprocessing.get_context("fork"),
+        initializer=_exit_with_coordinator,
+        initargs=(os.getpid(),),
+    )
+
+
+def retire_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut *pool* down and stop its workers, even one mid-task.
+
+    ``shutdown`` never stops a running worker, so a worker stuck in a
+    timed-out task would keep its CPU busy beside the rebuilt pool and
+    outlive the run.  Every worker is killed and waited for: SIGKILL,
+    because a forked worker inherits its coordinator's signal handlers
+    (the daemon's SIGTERM drain, say) and could shrug off a SIGTERM.
+    """
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.kill()
+    for worker in workers:
+        worker.join(RETIRE_JOIN_SECONDS)
 
 
 @dataclass(frozen=True)
@@ -206,10 +278,8 @@ def run_supervised(
     fn: Callable,
     policy: Optional[RetryPolicy] = None,
     max_workers: int = 1,
-    mp_context=None,
     on_result: Optional[Callable[[str, object], None]] = None,
     poll_interval: float = 0.05,
-    on_pool_rebuild: Optional[Callable[[str], None]] = None,
 ) -> Tuple[Dict[str, object], List[FailureReport]]:
     """Run ``fn(payload)`` for every (name, payload), supervised.
 
@@ -223,12 +293,10 @@ def run_supervised(
     each task completes — the campaign uses it to persist results
     incrementally, so a later crash costs only in-flight work.
 
-    ``on_pool_rebuild(reason)`` fires in the coordinating process each
-    time a broken pool is dropped, before any resubmission — the
-    campaign uses it to verify shared resources the replacement workers
-    will need (e.g. that the shared-memory workload archive still
-    exists).  Exceptions from the hook are swallowed: supervision must
-    proceed even when the callback's resource cannot be restored.
+    The pool is :func:`process_pool`'s: its workers are forked from the
+    calling process, so they see everything it set up before the first
+    submission.  Every pool is dropped through :func:`retire_pool`, so
+    no worker outlives the call.
     """
     policy = policy or RetryPolicy()
     states = [_TaskState(name=name, payload=payload) for name, payload in payloads]
@@ -264,15 +332,10 @@ def run_supervised(
     def rebuild_pool(reason: str) -> None:
         nonlocal pool
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            retire_pool(pool)
         pool = None
         inflight.clear()
         telemetry_emit("supervise.pool_rebuild", reason=reason)
-        if on_pool_rebuild is not None:
-            try:
-                on_pool_rebuild(reason)
-            except Exception:  # pragma: no cover - hook must not kill supervision
-                pass
 
     try:
         while True:
@@ -288,9 +351,7 @@ def run_supervised(
                 if state.ready_at > now:
                     continue
                 if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=max_workers, mp_context=mp_context
-                    )
+                    pool = process_pool(max_workers)
                 state.attempts += 1
                 try:
                     future = pool.submit(fn, state.payload)
@@ -389,8 +450,8 @@ def run_supervised(
                             now - entry.started,
                         )
                         entry.timed_out = True
-                    # a running future cannot be cancelled: tear the
-                    # pool down to reclaim the stuck workers.  Other
+                    # a running future cannot be cancelled: retire the
+                    # pool, which kills the stuck workers.  Other
                     # in-flight tasks are NOT charged an attempt — they
                     # were healthy; they just resubmit on the new pool.
                     for future, entry in list(inflight.items()):
@@ -399,5 +460,5 @@ def run_supervised(
                     rebuild_pool("timeout")
     finally:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            retire_pool(pool)
     return results, failures

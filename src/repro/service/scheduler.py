@@ -22,9 +22,14 @@ dynamic job set instead of one batch:
 * ``BrokenProcessPool`` charges the in-flight cells a worker-death
   attempt, rebuilds the pool, and resubmits — unrelated jobs just keep
   going;
-* a cell over the policy timeout is written off and the pool rebuilt
-  (a running future cannot be cancelled); healthy in-flight cells are
-  not charged an attempt.
+* a cell over the policy timeout is written off and the pool retired
+  and rebuilt (a running future cannot be cancelled, so retiring
+  kills its worker); healthy in-flight cells are not charged an
+  attempt.
+
+The pool comes from :func:`repro.resilience.supervisor.process_pool`:
+workers forked from the daemon, each exiting on its own once the
+daemon is gone.
 
 Results are journalled the moment they land (see
 :mod:`repro.service.journal`), and every cell checkpoints its GA state
@@ -54,6 +59,8 @@ from repro.resilience.supervisor import (
     KIND_TIMEOUT,
     KIND_WORKER_DEATH,
     FailureReport,
+    process_pool,
+    retire_pool,
 )
 from repro.service.jobs import JobRecord
 from repro.service.journal import JobJournal
@@ -132,27 +139,6 @@ def _cells_for(record: JobRecord) -> List[_CellState]:
     return cells
 
 
-#: how often a pool worker checks that its daemon is still alive
-ORPHAN_POLL_SECONDS = 0.5
-
-
-def _exit_with_daemon(daemon_pid: int) -> None:
-    """Pool initializer: end this worker once its daemon is gone.
-
-    A SIGKILLed daemon cannot shut its pool down, and a forked worker
-    blocked on the call queue never sees the daemon go (it inherited the
-    queue's other end), so it would idle on, orphaned.  A daemon thread
-    polls the parent pid and exits the worker when it changes.
-    """
-
-    def watch() -> None:
-        while os.getppid() == daemon_pid:
-            time.sleep(ORPHAN_POLL_SECONDS)
-        os._exit(1)
-
-    threading.Thread(target=watch, name="repro-orphan-watch", daemon=True).start()
-
-
 class CellScheduler:
     """Continuous supervised execution of every admitted job's cells.
 
@@ -176,7 +162,6 @@ class CellScheduler:
         policy: Optional[RetryPolicy] = None,
         quota: int = 2,
         poll_interval: float = 0.05,
-        mp_context=None,
         events: Optional[Callable] = None,
     ) -> None:
         self.state_dir = state_dir
@@ -185,7 +170,6 @@ class CellScheduler:
         self.policy = policy or RetryPolicy()
         self.quota = max(1, quota)
         self.poll_interval = poll_interval
-        self.mp_context = mp_context
         self._events = events
 
         self.store_path = os.path.join(state_dir, "tier")
@@ -440,7 +424,7 @@ class CellScheduler:
             if archive is None:
                 continue
             try:
-                probe = SharedArraySegment.attach(archive.name, readonly=True)
+                probe = SharedArraySegment.attach(archive.name)
                 probe.close()
             except FileNotFoundError:
                 try:
@@ -509,7 +493,7 @@ class CellScheduler:
             self._loop()
         finally:
             if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                retire_pool(self._pool)
                 self._pool = None
 
     def _loop(self) -> None:
@@ -551,12 +535,7 @@ class CellScheduler:
                 break
             job, cell = picked
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self.mp_context,
-                    initializer=_exit_with_daemon,
-                    initargs=(os.getpid(),),
-                )
+                self._pool = process_pool(self.workers)
             request = self._request_for(job, cell)
             cell.attempts += 1
             try:
@@ -740,7 +719,7 @@ class CellScheduler:
                 )
             self._inflight.clear()
             if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                retire_pool(self._pool)
                 self._pool = None
         self._emit("pool_rebuild", reason=reason)
         self._verify_archives()
@@ -769,9 +748,10 @@ class CellScheduler:
                     f"cell exceeded the {self.policy.timeout:.1f}s budget",
                     now - entry.started,
                 )
-            # a running future cannot be cancelled: tear the pool down
-            # to reclaim the stuck workers.  Healthy in-flight cells are
-            # NOT charged an attempt — they resubmit on the new pool.
+            # a running future cannot be cancelled: retire the pool,
+            # which kills the stuck workers.  Healthy in-flight
+            # cells are NOT charged an attempt — they resubmit on the
+            # new pool.
             for entry in self._inflight.values():
                 if not entry.timed_out:
                     entry.cell.attempts -= 1
@@ -779,7 +759,7 @@ class CellScheduler:
                     entry.job.inflight -= 1
             self._inflight.clear()
             if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                retire_pool(self._pool)
                 self._pool = None
         self._emit("pool_rebuild", reason="timeout")
         self._verify_archives()

@@ -6,9 +6,10 @@ and a **context** dict (campaign / cell / anything else) stamped onto
 every event.  Sessions are discovered exactly like fault plans
 (:mod:`repro.resilience.faults`): :func:`configure` installs one
 process-wide and — with ``propagate=True`` — exports it through the
-``REPRO_TELEMETRY`` environment variable, so pool workers spawned
-afterwards pick it up on their first :func:`get_session` call with no
-explicit plumbing.
+``REPRO_TELEMETRY`` environment variable.  Forked pool workers inherit
+the installed session itself; an interpreter started afterwards (a
+subprocess, a daemon) picks it up on its first :func:`get_session`
+call.  Neither needs explicit plumbing.
 
 Process safety: every process appends to its *own* file,
 ``events-<pid>.jsonl`` under the session directory — no cross-process
@@ -57,7 +58,7 @@ __all__ = [
     "scoped_context",
 ]
 
-#: environment variable carrying the session config into spawned workers
+#: environment variable carrying the session config into child interpreters
 ENV_VAR = "REPRO_TELEMETRY"
 
 
@@ -229,8 +230,9 @@ def configure(
     """Install a telemetry session process-wide and return it.
 
     ``propagate=True`` also exports the session via ``REPRO_TELEMETRY``
-    so worker processes spawned afterwards inherit the directory and
-    context (the same mechanism ``REPRO_FAULT_PLAN`` uses).
+    so interpreters started afterwards inherit the directory and
+    context (the same mechanism ``REPRO_FAULT_PLAN`` uses); forked
+    workers inherit the installed session either way.
     """
     global _SESSION, _ENV_CHECKED
     if _SESSION is not None:
@@ -255,9 +257,9 @@ def shutdown() -> None:
 def get_session() -> Optional[TelemetrySession]:
     """The process's session, or None when telemetry is off.
 
-    Checks the environment once per process, so spawned workers inherit
-    the coordinator's session without explicit plumbing.  The ``None``
-    check is the entire overhead of an undisturbed run.
+    Checks the environment once per process, so a child interpreter
+    inherits the coordinator's session without explicit plumbing.  The
+    ``None`` check is the entire overhead of an undisturbed run.
     """
     global _SESSION, _ENV_CHECKED
     if _SESSION is not None:

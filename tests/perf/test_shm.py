@@ -66,15 +66,6 @@ class TestSharedArraySegment:
             finally:
                 attached.close()
 
-    def test_writable_attachment_shares_bytes(self):
-        with SharedArraySegment.create(self.ARRAYS) as segment:
-            attached = SharedArraySegment.attach(segment.name, readonly=False)
-            try:
-                attached.arrays["ints"][1] = 42
-                assert segment.arrays["ints"][1] == 42  # same memory
-            finally:
-                attached.close()
-
     def test_unlink_destroys_the_segment(self):
         segment = SharedArraySegment.create(self.ARRAYS)
         name = segment.name

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 
 import pytest
 
@@ -127,29 +126,6 @@ class TestTierStoreBasics:
         text = store.describe()
         assert "ctx" in text and "entries=1" in text
         store.close()
-
-
-class TestTierStorePickling:
-    """A pickled tier store lands in a worker — and may write there."""
-
-    def test_clone_reads_without_disk_and_writes_its_own_shard(self, tmp_path):
-        root = str(tmp_path / "tier")
-        with TierStore(root, context="ctx") as seed:
-            seed.record((1, 2, 3, 4, 5), 0.75)
-        original = TierStore(root, context="ctx")
-        clone = pickle.loads(pickle.dumps(original))
-        # entries travelled with the pickle
-        assert clone.get((1, 2, 3, 4, 5)) == 0.75
-        # counters are the clone's own
-        assert clone.appended == 0
-        clone.record((9, 9, 9, 9, 9), 0.25)
-        assert clone.appended == 1
-        clone.close()
-        original.close()
-        # the clone's append is durable in the shared tier
-        merged = TierStore(root, context="ctx")
-        assert merged.get((9, 9, 9, 9, 9)) == 0.25
-        merged.close()
 
 
 class TestTierCounters:

@@ -230,7 +230,6 @@ class TestPooledSupervision:
             _double,
             policy=FAST,
             max_workers=2,
-            mp_context=multiprocessing.get_context("spawn"),
         )
         assert results == {str(i): i * 2 for i in range(6)}
         assert failures == []
@@ -242,7 +241,6 @@ class TestPooledSupervision:
             _fail_once_then_succeed,
             policy=FAST,
             max_workers=2,
-            mp_context=multiprocessing.get_context("spawn"),
         )
         assert results["flaky"] == 7
         flaky = [f for f in failures if f.task_name == "flaky"]
@@ -255,7 +253,6 @@ class TestPooledSupervision:
             _kill_self_once,
             policy=FAST,
             max_workers=1,
-            mp_context=multiprocessing.get_context("spawn"),
         )
         assert results == {"victim": 13}
         assert any(f.kind == KIND_WORKER_DEATH for f in failures)
@@ -263,17 +260,19 @@ class TestPooledSupervision:
 
     def test_timeout_is_fatal_with_one_attempt(self):
         policy = RetryPolicy(max_attempts=1, backoff_base=0.0, timeout=0.5)
+        children = set(multiprocessing.active_children())
         results, failures = run_supervised(
             [("stuck", None)],
             _sleep_forever,
             policy=policy,
             max_workers=1,
-            mp_context=multiprocessing.get_context("spawn"),
         )
         assert results == {}
         assert len(failures) == 1
         assert failures[0].kind == KIND_TIMEOUT
         assert failures[0].fatal
+        # the stuck worker was killed, not left sleeping past the run
+        assert set(multiprocessing.active_children()) <= children
 
 
 class TestFailureReport:

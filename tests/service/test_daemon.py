@@ -21,14 +21,16 @@ import pytest
 from repro.resilience.faults import (
     SITE_JOB_ADMIT,
     SITE_JOURNAL_IO,
+    SITE_SLOW_TASK,
     FaultPlan,
     FaultSpec,
     install_fault_plan,
 )
+from repro.resilience.supervisor import ORPHAN_POLL_SECONDS
 from repro.service import ServiceClient, ServiceDaemon
 from repro.service.api import ApiServer
 from repro.service.journal import JobJournal
-from repro.service.scheduler import ORPHAN_POLL_SECONDS, CellScheduler
+from repro.service.scheduler import CellScheduler
 
 
 def job_payload(key, **overrides):
@@ -497,7 +499,7 @@ class TestShmHygiene:
         CellScheduler(str(state), journal, workers=1)
 
         with pytest.raises(FileNotFoundError):
-            SharedArraySegment.attach(name, readonly=True)
+            SharedArraySegment.attach(name)
         assert not registry.exists()
 
     def test_graceful_stop_clears_registry(self, tmp_path):
@@ -528,28 +530,34 @@ def _running(pid):
         return False
 
 
+def _child_env(**extra):
+    """This environment, with ``repro`` importable by a child interpreter."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return env
+
+
 class TestOrphanedWorkers:
-    """A SIGKILLed daemon cannot shut its pool down: its forked workers
-    must notice on their own and exit."""
+    """A SIGKILLed daemon or campaign coordinator cannot shut its pool
+    down: its forked workers must notice on their own and exit."""
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_pool_worker_exits_when_its_daemon_is_killed(self):
-        import repro
-
-        # a stand-in daemon: a process whose pool uses the scheduler's
+        # a stand-in daemon: a process whose pool uses the orphan-watch
         # initializer, reports its worker's pid, then idles
         code = (
             "import os, time\n"
             "from concurrent.futures import ProcessPoolExecutor\n"
-            "from repro.service.scheduler import _exit_with_daemon\n"
+            "from repro.resilience.supervisor import _exit_with_coordinator\n"
             "pool = ProcessPoolExecutor(\n"
-            "    1, initializer=_exit_with_daemon, initargs=(os.getpid(),))\n"
+            "    1, initializer=_exit_with_coordinator, initargs=(os.getpid(),))\n"
             "print(pool.submit(os.getpid).result(), flush=True)\n"
             "time.sleep(60)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        env = _child_env()
         daemon = subprocess.Popen(
             [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env
         )
@@ -569,3 +577,55 @@ class TestOrphanedWorkers:
             daemon.stdout.close()
             if worker is not None and _running(worker):
                 os.kill(worker, signal.SIGKILL)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_pool_workers_exit_when_their_campaign_coordinator_is_killed(
+        self, tmp_path
+    ):
+        # a stand-in campaign coordinator: a two-cell run_campaign on two
+        # workers, each cell stalled long enough to outlive the deadline;
+        # the stall's fire markers record the workers' pids
+        markers = tmp_path / "markers"
+        plan = FaultPlan(
+            sites={SITE_SLOW_TASK: FaultSpec(max_fires=2, delay=60.0)},
+            marker_dir=str(markers),
+        )
+        code = (
+            "from repro.experiments.campaign import grid_tasks, run_campaign\n"
+            "from repro.ga.engine import GAConfig\n"
+            "run_campaign(grid_tasks(['pentium4'], ['adapt', 'opt']),\n"
+            "             GAConfig(population_size=4, generations=1, elitism=1),\n"
+            "             processes=2)\n"
+        )
+        env = _child_env(
+            REPRO_FAULT_PLAN=plan.to_json(),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        coordinator = subprocess.Popen([sys.executable, "-c", code], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            fired = [markers / f"{SITE_SLOW_TASK}.{i}.fired" for i in range(2)]
+            while not all(
+                path.exists() and path.read_text().endswith("\n")
+                for path in fired
+            ):
+                assert time.monotonic() < deadline, "cells never stalled"
+                assert coordinator.poll() is None, "coordinator exited early"
+                time.sleep(0.05)
+            workers = [
+                int(path.read_text().strip().split("=", 1)[1]) for path in fired
+            ]
+            assert all(map(_running, workers))
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            deadline = time.monotonic() + 10 * ORPHAN_POLL_SECONDS + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            for worker in workers:
+                if _running(worker):
+                    os.kill(worker, signal.SIGKILL)
