@@ -453,7 +453,8 @@ def _cmd_campaign(args) -> int:
         f"{result.total_new_records} new store records"
     )
     print(
-        f"accel    : report hit rate {totals['report_hit_rate']:.1%}, "
+        f"accel    : {int(totals['runs'])} VM runs, "
+        f"report hit rate {totals['report_hit_rate']:.1%}, "
         f"method hit rate {totals['method_hit_rate']:.1%}, "
         f"batch dedup rate {totals['batch_dedup_rate']:.1%}"
     )

@@ -11,6 +11,7 @@ processes) and deterministic.
 from __future__ import annotations
 
 import logging
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.base import MachineModel
@@ -51,13 +52,26 @@ class HeuristicEvaluator:
         self.space = space or TABLE1_SPACE
         self.vm = VirtualMachine(machine, scenario, cost_model)
         self.default_params = default_params
-        # Reports under the default heuristic: baseline for the balance
-        # factor and for normalized reporting.
-        self.default_reports: Dict[str, ExecutionReport] = {
-            program.name: self.vm.run(program, default_params)
+        self._batch_runner = None  # built lazily by evaluate_batch
+
+    @cached_property
+    def default_reports(self) -> Dict[str, ExecutionReport]:
+        """Reports under the default heuristic, built on first use.
+
+        The baseline of the balance factor and of the multi-objective
+        ratios.  Running and total fitness never read them, and a cell
+        that recalls every genome from the store reads them not at all.
+        """
+        return {
+            program.name: self.vm.run(program, self.default_params)
             for program in self.programs
         }
-        self._batch_runner = None  # built lazily by evaluate_batch
+
+    def _baseline(self, name: str) -> Optional[ExecutionReport]:
+        """The default report *perf_value* needs for program *name*."""
+        if self.metric is Metric.BALANCE:
+            return self.default_reports[name]
+        return None
 
     # ------------------------------------------------------------------
     def run_all(self, params: InliningParameters) -> List[ExecutionReport]:
@@ -76,7 +90,7 @@ class HeuristicEvaluator:
         for program in self.programs:
             report = self.vm.run(program, params, attach_params=False)
             values.append(
-                perf_value(self.metric, report, self.default_reports[program.name])
+                perf_value(self.metric, report, self._baseline(program.name))
             )
         return geometric_mean(values)
 
@@ -85,19 +99,27 @@ class HeuristicEvaluator:
         return self.fitness_of_params(self.space.decode(genome))
 
     # ------------------------------------------------------------------
-    def _can_batch(self) -> bool:
-        """Whether the generation-batched path computes this instance's
-        exact fitness.
+    @property
+    def plain_fitness(self) -> bool:
+        """Whether this instance computes fitness as defined here.
 
         Subclasses that override the per-genome path (e.g.
-        ``NoisyEvaluator``) automatically fall back to it — the batch
-        layer reproduces :meth:`fitness_of_params` only as defined
-        here.
+        ``NoisyEvaluator``) do not.  Only the plain fitness is what the
+        batch layer reproduces and what the tuner recalls from the
+        store for the default genome.
         """
         cls = type(self)
         return (
             cls.fitness_of_params is HeuristicEvaluator.fitness_of_params
             and cls.__call__ is HeuristicEvaluator.__call__
+        )
+
+    def _can_batch(self) -> bool:
+        """Whether the generation-batched path computes this instance's
+        exact fitness (it reproduces only the plain fitness, and needs
+        the accelerator's caches)."""
+        return (
+            self.plain_fitness
             and getattr(self.vm, "_accelerator", None) is not None
         )
 
@@ -149,7 +171,7 @@ class HeuristicEvaluator:
         fitnesses: List[float] = []
         for row in rows:
             values = [
-                perf_value(self.metric, report, self.default_reports[report.benchmark])
+                perf_value(self.metric, report, self._baseline(report.benchmark))
                 for report in row
             ]
             fitnesses.append(geometric_mean(values))

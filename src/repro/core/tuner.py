@@ -139,6 +139,22 @@ class TunedHeuristic:
         )
 
 
+def _default_fitness(evaluator, store) -> float:
+    """The default heuristic's fitness, recalled when *store* holds it.
+
+    The default genome is every search's first initial genome, so a
+    store-backed run has recorded it, and batch == serial bitwise, so
+    the record has the bits ``evaluator.default_fitness`` would compute
+    with a VM run per training program.  Only the plain fitness path
+    records that value.  :meth:`peek` counts no store hit.
+    """
+    if store is not None and evaluator.plain_fitness:
+        recorded = store.peek(evaluator.space.encode(evaluator.default_params))
+        if recorded is not None:
+            return recorded
+    return evaluator.default_fitness
+
+
 class InliningTuner:
     """Runs the search (GA by default) for tuning tasks."""
 
@@ -259,7 +275,7 @@ class InliningTuner:
             )
             # evaluate before the accelerator is retired below so its
             # counters land in this run's stats snapshot
-            default_fitness = evaluator.default_fitness
+            default_fitness = _default_fitness(evaluator, store)
         finally:
             store_hits = store.hits if store is not None else 0
             if store is not None:
@@ -418,7 +434,7 @@ class InliningTuner:
                 checkpoint_every=checkpoint_every,
                 on_progress=on_generation,
             )
-            default_fitness = evaluator.default_fitness
+            default_fitness = _default_fitness(evaluator, store)
             if name == "mcts":
                 params = evaluator.params
                 fitness = float(result.best_fitness)

@@ -523,21 +523,14 @@ def _run_campaign_impl(
     # from the newest epoch instead of recompiling identical plans.
     # This is purely a throughput optimization — warm-started cells are
     # bitwise-identical to cold ones, and any failure degrades the
-    # campaign to private caches.
-    # With a store tier the archive additionally *persists* under
-    # <tier>/plans, so a future coordinator warm-starts its compiled
-    # plans from disk before the first cell even finishes.
+    # campaign to private caches.  The archive dies with the campaign.
     plan_publisher = None
     if parallel:
         try:
             from repro.perf import planshare
 
             if planshare.plan_sharing_enabled():
-                plan_publisher = planshare.PlanSharePublisher(
-                    persist_dir=os.path.join(store_path, "plans")
-                    if store_path is not None
-                    else None
-                )
+                plan_publisher = planshare.PlanSharePublisher()
         except Exception:
             plan_publisher = None
 

@@ -27,6 +27,13 @@ compiled plan state a campaign-wide resource:
   the same version) and republishes a new epoch for later tasks to
   warm-start from.
 
+The archive lives only as long as its campaign or daemon; nothing is
+written to disk.  A re-run on a filled store tier recalls every genome
+and compiles nothing, so persisted plans would only cost it their load
+and republish.  Tiers written while plans were persisted still carry
+``plans/plan-*.npz`` files, which :meth:`StoreTier.compact
+<repro.perf.storetier.StoreTier.compact>` removes.
+
 Fetched entries are byte-for-byte reconstructions of the versions that
 produced them (see ``MethodPlanCache.export_arrays``), so a
 warm-started worker resolves, propagates, and accounts
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -67,8 +74,6 @@ __all__ = [
     "get_client",
     "clear_client",
     "export_accelerator_plans",
-    "persist_plan_exports",
-    "load_plan_exports",
 ]
 
 _log = logging.getLogger("repro.perf.planshare")
@@ -159,34 +164,16 @@ class PlanSharePublisher:
     region-level dedup (:class:`~repro.perf.plancache.MergedExport`),
     and a republish writes a fresh archive epoch only when the merge
     actually added entries.  A publish failure degrades the publisher
-    permanently (the already-published epoch stays attachable).
-
-    With *persist_dir* the merged exports also live on disk
-    (``plan-*.npz``, atomic writes): the publisher loads whatever a
-    previous coordinator saved before its first publish — so a brand
-    new process warm-starts its campaign's compiled plans from the
-    store tier — and a republish rewrites the files of the keys that
-    changed since they were last saved.  Persistence is best-effort
-    both ways; any failure leaves the in-memory protocol untouched.
+    permanently (the already-published epoch stays attachable).  The
+    merged exports live only as long as the publisher: nothing is
+    written to disk.
     """
 
-    def __init__(
-        self, name: Optional[str] = None, persist_dir: Optional[str] = None
-    ) -> None:
+    def __init__(self, name: Optional[str] = None) -> None:
         self.archive = PlanArchive.create(name)
         self._exports: Dict[str, MergedExport] = {}
         self._dirty = False
-        # keys whose merged export differs from their plan-*.npz file
-        self._unsaved: Set[str] = set()
         self._dead = False
-        self.persist_dir = persist_dir
-        if persist_dir is not None:
-            try:
-                self.merge(load_plan_exports(persist_dir))
-                self._unsaved.clear()  # just read from those very files
-                self.publish_if_dirty()
-            except Exception as exc:  # pragma: no cover - defensive
-                _log.debug("plan persistence preload failed: %s", exc)
 
     @property
     def base(self) -> str:
@@ -207,10 +194,7 @@ class PlanSharePublisher:
                 if held is None:
                     held = MergedExport(int(arrays["n_methods"][0]))
                     self._exports[key] = held
-                fresh = held.merge(arrays)
-                if fresh:
-                    self._unsaved.add(key)
-                    added += fresh
+                added += held.merge(arrays)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -224,9 +208,7 @@ class PlanSharePublisher:
     def publish_if_dirty(self) -> Optional[int]:
         """Republish a new epoch when the merge grew; returns the epoch.
 
-        The held arrays are published as they are.  With *persist_dir*,
-        only the keys that changed since their last save are rewritten;
-        a failed save leaves them marked for the next republish.
+        The held arrays are published as they are.
         """
         if self._dead or not self._dirty:
             return None
@@ -241,15 +223,6 @@ class PlanSharePublisher:
             _log.debug("plan-share publisher degraded on publish: %s", exc)
             return None
         self._dirty = False
-        if self.persist_dir is not None and self._unsaved:
-            try:
-                persist_plan_exports(
-                    self.persist_dir,
-                    {key: self._exports[key].arrays for key in sorted(self._unsaved)},
-                )
-                self._unsaved.clear()
-            except Exception as exc:  # pragma: no cover - full disk etc.
-                _log.debug("plan persistence save failed: %s", exc)
         return epoch
 
     def unlink(self) -> None:
@@ -294,72 +267,6 @@ def clear_client() -> None:
     if _CLIENT is not None:
         _CLIENT.close()
     _CLIENT = None
-
-
-def persist_plan_exports(
-    directory: str, exports: Dict[str, Dict[str, np.ndarray]]
-) -> int:
-    """Save *exports* under *directory* as one ``plan-<hash>.npz`` each.
-
-    The plan key (arbitrary text) travels inside the file as a uint8
-    array; the filename is its hash.  Writes are atomic
-    (temp + ``os.replace``), so readers never see a torn archive, and a
-    failed write removes its temp file.  Returns the number of files
-    written.
-    """
-    import hashlib
-
-    os.makedirs(directory, exist_ok=True)
-    saved = 0
-    for key, arrays in exports.items():
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-        path = os.path.join(directory, f"plan-{digest}.npz")
-        payload = dict(arrays)
-        payload["__key__"] = np.frombuffer(
-            key.encode("utf-8"), dtype=np.uint8
-        ).copy()
-        tmp = path + f".tmp-{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez(handle, **payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        saved += 1
-    return saved
-
-
-def load_plan_exports(directory: str) -> Dict[str, Dict[str, np.ndarray]]:
-    """Inverse of :func:`persist_plan_exports` (missing dir -> empty).
-
-    Unreadable files are skipped: persistence is a warm-start source,
-    never a correctness dependency.
-    """
-    exports: Dict[str, Dict[str, np.ndarray]] = {}
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return exports
-    for name in names:
-        if not (name.startswith("plan-") and name.endswith(".npz")):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            with np.load(path) as data:
-                key = bytes(data["__key__"]).decode("utf-8")
-                exports[key] = {
-                    field: data[field].copy()
-                    for field in data.files
-                    if field != "__key__"
-                }
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            _log.debug("skipped unreadable plan export %s: %s", path, exc)
-    return exports
 
 
 def export_accelerator_plans(accelerator) -> Dict[str, Dict[str, np.ndarray]]:

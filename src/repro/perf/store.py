@@ -218,17 +218,20 @@ class EvaluationStore:
     # ------------------------------------------------------------------
     def get(self, genome: Sequence[int]) -> Optional[float]:
         """Persisted fitness of *genome* in this context, or None."""
-        key = genome if type(genome) is tuple else tuple(int(g) for g in genome)
-        value = self._entries.get(key)
+        value = self.peek(genome)
         if value is None:
             self.misses += 1
         else:
             self.hits += 1
         return value
 
-    def __contains__(self, genome: Sequence[int]) -> bool:
+    def peek(self, genome: Sequence[int]) -> Optional[float]:
+        """:meth:`get` without counting a hit or a miss."""
         key = genome if type(genome) is tuple else tuple(int(g) for g in genome)
-        return key in self._entries
+        return self._entries.get(key)
+
+    def __contains__(self, genome: Sequence[int]) -> bool:
+        return self.peek(genome) is not None
 
     def record(
         self,

@@ -47,8 +47,10 @@ Layout of a tier directory::
                             replay when its bloom excludes the context)
     <root>/packs/*.sqlite   compacted packs (record_key -> record)
     <root>/profiles/*.json  workload profiles, one per context
-    <root>/plans/*.npz      persisted compiled-plan archives
-                            (see :mod:`repro.perf.planshare`)
+
+Tiers written while compiled plans were persisted also hold
+``<root>/plans/plan-*.npz``.  Nothing reads them any more; they open
+and recall as any tier, and :meth:`StoreTier.compact` removes them.
 
 Shard records use the exact line format of the legacy store
 (``{"ctx":…, "genome":…, "fitness":…, "per":…}``), so migrating a
@@ -435,7 +437,6 @@ class StoreTier:
         self.shards_dir = os.path.join(root, "shards")
         self.packs_dir = os.path.join(root, "packs")
         self.profiles_dir = os.path.join(root, "profiles")
-        self.plans_dir = os.path.join(root, "plans")
         os.makedirs(self.shards_dir, exist_ok=True)
         os.makedirs(self.packs_dir, exist_ok=True)
         os.makedirs(self.profiles_dir, exist_ok=True)
@@ -614,7 +615,12 @@ class StoreTier:
         SIGKILL anywhere leaves every record reachable — worst case
         duplicated between the new pack and a not-yet-removed input,
         which load-time dedup collapses.  Returns summary counts.
+
+        Also removes the ``plans/plan-*.npz`` files of tiers written
+        while compiled plans were persisted, then the directory once it
+        is empty, even when there is nothing to fold.
         """
+        self._drop_plan_files()
         injector = get_fault_injector()
         hot = self._hot_shards() if not include_hot else set()
         shards = [s for s in self.shard_files() if s not in hot]
@@ -725,6 +731,23 @@ class StoreTier:
             self.root, len(shards), len(packs), pack_name, len(merged),
         )
         return summary
+
+    def _drop_plan_files(self) -> None:
+        plans_dir = os.path.join(self.root, "plans")
+        try:
+            names = os.listdir(plans_dir)
+        except OSError:
+            return
+        for name in names:
+            if name.startswith("plan-") and ".npz" in name:
+                try:
+                    os.remove(os.path.join(plans_dir, name))
+                except OSError:  # pragma: no cover - already reaped
+                    pass
+        try:
+            os.rmdir(plans_dir)
+        except OSError:
+            pass  # not empty: something other than plans lives there
 
     # -- migration -----------------------------------------------------
     def migrate_legacy(self, legacy_path: str, compact: bool = True) -> int:
@@ -916,17 +939,20 @@ class TierStore:
 
     # -- lookups -------------------------------------------------------
     def get(self, genome: Sequence[int]) -> Optional[float]:
-        key = genome if type(genome) is tuple else tuple(int(g) for g in genome)
-        value = self._entries.get(key)
+        value = self.peek(genome)
         if value is None:
             self.misses += 1
         else:
             self.hits += 1
         return value
 
-    def __contains__(self, genome: Sequence[int]) -> bool:
+    def peek(self, genome: Sequence[int]) -> Optional[float]:
+        """:meth:`get` without counting a hit or a miss."""
         key = genome if type(genome) is tuple else tuple(int(g) for g in genome)
-        return key in self._entries
+        return self._entries.get(key)
+
+    def __contains__(self, genome: Sequence[int]) -> bool:
+        return self.peek(genome) is not None
 
     def per_benchmark(self, genome: Sequence[int]) -> Optional[dict]:
         key = genome if type(genome) is tuple else tuple(int(g) for g in genome)

@@ -201,9 +201,7 @@ class CellScheduler:
             from repro.perf import planshare
 
             if planshare.plan_sharing_enabled():
-                self._plan_publisher = planshare.PlanSharePublisher(
-                    persist_dir=os.path.join(self.store_path, "plans")
-                )
+                self._plan_publisher = planshare.PlanSharePublisher()
         except Exception:
             self._plan_publisher = None
         self._record_segments()

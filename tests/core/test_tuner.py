@@ -7,6 +7,7 @@ import pytest
 from helpers import chain_program, diamond_program, make_program
 
 from repro.arch import PENTIUM4
+from repro.core.evaluation import HeuristicEvaluator, MultiObjectiveEvaluator
 from repro.core.metrics import Metric
 from repro.core.tuner import (
     DEFAULT_GA_CONFIG,
@@ -14,6 +15,7 @@ from repro.core.tuner import (
     TunedHeuristic,
     TuningTask,
 )
+from repro.experiments.extensions import NoisyEvaluator
 from repro.ga.engine import GAConfig
 from repro.jvm.inlining import JIKES_DEFAULT_PARAMETERS
 from repro.jvm.scenario import OPTIMIZING
@@ -164,6 +166,88 @@ class TestStrategies:
         ]
         assert results[0].params == results[1].params
         assert results[0].fitness == results[1].fitness
+
+
+class TestRecalledRun:
+    """A re-run on a filled store tier recalls its answers and runs no
+    VM, not even for the default heuristic's fitness."""
+
+    @pytest.fixture
+    def balance_task(self):
+        # balance is the metric that reads the default reports
+        return TuningTask(
+            name="unit", scenario=OPTIMIZING, machine=PENTIUM4,
+            metric=Metric.BALANCE,
+        )
+
+    # The bandit's budget caps *new* simulations, so on a warm store it
+    # searches on past the first run's stopping point.  At budget 6 its
+    # first cohort has 3 arms and halving to one survivor ends the
+    # search, so the re-run repeats the first run.
+    @pytest.mark.parametrize(
+        "name, budget", [("ga", None), ("cmaes", 24), ("bandit", 6)]
+    )
+    def test_rerun_makes_no_vm_run(
+        self, balance_task, programs, tmp_path, name, budget
+    ):
+        tier = str(tmp_path / "evals.tier")
+
+        def tune():
+            tuner = InliningTuner(
+                TINY_GA, store_path=tier, strategy=name, strategy_budget=budget
+            )
+            return tuner.tune(balance_task, programs), tuner
+
+        first, _ = tune()
+        second, tuner = tune()
+        assert tuner.last_accelerator_stats["runs"] == 0
+        assert second.evaluations == 0
+        # the default genome's recall is a peek: it counts no hit
+        assert second.store_hits == first.evaluations
+        assert second.params == first.params
+        assert second.fitness.hex() == first.fitness.hex()
+        assert second.generations_run == first.generations_run
+        assert second.default_fitness.hex() == first.default_fitness.hex()
+        fresh = HeuristicEvaluator(
+            programs, PENTIUM4, OPTIMIZING, Metric.BALANCE
+        ).default_fitness
+        assert first.default_fitness.hex() == fresh.hex()
+
+    def test_noisy_evaluator_recomputes_the_default(
+        self, balance_task, programs, tmp_path
+    ):
+        """A plain run's record of the default genome is not the noisy
+        evaluator's value (the store context does not name the
+        evaluator), so a noisy run computes its own."""
+        tier = str(tmp_path / "evals.tier")
+        plain = InliningTuner(TINY_GA, store_path=tier).tune(
+            balance_task, programs
+        )
+
+        def factory(**kwargs):
+            return NoisyEvaluator(noise_sd=0.05, **kwargs)
+
+        noisy = InliningTuner(
+            TINY_GA, store_path=tier, evaluator_factory=factory
+        ).tune(balance_task, programs)
+        fresh = NoisyEvaluator(
+            programs=programs, machine=PENTIUM4, scenario=OPTIMIZING,
+            metric=Metric.BALANCE, noise_sd=0.05,
+        ).default_fitness
+        assert noisy.default_fitness == fresh
+        assert noisy.default_fitness != plain.default_fitness
+
+    def test_pareto_reports_the_evaluators_default(
+        self, balance_task, programs, tmp_path
+    ):
+        tuned = InliningTuner(
+            TINY_GA, store_path=str(tmp_path / "evals.tier"),
+            strategy="pareto", strategy_budget=24,
+        ).tune(balance_task, programs)
+        fresh = MultiObjectiveEvaluator(
+            programs, PENTIUM4, OPTIMIZING, Metric.BALANCE
+        ).default_fitness
+        assert tuned.default_fitness == fresh
 
 
 class TestTaskStr:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import glob
-import hashlib
 import multiprocessing
 import os
 import signal
@@ -145,10 +144,6 @@ def _report_bits(report):
     )
 
 
-def _plan_file(key):
-    return f"plan-{hashlib.sha256(key.encode('utf-8')).hexdigest()[:16]}.npz"
-
-
 class TestExportRoundtrip:
     def test_arrays_reconstruct_identical_cache(self):
         """export_arrays -> load_arrays is lossless: the rebuilt cache
@@ -236,64 +231,6 @@ class TestArrayMerge:
             assert publisher.archive.epoch == 1
         finally:
             publisher.unlink()
-
-
-class TestPersistence:
-    def test_publish_rewrites_only_changed_keys(self, tmp_path):
-        a = _populated_cache(seed=3).export_arrays()
-        b = _populated_cache(seed=4).export_arrays()
-        directory = str(tmp_path)
-
-        def inodes():
-            return {
-                name: os.stat(tmp_path / name).st_ino for name in os.listdir(tmp_path)
-            }
-
-        publisher = planshare.PlanSharePublisher(persist_dir=directory)
-        try:
-            publisher.merge({"ka": a, "kb": _first_rows(b, len(b["lo"]) // 2)})
-            assert publisher.publish_if_dirty() == 1
-            before = inodes()
-            assert set(before) == {_plan_file("ka"), _plan_file("kb")}
-            assert publisher.merge({"ka": a, "kb": b}) > 0
-            assert publisher.publish_if_dirty() == 2
-            after = inodes()
-            assert set(after) == set(before)
-            assert after[_plan_file("ka")] == before[_plan_file("ka")]
-            assert after[_plan_file("kb")] != before[_plan_file("kb")]
-            held = {key: e.arrays for key, e in publisher._exports.items()}
-        finally:
-            publisher.unlink()
-        # a restarted coordinator loads the files and rewrites none
-        restarted = planshare.PlanSharePublisher(persist_dir=directory)
-        try:
-            assert restarted.archive.epoch == 1
-            assert inodes() == after
-        finally:
-            restarted.unlink()
-        loaded = planshare.load_plan_exports(directory)
-        assert set(loaded) == {"ka", "kb"}
-        for key, arrays in loaded.items():
-            _assert_exports_identical(arrays, held[key])
-
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        """A save that fails (full disk, say) removes its temp file, so
-        the directory holds only complete plan-*.npz files."""
-        a = _populated_cache().export_arrays()
-        directory = str(tmp_path)
-        assert planshare.persist_plan_exports(directory, {"ka": a}) == 1
-
-        def refuse(src, dst):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(planshare.os, "replace", refuse)
-        with pytest.raises(OSError):
-            planshare.persist_plan_exports(directory, {"kb": a})
-        monkeypatch.undo()
-        assert os.listdir(directory) == [_plan_file("ka")]
-        loaded = planshare.load_plan_exports(directory)
-        assert set(loaded) == {"ka"}
-        _assert_exports_identical(loaded["ka"], a)
 
 
 class TestEpochProtocol:

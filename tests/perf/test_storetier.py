@@ -297,6 +297,47 @@ class TestCompaction:
         entries, _extras, _repairs = tier.load_context("ctx-0")
         assert entries == expected["ctx-0"]
 
+    @staticmethod
+    def _add_plan_file(root):
+        """A stub of the compiled-plan archives older tiers carry."""
+        plans = os.path.join(root, "plans")
+        os.makedirs(plans)
+        with open(os.path.join(plans, "plan-x.npz"), "wb") as handle:
+            handle.write(b"stub")
+        return plans
+
+    def test_old_plan_files_leave_recall_bitwise(self, tmp_path):
+        root = str(tmp_path / "tier")
+        expected = self._fill(root)
+        plans = self._add_plan_file(root)
+        for context, records in expected.items():
+            with TierStore(root, context=context) as store:
+                for genome, fitness in records.items():
+                    assert store.get(genome).hex() == fitness.hex()
+        assert os.listdir(plans) == ["plan-x.npz"]
+
+    def test_compaction_reclaims_old_plan_files(self, tmp_path):
+        root = str(tmp_path / "tier")
+        expected = self._fill(root)
+        plans = self._add_plan_file(root)
+        tier = StoreTier(root)
+        tier.compact()
+        assert not os.path.exists(plans)
+        for context, records in expected.items():
+            entries, _extras, _repairs = tier.load_context(context)
+            assert entries == records
+
+    def test_compaction_with_nothing_to_fold_reclaims_plan_files(
+        self, tmp_path
+    ):
+        root = str(tmp_path / "tier")
+        self._fill(root)
+        tier = StoreTier(root)
+        tier.compact()
+        plans = self._add_plan_file(root)
+        assert tier.compact()["records"] == 0
+        assert not os.path.exists(plans)
+
     def test_hot_shard_is_skipped_until_its_writer_closes(self, tmp_path):
         root = str(tmp_path / "tier")
         tier = StoreTier(root)

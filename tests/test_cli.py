@@ -124,7 +124,9 @@ class TestCampaignCommand:
         assert os.path.exists(os.path.join(tier, "tier.json"))
         capsys.readouterr()
         assert main(argv) == 0  # the re-run answers everything from the tier
-        assert "; 0 simulations, 0 new store records" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "; 0 simulations, 0 new store records" in out
+        assert "accel    : 0 VM runs," in out
 
     def test_unknown_machine_is_clean_error(self, capsys):
         assert main(["campaign", "--machines", "itanium", "--serial"]) == 2
