@@ -25,7 +25,7 @@ from repro.jvm.runtime import ExecutionReport, VirtualMachine
 from repro.jvm.scenario import CompilationScenario
 from repro.telemetry import emit as telemetry_emit
 
-__all__ = ["HeuristicEvaluator", "MultiObjectiveEvaluator", "AdviceEvaluator"]
+__all__ = ["HeuristicEvaluator"]
 
 _log = logging.getLogger("repro.core.evaluation")
 
@@ -58,9 +58,9 @@ class HeuristicEvaluator:
     def default_reports(self) -> Dict[str, ExecutionReport]:
         """Reports under the default heuristic, built on first use.
 
-        The baseline of the balance factor and of the multi-objective
-        ratios.  Running and total fitness never read them, and a cell
-        that recalls every genome from the store reads them not at all.
+        The baseline of the balance factor.  Running and total fitness
+        never read them, and a cell that recalls every genome from the
+        store reads them not at all.
         """
         return {
             program.name: self.vm.run(program, self.default_params)
@@ -190,111 +190,3 @@ class HeuristicEvaluator:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.__dict__.setdefault("_batch_runner", None)
-
-
-class MultiObjectiveEvaluator(HeuristicEvaluator):
-    """Genome -> (run, compile, code size) ratio triple, all minimized.
-
-    Each component is the geometric mean over the training programs of
-    the raw quantity relative to the default heuristic's run: steady
-    state running time, compilation time, and installed code size.  1.0
-    everywhere is the default heuristic; the Pareto strategy trades the
-    three off instead of collapsing them into one ``Perf`` scalar.
-    """
-
-    def objectives_of_params(
-        self, params: InliningParameters
-    ) -> Tuple[float, float, float]:
-        """The (run, compile, size) ratio triple for *params*."""
-        run_ratios: List[float] = []
-        compile_ratios: List[float] = []
-        size_ratios: List[float] = []
-        for program in self.programs:
-            report = self.vm.run(program, params, attach_params=False)
-            default = self.default_reports[program.name]
-            run_ratios.append(report.running_cycles / default.running_cycles)
-            compile_ratios.append(report.compile_cycles / default.compile_cycles)
-            size_ratios.append(
-                report.installed_code_size / default.installed_code_size
-            )
-        return (
-            geometric_mean(run_ratios),
-            geometric_mean(compile_ratios),
-            geometric_mean(size_ratios),
-        )
-
-    def __call__(self, genome: Sequence[int]) -> Tuple[float, float, float]:
-        return self.objectives_of_params(self.space.decode(genome))
-
-    def evaluate_batch(
-        self, genomes: Sequence[Sequence[int]]
-    ) -> List[Tuple[float, float, float]]:
-        # The generation-batched kernel computes the scalar Perf
-        # pipeline only; per-genome runs still hit the accelerator's
-        # plan and report caches, so the serial path stays fast.
-        return [self(genome) for genome in genomes]
-
-
-class AdviceEvaluator:
-    """Fitness of a forced inline-decision prefix (MCTS genomes).
-
-    A genome here is a 0/1 vector consumed by
-    :class:`~repro.jvm.inlining.InlineAdvice`: one cursor is threaded
-    through all training programs in order, forcing the first N inline
-    decisions the compiler makes and letting the heuristic (under
-    ``params``, by default the compiler default) decide the rest.  The
-    heuristic tail makes the value a pure function of the prefix, so
-    the fitness cache applies.
-
-    Advised plans carry no parameter region, so the VM is built without
-    memoization and every run takes the reference path — advice must
-    never poison the parameter-keyed plan caches.
-    """
-
-    def __init__(
-        self,
-        programs: Sequence[Program],
-        machine: MachineModel,
-        scenario: CompilationScenario,
-        metric: Metric,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        params: InliningParameters = JIKES_DEFAULT_PARAMETERS,
-    ) -> None:
-        if not programs:
-            raise TuningError("evaluator needs at least one training program")
-        self.programs: Tuple[Program, ...] = tuple(programs)
-        self.machine = machine
-        self.scenario = scenario
-        self.metric = metric
-        self.params = params
-        self.vm = VirtualMachine(machine, scenario, cost_model, memoize=False)
-        self.default_reports: Dict[str, ExecutionReport] = {
-            program.name: self.vm.run(program, params)
-            for program in self.programs
-        }
-
-    def __call__(self, genome: Sequence[int]) -> float:
-        from repro.jvm.inlining import InlineAdvice
-
-        advice = InlineAdvice(genome)
-        values = []
-        for program in self.programs:
-            report = self.vm.run_advised(program, self.params, advice)
-            values.append(
-                perf_value(self.metric, report, self.default_reports[program.name])
-            )
-        return geometric_mean(values)
-
-    def decisions_taken(self, genome: Sequence[int]) -> Tuple[int, ...]:
-        """The full decision vector a prefix leads to (diagnostics)."""
-        from repro.jvm.inlining import InlineAdvice
-
-        advice = InlineAdvice(genome)
-        for program in self.programs:
-            self.vm.run_advised(program, self.params, advice)
-        return tuple(advice.taken)
-
-    @property
-    def default_fitness(self) -> float:
-        """Fitness of the empty prefix (pure heuristic; 1.0-ish)."""
-        return self(())

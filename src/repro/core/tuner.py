@@ -9,9 +9,10 @@ configuration (paper §3: the search happens once, off-line; there is no
 runtime component).
 
 The compiler's default parameters are injected into the initial
-population, so on the *training* fitness the tuned result can never be
-worse than the default — mirroring how the paper's search starts from a
-space that contains the hand-tuned point.
+population (the first batch of ``cmaes`` and ``bandit`` too), so on the
+*training* fitness the tuned result can never be worse than the
+default — mirroring how the paper's search starts from a space that
+contains the hand-tuned point.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ from repro.core.evaluation import HeuristicEvaluator
 from repro.core.metrics import Metric
 from repro.core.parameters import TABLE1_SPACE, ParameterSpace
 from repro.errors import TuningError
-from repro.ga.engine import GAConfig, GAEngine
+from repro.ga.engine import GAConfig
 from repro.ga.statistics import GenerationStats
 from repro.jvm.callgraph import Program
 from repro.jvm.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.jvm.inlining import JIKES_DEFAULT_PARAMETERS, InliningParameters
 from repro.jvm.scenario import CompilationScenario
+from repro.search.base import SearchStrategy
+from repro.search.driver import run_search
+from repro.search.ga import GAStrategy
+from repro.search.registry import STRATEGY_NAMES, strategy_class
 
 __all__ = ["TuningTask", "TunedHeuristic", "InliningTuner", "DEFAULT_GA_CONFIG"]
 
@@ -71,8 +76,8 @@ class TunedHeuristic:
 
     ``strategy`` names the search that produced it (``"ga"`` unless the
     tuner was configured otherwise); ``detail`` carries
-    strategy-specific extras — the Pareto front, the MCTS decision
-    prefix — and is omitted from JSON when empty.
+    strategy-specific extras — the bandit's rounds and cohort size,
+    CMA-ES's final step size — and is omitted from JSON when empty.
     """
 
     task_name: str
@@ -169,16 +174,13 @@ class InliningTuner:
         strategy: str = "ga",
         strategy_budget: Optional[int] = None,
     ) -> None:
-        from repro.search.registry import STRATEGY_NAMES
-
         if strategy not in STRATEGY_NAMES:
             raise TuningError(
                 f"unknown search strategy {strategy!r}; expected one of "
                 f"{', '.join(STRATEGY_NAMES)}"
             )
-        #: which search proposes genomes.  ``"ga"`` is the default and
-        #: runs the exact historical engine path; the others go through
-        #: :func:`repro.search.driver.run_search`.
+        #: which search proposes genomes (a registry name).  ``"ga"`` is
+        #: the default, the paper's search.
         self.strategy = strategy
         #: evaluation budget for the non-GA strategies; defaults to the
         #: GA's population x generations so convergence comparisons are
@@ -221,24 +223,13 @@ class InliningTuner:
     ) -> TunedHeuristic:
         """Tune the heuristic for *task* over *training_programs*.
 
-        ``checkpoint_path`` makes the run resumable: engine state is
+        ``checkpoint_path`` makes the run resumable: search state is
         persisted there atomically every ``checkpoint_every``
-        generations, and a run finding an existing checkpoint at that
-        path resumes from its last saved generation instead of starting
-        over (the campaign runner uses this for ``--resume``).
-
-        With a non-default :attr:`strategy` the search runs through the
-        strategy driver instead of the GA engine; the GA path below is
-        byte-for-byte the historical one.
+        iterations (GA generations), and a run finding an existing
+        checkpoint at that path resumes from it through the strategy's
+        ``restore_from`` instead of starting over (the campaign runner
+        uses this for ``--resume``).
         """
-        if self.strategy != "ga":
-            return self._tune_with_strategy(
-                task,
-                training_programs,
-                on_generation=on_generation,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-            )
         evaluator = self._evaluator_factory(
             programs=training_programs,
             machine=task.machine,
@@ -247,31 +238,20 @@ class InliningTuner:
             space=self.space,
             cost_model=self.cost_model,
         )
-        config = self.ga_config.scaled(
-            seed=task.seed, rng_key=f"tuner:{task.name}"
-        )
         store = self._open_store(task, training_programs)
-        engine = GAEngine(self.space.to_ga_space(), config, store=store)
-
-        seeds = self._warm_start_seeds(task, training_programs, store)
-
-        resume_from = None
-        if checkpoint_path is not None and os.path.exists(checkpoint_path):
-            from repro.ga.checkpoint import load_checkpoint
-
-            resume_from = load_checkpoint(checkpoint_path)
+        strategy = self._build_strategy(task, training_programs, store)
 
         start = time.perf_counter()
         try:
-            result = engine.run(
+            if checkpoint_path is not None and os.path.exists(checkpoint_path):
+                strategy.restore_from(checkpoint_path)
+            result = run_search(
+                strategy,
                 evaluator,
-                on_generation=on_generation,
-                initial_genomes=(
-                    [self.space.encode(JIKES_DEFAULT_PARAMETERS)] + seeds
-                ),
+                store=store,
                 checkpoint_path=checkpoint_path,
                 checkpoint_every=checkpoint_every,
-                resume_from=resume_from,
+                on_progress=on_generation,
             )
             # evaluate before the accelerator is retired below so its
             # counters land in this run's stats snapshot
@@ -301,7 +281,6 @@ class InliningTuner:
                         )
                     except Exception:
                         self.last_plan_exports = None
-            if accelerator is not None:
                 # this run's accelerator is done: fold its counters into
                 # the process totals and drop it from live aggregation,
                 # so per-task attribution never re-counts dead
@@ -317,184 +296,40 @@ class InliningTuner:
             params=self.space.decode(result.best_genome),
             fitness=result.best_fitness,
             default_fitness=default_fitness,
-            generations_run=result.generations_run,
-            evaluations=result.evaluations,
-            wall_seconds=wall,
-            store_hits=store_hits,
-            history=result.history,
-        )
-
-    def _tune_with_strategy(
-        self,
-        task: TuningTask,
-        training_programs: Sequence[Program],
-        on_generation=None,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 1,
-    ) -> TunedHeuristic:
-        """Run a non-GA strategy through the search driver.
-
-        Strategy-specific wiring:
-
-        * ``cmaes`` / ``bandit`` search the same 5-parameter space with
-          the same scalar evaluator and share the evaluation store.
-        * ``pareto`` uses the multi-objective evaluator and runs
-          storeless — the store tiers are scalar-only by schema.
-        * ``mcts`` searches inline-decision prefixes with the advice
-          evaluator and runs storeless — a 0/1 decision vector must
-          never collide with a parameter genome under the same store
-          context.
-        """
-        from repro.search.driver import run_search
-
-        cfg = self.ga_config
-        name = self.strategy
-        budget = self.strategy_budget or cfg.population_size * cfg.generations
-        ga_space = self.space.to_ga_space()
-        rng_key = f"tuner:{task.name}:{name}"
-        default_genome = self.space.encode(JIKES_DEFAULT_PARAMETERS)
-        store = None
-
-        if name == "mcts":
-            from repro.core.evaluation import AdviceEvaluator
-            from repro.search.mcts import InlineMCTSStrategy
-
-            evaluator = AdviceEvaluator(
-                programs=training_programs,
-                machine=task.machine,
-                scenario=task.scenario,
-                metric=task.metric,
-                cost_model=self.cost_model,
-            )
-            strategy = InlineMCTSStrategy(
-                budget=budget, seed=task.seed, rng_key=rng_key
-            )
-        elif name == "pareto":
-            from repro.core.evaluation import MultiObjectiveEvaluator
-            from repro.search.pareto import ParetoStrategy
-
-            evaluator = MultiObjectiveEvaluator(
-                programs=training_programs,
-                machine=task.machine,
-                scenario=task.scenario,
-                metric=task.metric,
-                space=self.space,
-                cost_model=self.cost_model,
-            )
-            strategy = ParetoStrategy(
-                ga_space,
-                population_size=cfg.population_size,
-                generations=max(1, budget // cfg.population_size),
-                crossover_rate=cfg.crossover_rate,
-                seed=task.seed,
-                rng_key=rng_key,
-                initial_genomes=[default_genome],
-            )
-        else:
-            evaluator = self._evaluator_factory(
-                programs=training_programs,
-                machine=task.machine,
-                scenario=task.scenario,
-                metric=task.metric,
-                space=self.space,
-                cost_model=self.cost_model,
-            )
-            store = self._open_store(task, training_programs)
-            if name == "cmaes":
-                from repro.search.cmaes import CMAESStrategy
-
-                strategy = CMAESStrategy(
-                    ga_space,
-                    budget=budget,
-                    seed=task.seed,
-                    rng_key=rng_key,
-                    initial_genomes=[default_genome],
-                )
-            else:  # bandit
-                from repro.search.bandit import BanditHalvingStrategy
-
-                strategy = BanditHalvingStrategy(
-                    ga_space,
-                    budget=budget,
-                    seed=task.seed,
-                    rng_key=rng_key,
-                    initial_genomes=[default_genome],
-                )
-
-        if checkpoint_path is not None and os.path.exists(checkpoint_path):
-            strategy.restore_from(checkpoint_path)
-
-        start = time.perf_counter()
-        try:
-            result = run_search(
-                strategy,
-                evaluator,
-                store=store,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                on_progress=on_generation,
-            )
-            default_fitness = _default_fitness(evaluator, store)
-            if name == "mcts":
-                params = evaluator.params
-                fitness = float(result.best_fitness)
-                detail = dict(result.detail or {})
-                detail["decisions"] = list(result.best_genome)
-            elif name == "pareto":
-                params = self.space.decode(result.best_genome)
-                # The front trades objectives off; the scalar Perf of
-                # the knee point keeps the result comparable to the
-                # other strategies (and `improvement` meaningful).
-                fitness = evaluator.fitness_of_params(params)
-                detail = dict(result.detail or {})
-                detail["objectives"] = list(result.best.fitness)
-                detail["front"] = [
-                    [list(genome), list(obj)] for genome, obj in result.front
-                ]
-            else:
-                params = self.space.decode(result.best_genome)
-                fitness = float(result.best_fitness)
-                detail = result.detail
-        finally:
-            store_hits = store.hits if store is not None else 0
-            if store is not None:
-                store.close()
-            self.last_store = store
-            accelerator = getattr(evaluator, "vm", None)
-            accelerator = getattr(accelerator, "_accelerator", None)
-            self.last_accelerator_stats = (
-                accelerator.stats.as_dict() if accelerator is not None else None
-            )
-            self.last_plan_exports = None
-            if accelerator is not None:
-                from repro.perf import planshare
-
-                if planshare.get_client() is not None:
-                    try:
-                        self.last_plan_exports = (
-                            planshare.export_accelerator_plans(accelerator)
-                            or None
-                        )
-                    except Exception:
-                        self.last_plan_exports = None
-                accelerator.retire()
-        wall = time.perf_counter() - start
-
-        return TunedHeuristic(
-            task_name=task.name,
-            scenario_name=task.scenario.name,
-            machine_name=task.machine.name,
-            metric=task.metric,
-            params=params,
-            fitness=fitness,
-            default_fitness=default_fitness,
             generations_run=result.iterations,
             evaluations=result.evaluations,
             wall_seconds=wall,
             store_hits=store_hits,
             history=result.history,
-            strategy=name,
-            detail=detail,
+            strategy=self.strategy,
+            detail=result.detail,
+        )
+
+    def _build_strategy(
+        self, task: TuningTask, programs: Sequence[Program], store
+    ) -> SearchStrategy:
+        """The :attr:`strategy` search for *task*, seeded with the
+        default heuristic.
+
+        The GA runs :attr:`ga_config` under the task's seed, with the
+        opt-in neighbour seeds; ``cmaes`` and ``bandit`` spend
+        :attr:`strategy_budget` evaluations.
+        """
+        ga_space = self.space.to_ga_space()
+        seeds = [self.space.encode(JIKES_DEFAULT_PARAMETERS)]
+        if self.strategy == "ga":
+            config = self.ga_config.scaled(
+                seed=task.seed, rng_key=f"tuner:{task.name}"
+            )
+            seeds += self._warm_start_seeds(task, programs, store)
+            return GAStrategy(ga_space, config, initial_genomes=seeds)
+        cfg = self.ga_config
+        return strategy_class(self.strategy)(
+            ga_space,
+            budget=self.strategy_budget or cfg.population_size * cfg.generations,
+            seed=task.seed,
+            rng_key=f"tuner:{task.name}:{self.strategy}",
+            initial_genomes=seeds,
         )
 
     def _open_store(self, task: TuningTask, programs: Sequence[Program]):

@@ -374,10 +374,11 @@ def run_campaign(
 
     *strategy* selects the search every cell runs (CLI: ``repro
     campaign --strategy``): ``ga`` (default, the paper's search),
-    ``mcts``, ``cmaes``, ``bandit`` or ``pareto`` — see
-    ``docs/SEARCH.md``.  Non-GA strategies join the campaign
-    fingerprint, so a manifest written by one strategy cannot silently
-    resume under another.
+    ``cmaes`` or ``bandit`` — see ``docs/SEARCH.md``; any other name
+    raises :class:`~repro.errors.ConfigurationError`.  Non-GA
+    strategies join the campaign fingerprint, so a manifest written by
+    one strategy (a deleted one included) cannot silently resume under
+    another.
 
     *store_path* names the shared evaluation-store tier
     (:mod:`repro.perf.storetier`), created when missing: workers append

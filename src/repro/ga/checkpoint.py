@@ -30,17 +30,9 @@ from repro.ga.individual import Individual
 __all__ = ["save_checkpoint", "load_checkpoint", "Checkpoint"]
 
 _FORMAT_VERSION = 2
-#: format written when any fitness is an objective vector (Pareto
-#: search).  Scalar-only checkpoints keep writing v2 so their bytes
-#: stay identical to every earlier release.
-_VECTOR_VERSION = 3
 #: versions load_checkpoint still reads (v1 lacks rng_state/stale —
 #: resume then restarts the generator stream, documented best-effort)
-_READABLE_VERSIONS = (1, 2, 3)
-
-
-def _is_vector(value) -> bool:
-    return isinstance(value, (tuple, list))
+_READABLE_VERSIONS = (1, 2)
 
 
 class Checkpoint:
@@ -92,13 +84,8 @@ def save_checkpoint(
     fails before the rename, so no partial state ever becomes visible
     at *path* and no orphan temp files accumulate.
     """
-    has_vectors = any(_is_vector(ind.fitness) for ind in population)
-    if best is not None and _is_vector(best.fitness):
-        has_vectors = True
-    if not has_vectors and cache is not None:
-        has_vectors = any(_is_vector(value) for _, value in cache.items())
     payload: Dict[str, Any] = {
-        "version": _VECTOR_VERSION if has_vectors else _FORMAT_VERSION,
+        "version": _FORMAT_VERSION,
         "generation": int(generation),
         "population": [
             {"genome": list(ind.genome), "fitness": ind.fitness}
@@ -142,28 +129,19 @@ def load_checkpoint(path: str) -> Checkpoint:
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}") from exc
 
+    if isinstance(payload, dict) and payload.get("format") == "strategy-checkpoint":
+        raise CheckpointError(
+            f"checkpoint {path!r} was written by strategy "
+            f"{payload.get('strategy')!r}, cannot resume a 'ga' search from it"
+        )
     if not isinstance(payload, dict) or payload.get("version") not in _READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint {path!r} has unsupported format "
             f"(version={payload.get('version') if isinstance(payload, dict) else '?'})"
         )
-    version = payload.get("version")
 
-    def _fitness_in(value, coerce: bool = False):
-        # Vector fitnesses are only legal under the v3 format: a v1/v2
-        # file carrying one is malformed and must be rejected rather
-        # than silently truncated to a scalar.
-        if _is_vector(value):
-            if version != _VECTOR_VERSION:
-                raise CheckpointError(
-                    f"checkpoint {path!r} declares format v{version} but "
-                    f"holds vector fitness {value!r}; multi-objective "
-                    f"checkpoints require format v{_VECTOR_VERSION}"
-                )
-            return tuple(float(v) for v in value)
-        if value is None or not coerce:
-            return value
-        return float(value)
+    def _fitness_in(value):
+        return None if value is None else float(value)
 
     try:
         population = [
@@ -177,7 +155,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             else None
         )
         cache_entries = {
-            tuple(int(g) for g in genome): _fitness_in(value, coerce=True)
+            tuple(int(g) for g in genome): float(value)
             for genome, value in payload.get("cache", [])
         }
         return Checkpoint(

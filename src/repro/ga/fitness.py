@@ -4,7 +4,9 @@ Evaluating one genome means running every training benchmark through
 the VM — by far the dominant cost of a tuning run — and the GA revisits
 genomes constantly (elites, converged populations).  The cache makes
 revisits free while keeping an honest count of true evaluations, which
-the statistics and the search-ablation bench report.
+the statistics and the search-ablation bench report.  A fitness is
+one finite float (every value passes through ``float()``; NaN and
+infinities are refused).
 
 The in-memory cache can be backed by a persistent
 :class:`repro.perf.store.EvaluationStore`: lookups missing in memory
@@ -16,26 +18,13 @@ unchanged re-records).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import GAError
 
-__all__ = ["FitnessCache", "Fitness", "coerce_fitness"]
+__all__ = ["FitnessCache"]
 
 Genome = Tuple[int, ...]
-#: scalar fitness (the paper's setup) or an objective vector (Pareto
-#: search over run time / compile time / code size)
-Fitness = Union[float, Tuple[float, ...]]
-
-
-def coerce_fitness(value) -> Fitness:
-    """Canonical fitness: ``float`` for scalars, tuple of floats for
-    objective vectors.  Scalars keep the exact ``float(value)``
-    conversion the cache always applied, so legacy behavior is
-    bitwise-unchanged."""
-    if isinstance(value, (tuple, list)):
-        return tuple(float(v) for v in value)
-    return float(value)
 
 
 class FitnessCache:
@@ -103,7 +92,7 @@ class FitnessCache:
             self.hits += 1
             return stored
         self.misses += 1
-        value = coerce_fitness(self.function(key))
+        value = float(self.function(key))
         self._check(key, value)
         self._store[key] = value
         if self.store is not None:
@@ -116,18 +105,16 @@ class FitnessCache:
         when one is attached (no-op there if already stored unchanged).
         """
         key = self._key(genome)
-        value = coerce_fitness(value)
+        value = float(value)
         self._check(key, value)
         self._store[key] = value
         if self.store is not None:
             self.store.record(key, value)
 
     @staticmethod
-    def _check(key: Genome, value: Fitness) -> None:
-        components = value if isinstance(value, tuple) else (value,)
-        for component in components:
-            if component != component or component in (float("inf"), float("-inf")):
-                raise GAError(f"non-finite fitness {value!r} for genome {list(key)}")
+    def _check(key: Genome, value: float) -> None:
+        if value != value or value in (float("inf"), float("-inf")):
+            raise GAError(f"non-finite fitness {value!r} for genome {list(key)}")
 
     @property
     def size(self) -> int:

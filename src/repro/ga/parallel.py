@@ -27,9 +27,7 @@ class SerialEvaluator:
 
     def map(self, function: FitnessFn, genomes: Sequence[Genome]) -> List[float]:
         """Apply *function* to every genome, preserving order."""
-        from repro.ga.fitness import coerce_fitness
-
-        return [coerce_fitness(function(g)) for g in genomes]
+        return [float(function(g)) for g in genomes]
 
     def close(self) -> None:
         """No resources to release."""
@@ -48,17 +46,11 @@ class BatchEvaluator:
     """
 
     def map(self, function: FitnessFn, genomes: Sequence[Genome]) -> List[float]:
-        """Apply *function* to every genome, preserving order.
-
-        Values pass through :func:`repro.ga.fitness.coerce_fitness`, so
-        multi-objective functions returning tuples work here.
-        """
-        from repro.ga.fitness import coerce_fitness
-
+        """Apply *function* to every genome, preserving order."""
         batch = getattr(function, "evaluate_batch", None)
         if batch is not None:
-            return [coerce_fitness(v) for v in batch(list(genomes))]
-        return [coerce_fitness(function(g)) for g in genomes]
+            return [float(v) for v in batch(list(genomes))]
+        return [float(function(g)) for g in genomes]
 
     def close(self) -> None:
         """No resources to release."""

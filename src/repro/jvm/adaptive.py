@@ -208,16 +208,8 @@ class AdaptiveOptimizationSystem:
             promotions=tuple(promotions),
         )
 
-    def run(
-        self, program: Program, params: InliningParameters, advice=None
-    ) -> AdaptiveResult:
-        """Execute the full adaptive episode for *program* under *params*.
-
-        *advice* (an :class:`~repro.jvm.inlining.InlineAdvice`) overrides
-        per-site inline decisions of the promoted compilations, in
-        promotion order — the baseline compiles are inlining-independent
-        and consume none of it.
-        """
+    def run(self, program: Program, params: InliningParameters) -> AdaptiveResult:
+        """Execute the full adaptive episode for *program* under *params*."""
         plan = self.plan_promotions(program)
         compile_cycles = plan.baseline_compile_cycles
 
@@ -231,7 +223,6 @@ class AdaptiveOptimizationSystem:
                 level=level,
                 hot_sites=plan.hot_sites,
                 use_hot_heuristic=self.scenario.uses_hot_callsite_heuristic,
-                advice=advice,
             )
             final_versions[mid] = version
             promoted[mid] = level

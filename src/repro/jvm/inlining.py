@@ -41,7 +41,6 @@ __all__ = [
     "JIKES_DEFAULT_PARAMETERS",
     "NO_INLINING",
     "InlineDecision",
-    "InlineAdvice",
     "optimizing_heuristic",
     "hot_callsite_heuristic",
     "InlinedBody",
@@ -140,12 +139,10 @@ class InlineDecision(enum.Enum):
     YES_ALWAYS = "yes: callee below ALWAYS_INLINE_SIZE"
     YES_PASSED_ALL = "yes: passed all tests"
     YES_HOT = "yes: hot call site below HOT_CALLEE_MAX_SIZE"
-    YES_ADVISED = "yes: forced by external advice"
     NO_CALLEE_TOO_BIG = "no: callee exceeds CALLEE_MAX_SIZE"
     NO_TOO_DEEP = "no: depth exceeds MAX_INLINE_DEPTH"
     NO_CALLER_TOO_BIG = "no: caller exceeds CALLER_MAX_SIZE"
     NO_HOT_CALLEE_TOO_BIG = "no: hot callee exceeds HOT_CALLEE_MAX_SIZE"
-    NO_ADVISED = "no: forced by external advice"
 
     @property
     def inline(self) -> bool:
@@ -183,52 +180,6 @@ def hot_callsite_heuristic(
     if callee_size > params.hot_callee_max_size:
         return InlineDecision.NO_HOT_CALLEE_TOO_BIG
     return InlineDecision.YES_HOT
-
-
-class InlineAdvice:
-    """A consumable sequence of per-call-site inline decisions.
-
-    The MCTS strategy (:mod:`repro.search.mcts`) tunes the inline
-    decisions themselves rather than the five threshold parameters.
-    :func:`build_inline_plan` consults the cursor at every *tunable*
-    decision point, in the exact depth-first site order the expansion
-    work-list visits them: a 0/1 from the sequence overrides the
-    heuristic, and once the sequence is exhausted the heuristic decides
-    as usual (the deterministic "default decision" rollout).  The
-    :data:`HARD_DEPTH_LIMIT` recursion guard is not a tunable decision
-    and never consumes advice.
-
-    ``taken`` records every decision actually made — forced and
-    heuristic fallback alike — so a caller can recover the full
-    decision vector of a run.  Advised plans bypass the heuristic's
-    threshold comparisons, so they carry no :class:`ParamRegion` and
-    must never enter the parameter-keyed plan caches; the reference
-    evaluation path (``VirtualMachine.run_advised``) guarantees that.
-    """
-
-    __slots__ = ("_decisions", "_pos", "taken")
-
-    def __init__(self, decisions: Sequence[int] = ()) -> None:
-        self._decisions = tuple(1 if int(d) else 0 for d in decisions)
-        self._pos = 0
-        self.taken: List[int] = []
-
-    def override(self) -> Optional[bool]:
-        """Next forced decision, or None once the sequence is spent."""
-        if self._pos < len(self._decisions):
-            value = self._decisions[self._pos] == 1
-            self._pos += 1
-            return value
-        return None
-
-    def note(self, inline: bool) -> None:
-        """Record a decision that was actually made."""
-        self.taken.append(1 if inline else 0)
-
-    @property
-    def consumed(self) -> int:
-        """Number of forced decisions handed out so far."""
-        return self._pos
 
 
 #: unbounded upper limit for region bounds (any parameter value fits)
@@ -402,7 +353,6 @@ def build_inline_plan(
     use_hot_heuristic: bool = False,
     record_decisions: bool = False,
     region: Optional[ParamRegionBuilder] = None,
-    advice: Optional[InlineAdvice] = None,
 ) -> InlinePlan:
     """Expand *root_id* under *params*, mirroring the opt compiler.
 
@@ -427,10 +377,6 @@ def build_inline_plan(
         Optional :class:`ParamRegionBuilder` accumulating the parameter
         bounds within which this exact plan is reproduced (the plan
         memoization tier of :mod:`repro.perf` relies on it).
-    advice:
-        Optional :class:`InlineAdvice` cursor overriding per-site
-        decisions (MCTS search over inline decisions).  ``None`` — the
-        universal case outside that strategy — changes nothing.
     """
     sizes = program.sizes
     hot = hot_sites if (use_hot_heuristic and hot_sites) else frozenset()
@@ -459,16 +405,9 @@ def build_inline_plan(
         callee_size = float(sizes[callee_id])
         rate = multiplier * site.calls_per_invocation
 
-        forced = None
         if depth > HARD_DEPTH_LIMIT:
             # implementation guard, no parameter involved: unconstrained
             decision = InlineDecision.NO_TOO_DEEP
-        elif advice is not None and (forced := advice.override()) is not None:
-            # an advised decision bypasses the threshold comparisons,
-            # so it constrains no parameter region
-            decision = (
-                InlineDecision.YES_ADVISED if forced else InlineDecision.NO_ADVISED
-            )
         elif depth == 1 and (site.caller_id, site.site_index) in hot:
             # Figure 4 applies to the hot call sites of the method being
             # recompiled; sites exposed by inlining (depth >= 2) are
@@ -480,8 +419,6 @@ def build_inline_plan(
             decision = optimizing_heuristic(callee_size, depth, expanded_size, params)
             if region is not None:
                 region.record_optimizing(decision, callee_size, depth, expanded_size)
-        if advice is not None and depth <= HARD_DEPTH_LIMIT:
-            advice.note(decision.inline)
 
         if record_decisions:
             decisions.append((callee_id, decision))

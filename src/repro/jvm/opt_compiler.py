@@ -27,7 +27,6 @@ from repro.jvm.callgraph import Program
 from repro.jvm.compiled import CompiledMethod
 from repro.jvm.costmodel import CostModel
 from repro.jvm.inlining import (
-    InlineAdvice,
     InliningParameters,
     InlinePlan,
     ParamRegion,
@@ -72,17 +71,12 @@ class OptimizingCompiler:
         hot_sites: Optional[FrozenSet[Tuple[int, int]]] = None,
         use_hot_heuristic: bool = False,
         plan: Optional[InlinePlan] = None,
-        advice: Optional[InlineAdvice] = None,
     ) -> CompiledMethod:
         """Produce an optimized version of *method_id* under *params*.
 
         A precomputed *plan* may be supplied (the evaluator caches plans
         across methods compiled with identical parameters); it must have
-        been built for the same method and parameters.  *advice*
-        overrides per-site inline decisions during plan expansion (MCTS
-        search); advised compilations must stay out of the
-        parameter-keyed plan caches, which the reference path
-        guarantees.
+        been built for the same method and parameters.
         """
         if level is None:
             level = self.machine.max_opt_level
@@ -101,7 +95,6 @@ class OptimizingCompiler:
                 params,
                 hot_sites=hot_sites,
                 use_hot_heuristic=use_hot_heuristic,
-                advice=advice,
             )
         elif plan.root_id != method_id or plan.params != params:
             raise CompilationError(

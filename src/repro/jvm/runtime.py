@@ -229,26 +229,6 @@ class VirtualMachine:
             return self._run_adaptive(program, params)
         return self._run_optimizing(program, params)
 
-    def run_advised(
-        self,
-        program: Program,
-        params: InliningParameters,
-        advice,
-    ) -> ExecutionReport:
-        """Run with per-site inline decisions forced by *advice*.
-
-        *advice* is an :class:`~repro.jvm.inlining.InlineAdvice` cursor
-        consumed in the deterministic order plan expansion visits call
-        sites (methods in ``sorted(reachable_methods())`` order under
-        *Opt*, promotion order under *Adapt*).  Always takes the
-        reference path: advised plans bypass the heuristic's threshold
-        comparisons, so they carry no parameter region and must never
-        enter the accelerator's parameter-keyed plan caches.
-        """
-        if self.scenario.is_adaptive:
-            return self._run_adaptive(program, params, advice=advice)
-        return self._run_optimizing(program, params, advice=advice)
-
     def __getstate__(self):
         # Accelerator caches are rebuilt on the other side of a pickle
         # (worker processes): ship only whether one was enabled.
@@ -268,12 +248,12 @@ class VirtualMachine:
 
     # ------------------------------------------------------------------
     def _run_optimizing(
-        self, program: Program, params: InliningParameters, advice=None
+        self, program: Program, params: InliningParameters
     ) -> ExecutionReport:
         versions: Dict[int, CompiledMethod] = {}
         for mid in sorted(program.reachable_methods()):
             versions[mid] = self._optimizer.compile(
-                program, mid, params, level=self.scenario.opt_level, advice=advice
+                program, mid, params, level=self.scenario.opt_level
             )
 
         counts = propagate_invocations(program, versions)
@@ -314,9 +294,9 @@ class VirtualMachine:
 
     # ------------------------------------------------------------------
     def _run_adaptive(
-        self, program: Program, params: InliningParameters, advice=None
+        self, program: Program, params: InliningParameters
     ) -> ExecutionReport:
-        result = self._aos.run(program, params, advice=advice)
+        result = self._aos.run(program, params)
         counts = propagate_invocations(program, result.final_versions)
 
         cache = CodeCache(self.machine, self.cost_model)

@@ -15,8 +15,8 @@ to pickle, so it can never reach a second writer.  Multi-process jobs
 ``repro store migrate``).
 
 Layout: one JSON object per line, ``{"ctx": ..., "genome": [...],
-"fitness": ..., "per": {...}?}``.  Appends are atomic at line
-granularity.
+"fitness": ..., "per": {...}?}``, where the fitness is one float.
+Appends are atomic at line granularity.
 
 Crash safety: a crash mid-append leaves a *torn* trailing line.  On
 load, the store truncates the file back to the last intact line and
@@ -53,21 +53,10 @@ Genome = Tuple[int, ...]
 _log = logging.getLogger("repro.perf.store")
 
 
-def _parse_fitness(raw):
-    """Fitness from a JSONL record: scalar float, or a tuple for the
-    multi-objective records Pareto search writes (``"fitness": [...]``).
-    Scalar records go through the exact ``float()`` conversion they
-    always did."""
-    if isinstance(raw, list):
-        return tuple(float(v) for v in raw)
-    return float(raw)
+def _check_finite(fitness: float, key: Genome) -> None:
+    if fitness != fitness or fitness in (float("inf"), float("-inf")):
+        raise GAError(f"non-finite fitness {fitness!r} for genome {list(key)}")
 
-
-def _check_finite(fitness, key: Genome):
-    components = fitness if isinstance(fitness, tuple) else (fitness,)
-    for component in components:
-        if component != component or component in (float("inf"), float("-inf")):
-            raise GAError(f"non-finite fitness {fitness!r} for genome {list(key)}")
 
 #: default number of buffered records between flush+fsync pairs
 DEFAULT_FLUSH_EVERY = 64
@@ -191,7 +180,7 @@ class EvaluationStore:
             try:
                 context = record["ctx"]
                 genome = tuple(int(g) for g in record["genome"])
-                fitness = _parse_fitness(record["fitness"])
+                fitness = float(record["fitness"])
             except (ValueError, TypeError, KeyError):
                 continue  # foreign but intact line: leave it alone
             if context != self.context:
@@ -245,10 +234,7 @@ class EvaluationStore:
         ``flush_every`` durability/throughput trade-off.
         """
         key = tuple(int(g) for g in genome)
-        if isinstance(fitness, (tuple, list)):
-            fitness = tuple(float(v) for v in fitness)
-        else:
-            fitness = float(fitness)
+        fitness = float(fitness)
         _check_finite(fitness, key)
         if self._entries.get(key) == fitness:
             return

@@ -966,16 +966,6 @@ class TierStore:
         per_benchmark: Optional[dict] = None,
     ) -> None:
         key = tuple(int(g) for g in genome)
-        if isinstance(fitness, (tuple, list)):
-            # The pack schema pins ``fitness REAL NOT NULL`` — vector
-            # records would be silently truncated at compaction.  Refuse
-            # them up front; multi-objective runs use a single-file
-            # EvaluationStore (or no store).
-            raise GAError(
-                f"store tier records are scalar-only; got vector fitness "
-                f"{list(fitness)!r} for genome {list(key)} (use a "
-                f"single-file EvaluationStore for multi-objective runs)"
-            )
         fitness = float(fitness)
         if fitness != fitness or fitness in (float("inf"), float("-inf")):
             raise GAError(f"non-finite fitness {fitness!r} for genome {list(key)}")

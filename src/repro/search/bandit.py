@@ -10,10 +10,11 @@ halving narrows budget onto promising arms.
 
 Because the simulator is deterministic, re-listing a survivor in the
 next round's batch costs nothing: the fitness cache answers it as a
-hit, and the driver's accounting keeps ``evaluations`` equal to the
-number of *distinct* genomes simulated.  That makes the strategy's
-``budget`` a cap on true simulator work, which is the resource a
-low-budget service job actually buys.
+hit.  The strategy's ``budget`` caps the *distinct* genomes the search
+visits, simulated or recalled from the evaluation store, so on a cold
+store it caps true simulator work — the resource a low-budget service
+job actually buys — and a re-run on a filled store repeats the first
+run's search from recalls alone.
 """
 
 from __future__ import annotations
@@ -128,15 +129,22 @@ class BanditHalvingStrategy(SearchStrategy):
         return {"round": self.round, "survivors": len(survivors)}
 
     def _count_new(self, genomes: Sequence[Genome]) -> int:
-        """Distinct genomes in this batch not charged in prior rounds."""
+        """Distinct genomes in this batch not charged in prior rounds.
+
+        The driver has already evaluated the batch, so the growth of the
+        shared cache counts the genomes that were new to this search:
+        simulated or recalled from the store alike.  A re-run on a
+        filled store therefore spends its budget exactly as the first
+        run did, and only recalls.  Checkpoints written before this
+        rule stored ``charged`` as a count of cache misses; resuming
+        one charges the store recalls of its earlier rounds once more
+        in the first round, which can only end the search sooner.
+        """
         cache = self._cache
         if cache is None:
             return len(set(genomes))
-        # The driver already evaluated the batch; misses accumulated on
-        # the shared cache are authoritative, so derive the per-round
-        # charge from the cache's running total.
-        charged = cache.misses - self._charged
-        self._charged = cache.misses
+        charged = cache.size - self._charged
+        self._charged = cache.size
         return charged
 
     @property

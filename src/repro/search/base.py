@@ -12,16 +12,12 @@ driver loop (:func:`repro.search.driver.run_search`) is::
 
 until ``strategy.done``.  The GA (:class:`repro.search.ga.GAStrategy`)
 is the reference strategy, extracted from ``GAEngine`` with
-bitwise-identical behavior; :mod:`repro.search.mcts`,
-:mod:`repro.search.cmaes`, :mod:`repro.search.bandit` and
-:mod:`repro.search.pareto` plug alternative searches behind the same
+bitwise-identical behavior; :mod:`repro.search.cmaes` and
+:mod:`repro.search.bandit` plug alternative searches behind the same
 seam.  See ``docs/SEARCH.md``.
 
-A genome is an arbitrary-length tuple of ints.  For the parameter-space
-strategies it is the paper's 5-gene vector; for MCTS it is a 0/1 vector
-of per-call-site inline decisions.  A fitness is a float, or a tuple of
-floats for multi-objective strategies (see
-:func:`repro.ga.fitness.coerce_fitness`).
+A genome is the paper's five-parameter vector, a tuple of ints, and a
+fitness is one float.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import json
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckpointError
 from repro.ga.individual import Individual
@@ -53,11 +49,10 @@ _STRATEGY_CHECKPOINT_VERSION = 1
 class SearchResult:
     """Outcome of a strategy run.
 
-    ``best`` is always populated; multi-objective strategies additionally
-    return ``front`` — the non-dominated set — with ``best`` the knee
-    point of that front.  ``detail`` carries strategy-specific extras
-    (e.g. the MCTS decision vector).  ``evaluations``/``cache_hits`` are
-    filled in by the driver from the shared fitness cache.
+    ``best`` is always populated.  ``detail`` carries strategy-specific
+    extras (e.g. the bandit's round count).  ``evaluations``/
+    ``cache_hits`` are filled in by the driver from the shared fitness
+    cache.
     """
 
     best: Individual
@@ -66,7 +61,6 @@ class SearchResult:
     cache_hits: int = 0
     iterations: int = 0
     stopped_early: bool = False
-    front: Optional[Tuple[Tuple[Genome, Tuple[float, ...]], ...]] = None
     detail: Optional[dict] = None
 
     @property
@@ -74,7 +68,7 @@ class SearchResult:
         return self.best.genome
 
     @property
-    def best_fitness(self):
+    def best_fitness(self) -> float:
         return self.best.require_fitness()
 
 
@@ -94,7 +88,7 @@ class SearchStrategy(ABC):
     def __init__(self) -> None:
         self.iteration = 0
         self._cache = None
-        self._restored_cache_entries: Optional[Dict[Genome, Any]] = None
+        self._restored_cache_entries: Optional[Dict[Genome, float]] = None
 
     # -- lifecycle -----------------------------------------------------
     def prepare(self, cache) -> None:
@@ -151,22 +145,9 @@ class SearchStrategy(ABC):
 
     def restore_from(self, path: str) -> None:
         """Resume from a generic strategy checkpoint at *path*."""
-        name, state, entries = load_strategy_checkpoint(path)
-        if name != self.name:
-            raise CheckpointError(
-                f"checkpoint {path!r} was written by strategy {name!r}, "
-                f"cannot resume a {self.name!r} search from it"
-            )
+        state, entries = load_strategy_checkpoint(path, self.name)
         self.restore_state(state)
         self._restored_cache_entries = entries
-
-
-def _fitness_out(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _fitness_in(value):
-    return tuple(float(v) for v in value) if isinstance(value, list) else float(value)
 
 
 def save_strategy_checkpoint(path: str, strategy: SearchStrategy, cache) -> None:
@@ -178,7 +159,7 @@ def save_strategy_checkpoint(path: str, strategy: SearchStrategy, cache) -> None
         "strategy": strategy.name,
         "state": strategy.checkpoint_state(),
         "cache": [
-            [list(genome), _fitness_out(value)] for genome, value in cache.items()
+            [list(genome), value] for genome, value in cache.items()
         ],
     }
     tmp_path = f"{path}.tmp.{os.getpid()}"
@@ -196,8 +177,10 @@ def save_strategy_checkpoint(path: str, strategy: SearchStrategy, cache) -> None
         raise CheckpointError(f"cannot write checkpoint to {path!r}: {exc}") from exc
 
 
-def load_strategy_checkpoint(path: str):
-    """Read a generic strategy checkpoint: (name, state, cache dict)."""
+def load_strategy_checkpoint(path: str, name: str):
+    """Read the generic checkpoint of a *name* strategy: (state, cache
+    dict).  An envelope another strategy wrote is refused before its
+    state is parsed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -213,11 +196,16 @@ def load_strategy_checkpoint(path: str):
         raise CheckpointError(
             f"checkpoint {path!r} is not a readable strategy checkpoint"
         )
+    if payload.get("strategy") != name:
+        raise CheckpointError(
+            f"checkpoint {path!r} was written by strategy "
+            f"{payload.get('strategy')!r}, cannot resume a {name!r} search from it"
+        )
     try:
         entries = {
-            tuple(int(g) for g in genome): _fitness_in(value)
+            tuple(int(g) for g in genome): float(value)
             for genome, value in payload.get("cache", [])
         }
-        return str(payload["strategy"]), dict(payload["state"]), entries
+        return dict(payload["state"]), entries
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {exc}") from exc

@@ -76,8 +76,8 @@ class GAStrategy(SearchStrategy):
     One ask/tell round is one generation (the restore batch of a
     resumed run is a zeroth, span-less round re-priming the population
     from the checkpoint's cache).  Checkpoints keep the v2 format and
-    bytes — :meth:`maybe_checkpoint` overrides the generic strategy
-    checkpoint entirely.
+    bytes — :meth:`maybe_checkpoint` and :meth:`restore_from` override
+    the generic strategy checkpoint entirely.
     """
 
     name = "ga"
@@ -253,6 +253,14 @@ class GAStrategy(SearchStrategy):
         )
 
     # -- checkpointing -------------------------------------------------
+    def restore_from(self, path: str) -> None:
+        """Resume from the v2 GA checkpoint at *path* (the restore batch
+        of :meth:`ask` re-primes the population from it)."""
+        from repro.ga.checkpoint import load_checkpoint
+
+        self.resume_from = load_checkpoint(path)
+        self._mode = "restore"
+
     def maybe_checkpoint(self, path: str, every: int, cache) -> None:
         if path is None or self._checkpoint_gen is None:
             return

@@ -2,12 +2,13 @@
 
 Lazy by design: importing :mod:`repro.search` must not pull in numpy's
 heavier strategy modules (or ``repro.ga.engine``, which ``ga`` needs for
-its config) until a strategy is actually requested.  Construction is
-left to the caller — strategies differ in what they search over (the
-parameter-space strategies take an :class:`IntVectorSpace`; MCTS takes
-an inline-decision budget) — so the registry resolves classes, not
-instances.  :func:`repro.core.tuner` is the place where per-name
-construction for the paper's tuning problem lives.
+its config) until a strategy is actually requested.  Every strategy
+searches the paper's five-parameter space for one scalar fitness, but
+their constructors take different budgets (the GA a
+:class:`~repro.ga.engine.GAConfig`, the others an evaluation count), so
+the registry resolves classes, not instances.
+:meth:`repro.core.tuner.InliningTuner.tune` is the place where
+per-name construction for the paper's tuning problem lives.
 """
 
 from __future__ import annotations
@@ -21,16 +22,14 @@ from repro.search.base import SearchStrategy
 __all__ = ["STRATEGY_NAMES", "DEFAULT_STRATEGY", "strategy_class"]
 
 #: every selectable strategy, in documentation order
-STRATEGY_NAMES: Tuple[str, ...] = ("ga", "mcts", "cmaes", "bandit", "pareto")
+STRATEGY_NAMES: Tuple[str, ...] = ("ga", "cmaes", "bandit")
 
 DEFAULT_STRATEGY = "ga"
 
 _MODULES = {
     "ga": ("repro.search.ga", "GAStrategy"),
-    "mcts": ("repro.search.mcts", "InlineMCTSStrategy"),
     "cmaes": ("repro.search.cmaes", "CMAESStrategy"),
     "bandit": ("repro.search.bandit", "BanditHalvingStrategy"),
-    "pareto": ("repro.search.pareto", "ParetoStrategy"),
 }
 
 

@@ -7,7 +7,9 @@
   non-terminal job* — their finished cells keep their journalled
   results, their interrupted cells resume from GA checkpoints, so a
   SIGKILLed daemon restarted against the same directory completes its
-  jobs bitwise-identically to a crash-free run;
+  jobs bitwise-identically to a crash-free run (a job naming a search
+  strategy that no longer exists settles as ``failed`` instead, with a
+  one-line error and no cell attempt);
 * the API thread admits jobs under **admission control**: schema
   validation first (structured ``bad-request``, never a traceback),
   then idempotency by client job key (equal spec → the existing job is
@@ -38,6 +40,7 @@ from repro.resilience.faults import (
     SITE_JOURNAL_IO,
     get_fault_injector,
 )
+from repro.search.registry import STRATEGY_NAMES
 from repro.service.api import (
     CODE_BAD_REQUEST,
     CODE_DRAINING,
@@ -100,9 +103,11 @@ class ServiceDaemon:
         if self.telemetry_dir is not None:
             telemetry_configure(self.telemetry_dir)
         self.scheduler.start()
-        recovered = self.journal.active_jobs()
-        for record in recovered:
-            self.scheduler.submit(record)
+        for record in self.journal.active_jobs():
+            if record.spec.strategy not in STRATEGY_NAMES:
+                self._fail_unrunnable(record)
+            else:
+                self.scheduler.submit(record)
         self.api.start()
         self._session_emit("service.start", workers=self.scheduler.workers)
         self._touch_gauges()
@@ -120,6 +125,21 @@ class ServiceDaemon:
             ).inc(0)
             registry.counter("repro_service_retries_total").inc(0)
             registry.counter("repro_service_pool_rebuilds_total").inc(0)
+
+    def _fail_unrunnable(self, record: JobRecord) -> None:
+        """Settle a journalled job whose strategy no longer exists as
+        ``failed``, without attempting a cell (a retry cannot help)."""
+        record.fail(
+            f"search strategy {record.spec.strategy!r} is no longer "
+            f"available; expected one of {', '.join(STRATEGY_NAMES)}"
+        )
+        self.journal.update(record)
+        self._on_scheduler_event(
+            "job_failed",
+            job_id=record.job_id,
+            key=record.spec.key,
+            state=record.state,
+        )
 
     def serve_forever(self) -> None:
         """Run until SIGTERM/SIGINT, then drain and shut down."""

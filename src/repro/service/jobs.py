@@ -303,6 +303,18 @@ class JobRecord:
         self.state = "cancelled"
         return written_off
 
+    def fail(self, message: str) -> None:
+        """Move the job to ``failed`` without running its pending cells.
+
+        Finished cells keep their journalled results; every other cell
+        settles as ``failed`` with *message*, which is also the job's
+        error.
+        """
+        self.error = message
+        for name in self.pending_cells():
+            self.cells[name] = {"state": "failed", "error": message}
+        self.state = "failed"
+
     def cell_done(self, name: str, tuned_json: dict, evaluations: int) -> None:
         self.cells[name] = {
             "state": "done",

@@ -7,7 +7,7 @@ import pytest
 from helpers import chain_program, diamond_program, make_program
 
 from repro.arch import PENTIUM4
-from repro.core.evaluation import HeuristicEvaluator, MultiObjectiveEvaluator
+from repro.core.evaluation import HeuristicEvaluator
 from repro.core.metrics import Metric
 from repro.core.tuner import (
     DEFAULT_GA_CONFIG,
@@ -100,7 +100,7 @@ class TestSerialization:
 class TestStrategies:
     """End-to-end runs of every non-GA search strategy."""
 
-    @pytest.mark.parametrize("name", ["cmaes", "bandit", "mcts", "pareto"])
+    @pytest.mark.parametrize("name", ["cmaes", "bandit"])
     def test_every_strategy_tunes_end_to_end(self, task, programs, name):
         tuner = InliningTuner(TINY_GA, strategy=name, strategy_budget=24)
         tuned = tuner.tune(task, programs)
@@ -120,19 +120,6 @@ class TestStrategies:
         tuned = tuner.tune(task, programs)
         assert tuned.fitness <= tuned.default_fitness * (1 + 1e-12)
         assert tuned.improvement >= -1e-12
-
-    def test_pareto_detail_carries_the_front(self, task, programs):
-        tuner = InliningTuner(TINY_GA, strategy="pareto", strategy_budget=24)
-        tuned = tuner.tune(task, programs)
-        assert tuned.detail and tuned.detail["front"]
-        assert len(tuned.detail["objectives"]) >= 2
-        genomes = {tuple(genome) for genome, _ in tuned.detail["front"]}
-        assert len(genomes) == len(tuned.detail["front"])
-
-    def test_mcts_detail_carries_the_decisions(self, task, programs):
-        tuner = InliningTuner(TINY_GA, strategy="mcts", strategy_budget=24)
-        tuned = tuner.tune(task, programs)
-        assert tuned.detail and set(tuned.detail["decisions"]) <= {0, 1}
 
     def test_strategy_roundtrips_through_json(self, task, programs):
         tuner = InliningTuner(TINY_GA, strategy="cmaes", strategy_budget=16)
@@ -157,6 +144,14 @@ class TestStrategies:
         with pytest.raises(TuningError, match="annealing"):
             InliningTuner(TINY_GA, strategy="annealing")
 
+    @pytest.mark.parametrize("name", ["mcts", "pareto"])
+    def test_deleted_strategy_is_refused(self, name):
+        from repro.errors import TuningError
+
+        with pytest.raises(TuningError, match=f"strategy '{name}'") as info:
+            InliningTuner(TINY_GA, strategy=name)
+        assert "\n" not in str(info.value)
+
     def test_strategy_determinism(self, task, programs):
         results = [
             InliningTuner(TINY_GA, strategy="bandit", strategy_budget=24).tune(
@@ -180,10 +175,6 @@ class TestRecalledRun:
             metric=Metric.BALANCE,
         )
 
-    # The bandit's budget caps *new* simulations, so on a warm store it
-    # searches on past the first run's stopping point.  At budget 6 its
-    # first cohort has 3 arms and halving to one survivor ends the
-    # search, so the re-run repeats the first run.
     @pytest.mark.parametrize(
         "name, budget", [("ga", None), ("cmaes", 24), ("bandit", 6)]
     )
@@ -237,17 +228,25 @@ class TestRecalledRun:
         assert noisy.default_fitness == fresh
         assert noisy.default_fitness != plain.default_fitness
 
-    def test_pareto_reports_the_evaluators_default(
-        self, balance_task, programs, tmp_path
-    ):
-        tuned = InliningTuner(
-            TINY_GA, store_path=str(tmp_path / "evals.tier"),
-            strategy="pareto", strategy_budget=24,
-        ).tune(balance_task, programs)
-        fresh = MultiObjectiveEvaluator(
-            programs, PENTIUM4, OPTIMIZING, Metric.BALANCE
-        ).default_fitness
-        assert tuned.default_fitness == fresh
+    def test_bandit_reruns_only_recall(self, task, programs, tmp_path):
+        """The bandit's budget counts recalled genomes too, so at a
+        budget that runs several rounds every re-run repeats the first
+        run's search from the store alone."""
+        tier = str(tmp_path / "evals.tier")
+        runs = []
+        for _ in range(3):
+            tuner = InliningTuner(
+                TINY_GA, store_path=tier, strategy="bandit", strategy_budget=24
+            )
+            runs.append((tuner.tune(task, programs), tuner))
+        first = runs[0][0]
+        assert first.evaluations > 0 and first.generations_run > 2
+        for tuned, tuner in runs[1:]:
+            assert tuned.evaluations == 0
+            assert tuner.last_accelerator_stats["runs"] == 0
+            assert tuned.params == first.params
+            assert tuned.fitness.hex() == first.fitness.hex()
+            assert tuned.generations_run == first.generations_run
 
 
 class TestTaskStr:

@@ -142,6 +142,38 @@ class TestCampaignStrategies:
         with pytest.raises(ConfigurationError, match="annealing"):
             run_campaign(tasks, ga_config=TINY_GA, strategy="annealing")
 
+    @pytest.mark.parametrize("name", ["mcts", "pareto"])
+    def test_deleted_strategy_is_refused(self, name):
+        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
+        with pytest.raises(ConfigurationError, match=repr(name)) as info:
+            run_campaign(tasks, ga_config=TINY_GA, strategy=name)
+        assert "\n" not in str(info.value)
+
+    def test_manifest_of_a_deleted_strategy_is_refused(self, tmp_path):
+        campaign_dir = str(tmp_path / "campaign")
+        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
+        run_campaign(
+            tasks, ga_config=TINY_GA, campaign_dir=campaign_dir, serial=True
+        )
+        # rewrite the manifest as an mcts campaign would have left it
+        path = os.path.join(campaign_dir, "manifest.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["fingerprint"] = campaign_fingerprint(
+            [task.name for task in tasks], TINY_GA, 0, strategy="mcts"
+        )
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(CampaignError, match="different configuration") as info:
+            run_campaign(
+                tasks,
+                ga_config=TINY_GA,
+                campaign_dir=campaign_dir,
+                serial=True,
+                resume=True,
+            )
+        assert "\n" not in str(info.value)
+
     def test_resume_under_a_different_strategy_is_rejected(self, tmp_path):
         campaign_dir = str(tmp_path / "campaign")
         tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])

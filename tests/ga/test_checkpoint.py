@@ -83,3 +83,76 @@ class TestFailureModes:
             save_checkpoint(
                 str(tmp_path / "no-such-dir" / "x.json"), 0, population, None
             )
+
+
+class TestFormatVersions:
+    """Only the scalar v1/v2 formats load; anything else is refused
+    with a one-line error."""
+
+    @staticmethod
+    def write(path, payload):
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        return str(path)
+
+    def test_scalar_checkpoint_stays_v2(self, tmp_path):
+        path = str(tmp_path / "scalar.json")
+        save_checkpoint(
+            path,
+            generation=1,
+            population=[Individual((1, 2), 3.0)],
+            best=Individual((1, 2), 3.0),
+        )
+        with open(path) as handle:
+            assert json.load(handle)["version"] == 2
+
+    def test_v3_checkpoint_is_refused(self, tmp_path):
+        # v3 was the vector-fitness format of the deleted Pareto search
+        path = self.write(
+            tmp_path / "v3.json",
+            {
+                "version": 3,
+                "generation": 2,
+                "population": [{"genome": [1, 2], "fitness": [3.0, 4.0]}],
+                "best": None,
+                "cache": [],
+                "rng_state": None,
+                "stale": 0,
+            },
+        )
+        with pytest.raises(CheckpointError, match=r"version=3") as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
+    def test_vector_fitness_is_refused(self, tmp_path):
+        path = self.write(
+            tmp_path / "forged.json",
+            {
+                "version": 2,
+                "generation": 0,
+                "population": [{"genome": [1, 2], "fitness": [3.0, 4.0]}],
+                "best": None,
+                "cache": [],
+                "rng_state": None,
+                "stale": 0,
+            },
+        )
+        with pytest.raises(CheckpointError, match="malformed") as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("name", ["mcts", "pareto", "cmaes"])
+    def test_strategy_checkpoint_is_refused(self, tmp_path, name):
+        path = self.write(
+            tmp_path / "strategy.json",
+            {
+                "format": "strategy-checkpoint",
+                "version": 1,
+                "strategy": name,
+                "state": {},
+                "cache": [],
+            },
+        )
+        with pytest.raises(CheckpointError, match=f"strategy '{name}'") as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)

@@ -41,6 +41,12 @@ class TestFitnessCache:
         assert cache.evaluate((5,)) == 2.5
         assert cache.misses == 0
 
+    def test_values_become_floats(self):
+        cache = FitnessCache(lambda g: sum(g))
+        assert type(cache.evaluate((1, 2))) is float
+        cache.insert((5, 6), 7)
+        assert type(cache.peek((5, 6))) is float
+
     def test_nan_fitness_rejected(self):
         cache = FitnessCache(lambda g: float("nan"))
         with pytest.raises(GAError):

@@ -24,23 +24,10 @@ from repro.search import (
 )
 from repro.search.bandit import BanditHalvingStrategy
 from repro.search.cmaes import CMAESStrategy
-from repro.search.mcts import InlineMCTSStrategy
-from repro.search.pareto import (
-    ParetoStrategy,
-    crowding_distance,
-    non_dominated_sort,
-)
 
 
 def sphere(genome):
     return float(sum((g - 10) ** 2 for g in genome))
-
-
-def multi(genome):
-    """Two conflicting objectives plus a constant third."""
-    a = float(sum(g**2 for g in genome))
-    b = float(sum((g - 8) ** 2 for g in genome))
-    return (a, b, 1.0)
 
 
 @pytest.fixture
@@ -51,7 +38,7 @@ def space():
 class TestRegistry:
     def test_names_and_default(self):
         assert DEFAULT_STRATEGY == "ga"
-        assert set(STRATEGY_NAMES) == {"ga", "mcts", "cmaes", "bandit", "pareto"}
+        assert STRATEGY_NAMES == ("ga", "cmaes", "bandit")
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_every_name_resolves_to_a_strategy(self, name):
@@ -62,6 +49,12 @@ class TestRegistry:
     def test_unknown_name_is_a_structured_error(self):
         with pytest.raises(GAError, match="annealing"):
             strategy_class("annealing")
+
+    @pytest.mark.parametrize("name", ["mcts", "pareto"])
+    def test_deleted_name_is_refused(self, name):
+        with pytest.raises(GAError, match=f"unknown search strategy '{name}'") as info:
+            strategy_class(name)
+        assert "\n" not in str(info.value)
 
     def test_only_the_ga_stays_on_legacy_spans(self):
         # the GA keeps its historical ga.generation spans; every other
@@ -141,101 +134,74 @@ class TestBandit:
         result = run_search(strategy, sphere)
         assert result.best_fitness == 0.0
 
+    def test_checkpoint_resume_matches_uninterrupted(self, space, tmp_path):
+        path = str(tmp_path / "bandit.json")
+        full = run_search(BanditHalvingStrategy(space, budget=48, seed=4), sphere)
 
-class TestParetoPrimitives:
-    def test_non_dominated_sort_layers(self):
-        objectives = [(1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (0.5, 3.0)]
-        fronts = non_dominated_sort(objectives)
-        assert fronts[0] == [0, 3]  # (1,1) and (0.5,3) are incomparable
-        assert 1 in fronts[-1]  # (2,2) is dominated by (1,1)
+        class Interrupt(Exception):
+            pass
 
-    def test_crowding_boundaries_are_infinite(self):
-        objectives = [(0.0, 3.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0)]
-        crowd = crowding_distance([0, 1, 2, 3], objectives)
-        assert crowd[0] == float("inf") and crowd[3] == float("inf")
-        assert 0 < crowd[1] < float("inf")
+        told = []
 
-    def test_duplicate_objectives_do_not_crash(self):
-        objectives = [(1.0, 1.0)] * 3
-        fronts = non_dominated_sort(objectives)
-        assert fronts == [[0, 1, 2]]
-        crowd = crowding_distance([0, 1, 2], objectives)
-        assert all(v >= 0 or v == float("inf") for v in crowd.values())
+        def interrupting(genome):
+            if len(told) >= 30:
+                raise Interrupt
+            told.append(genome)
+            return sphere(genome)
 
-
-class TestParetoStrategy:
-    def test_returns_a_non_dominated_front(self, space):
-        strategy = ParetoStrategy(space, population_size=12, generations=6, seed=4)
-        result = run_search(strategy, multi)
-        assert result.front, "empty Pareto front"
-        objectives = [obj for _, obj in result.front]
-        for i, a in enumerate(objectives):
-            for j, b in enumerate(objectives):
-                if i != j:
-                    assert not (
-                        all(x <= y for x, y in zip(a, b))
-                        and any(x < y for x, y in zip(a, b))
-                    ), f"front member {j} is dominated by {i}"
-        # the knee is a front member
-        assert result.best_genome in {genome for genome, _ in result.front}
-
-    def test_scalar_fitness_is_a_structured_error(self, space):
-        strategy = ParetoStrategy(space, population_size=6, generations=2, seed=0)
-        with pytest.raises(GAError, match="multi-objective"):
-            run_search(strategy, sphere)
-
-    def test_deterministic(self, space):
-        results = [
+        with pytest.raises(Interrupt):
             run_search(
-                ParetoStrategy(space, population_size=8, generations=4, seed=9),
-                multi,
+                BanditHalvingStrategy(space, budget=48, seed=4),
+                interrupting,
+                checkpoint_path=path,
             )
-            for _ in range(2)
-        ]
-        assert results[0].front == results[1].front
-
-
-class TestMCTS:
-    def test_decision_vectors_and_budget(self):
-        seen = []
-
-        def fitness(genome):
-            seen.append(genome)
-            # prefer inlining early call sites
-            return float(len(genome) - sum(genome) + len(genome) * 0.01)
-
-        strategy = InlineMCTSStrategy(budget=40, max_depth=8, seed=5)
-        result = run_search(strategy, fitness)
-        assert result.iterations == 40
-        assert all(set(g) <= {0, 1} for g in seen)
-        assert all(len(g) <= 8 for g in seen)
-        # rewards steer the tree toward inlining
-        assert sum(result.best_genome) >= len(result.best_genome) // 2
-
-    def test_checkpoint_roundtrip_preserves_the_tree(self, tmp_path):
-        path = str(tmp_path / "mcts.json")
-
-        def fitness(genome):
-            return float(-sum(genome))
-
-        first = InlineMCTSStrategy(budget=10, max_depth=6, seed=1)
-        run_search(first, fitness, checkpoint_path=path)
-        assert json.load(open(path))["strategy"] == "mcts"
-
-        resumed = InlineMCTSStrategy(budget=20, max_depth=6, seed=1)
+        assert json.load(open(path))["strategy"] == "bandit"
+        resumed = BanditHalvingStrategy(space, budget=48, seed=4)
         resumed.restore_from(path)
-        assert resumed.iteration == first.iteration
-        result = run_search(resumed, fitness)
-        assert result.iterations == 20
+        assert resumed.iteration >= 1
+        continued = run_search(resumed, sphere)
+        assert continued.best_genome == full.best_genome
+        assert continued.best_fitness == full.best_fitness
+        assert continued.iterations == full.iterations
 
     def test_checkpoint_name_mismatch_is_rejected(self, space, tmp_path):
         path = str(tmp_path / "wrong.json")
         run_search(
             CMAESStrategy(space, budget=10, seed=0), sphere, checkpoint_path=path
         )
-        strategy = InlineMCTSStrategy(budget=10)
-        with pytest.raises(CheckpointError, match="cmaes"):
+        strategy = BanditHalvingStrategy(space, budget=10)
+        with pytest.raises(CheckpointError, match="cmaes") as info:
             strategy.restore_from(path)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "name, entry",
+        [
+            # an inline-decision genome, and an objective-vector fitness
+            ("mcts", [[1, 0, 1], 0.98]),
+            ("pareto", [[1, 2, 3], [1.0, 0.9, 1.1]]),
+        ],
+        ids=["mcts", "pareto"],
+    )
+    def test_deleted_strategy_checkpoint_is_refused(
+        self, space, tmp_path, name, entry
+    ):
+        path = str(tmp_path / "deleted.json")
+        with open(path, "w") as handle:
+            json.dump(
+                {
+                    "format": "strategy-checkpoint",
+                    "version": 1,
+                    "strategy": name,
+                    "state": {},
+                    "cache": [entry],
+                },
+                handle,
+            )
+        strategy = BanditHalvingStrategy(space, budget=10)
+        with pytest.raises(CheckpointError, match=f"strategy '{name}'") as info:
+            strategy.restore_from(path)
+        assert "\n" not in str(info.value)
 
 
 class TestDriver:

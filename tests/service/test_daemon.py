@@ -29,6 +29,7 @@ from repro.resilience.faults import (
 from repro.resilience.supervisor import ORPHAN_POLL_SECONDS
 from repro.service import ServiceClient, ServiceDaemon
 from repro.service.api import ApiServer
+from repro.service.jobs import JobRecord, JobSpec
 from repro.service.journal import JobJournal
 from repro.service.scheduler import CellScheduler
 
@@ -342,6 +343,45 @@ class TestEndToEnd:
         assert not (tmp_path / "state" / "endpoint.json").exists()
         twin = JobJournal(state)
         assert twin.get(submitted["id"]).state == "done"
+
+
+class TestRecovery:
+    @pytest.mark.parametrize("name", ["mcts", "pareto"])
+    def test_job_naming_a_deleted_strategy_fails_without_a_cell(
+        self, tmp_path, name
+    ):
+        state = str(tmp_path / "state")
+        journal = JobJournal(state)
+        cells = dict(
+            machines=("pentium4",), scenarios=("adapt", "opt"), metrics=("running",)
+        )
+        gone = JobRecord(
+            job_id="job-000001", spec=JobSpec(key="old", strategy=name, **cells)
+        )
+        gone.cell_done("adapt:running@pentium4", {"fitness": 1.0}, 8)
+        journal.admit(gone)
+        kept = journal.admit(
+            JobRecord(job_id="job-000002", spec=JobSpec(key="new", **cells))
+        )
+
+        daemon = ServiceDaemon(state)
+        requeued = []
+        daemon.scheduler.submit = requeued.append
+        daemon.start()
+        daemon.stop()
+
+        # only the runnable job reaches the scheduler
+        assert [record.job_id for record in requeued] == [kept.job_id]
+        record = JobJournal(state).get(gone.job_id)
+        assert record.state == "failed" and record.terminal
+        assert f"strategy {name!r}" in record.error
+        assert "\n" not in record.error
+        # the finished cell keeps its result; the other never ran
+        assert record.cells["adapt:running@pentium4"]["state"] == "done"
+        assert record.cells["opt:running@pentium4"] == {
+            "state": "failed",
+            "error": record.error,
+        }
 
 
 class TestCancellation:

@@ -251,15 +251,22 @@ class TestJobSpecStrategy:
 
     def test_non_default_strategy_changes_the_fingerprint(self):
         base = validate_job_payload(good_payload())
-        mcts = validate_job_payload(good_payload(strategy="mcts"))
-        assert mcts.strategy == "mcts"
-        assert base.fingerprint() != mcts.fingerprint()
+        cmaes = validate_job_payload(good_payload(strategy="cmaes"))
+        assert cmaes.strategy == "cmaes"
+        assert base.fingerprint() != cmaes.fingerprint()
 
     def test_unknown_strategy_is_a_bad_request(self):
         failure = rejection(good_payload(strategy="annealing"))
         assert failure.code == "bad-request"
         assert "annealing" in failure.message
-        assert "mcts" in failure.message  # alternatives are named
+        assert "cmaes" in failure.message  # alternatives are named
+
+    @pytest.mark.parametrize("name", ["mcts", "pareto"])
+    def test_deleted_strategy_is_a_bad_request(self, name):
+        failure = rejection(good_payload(strategy=name))
+        assert failure.code == "bad-request"
+        assert f"unknown strategy {name!r}" in failure.message
+        assert "\n" not in failure.message
 
     def test_dict_roundtrip_and_legacy_payloads(self):
         spec = validate_job_payload(good_payload(strategy="cmaes"))

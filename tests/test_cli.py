@@ -133,6 +133,30 @@ class TestCampaignCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDeletedStrategies:
+    @pytest.mark.parametrize("name", ["mcts", "pareto"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tune", "Opt:Tot", "--quiet"],
+            ["campaign", "--serial"],
+            ["submit", "--machines", "pentium4", "--scenarios", "opt",
+             "--metrics", "balance"],
+        ],
+        ids=["tune", "campaign", "submit"],
+    )
+    def test_is_refused_with_one_error_line(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--strategy", name])
+        assert info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert f"invalid choice: '{name}'" in errors[0]
+
+
 class TestFigureCommand:
     def test_figure1(self, capsys):
         assert main(["figure", "1"]) == 0
