@@ -121,6 +121,15 @@ class TestStrategies:
         assert tuned.fitness <= tuned.default_fitness * (1 + 1e-12)
         assert tuned.improvement >= -1e-12
 
+    @pytest.mark.parametrize(
+        "name, key", [("cmaes", "sigma"), ("bandit", "rounds")]
+    )
+    def test_strategy_detail_reaches_the_result(self, task, programs, name, key):
+        tuner = InliningTuner(TINY_GA, strategy=name, strategy_budget=24)
+        tuned = tuner.tune(task, programs)
+        assert key in tuned.detail
+        assert json.loads(tuned.to_json())["detail"] == tuned.detail
+
     def test_strategy_roundtrips_through_json(self, task, programs):
         tuner = InliningTuner(TINY_GA, strategy="cmaes", strategy_budget=16)
         tuned = tuner.tune(task, programs)
