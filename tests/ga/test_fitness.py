@@ -43,9 +43,28 @@ class TestFitnessCache:
 
     def test_values_become_floats(self):
         cache = FitnessCache(lambda g: sum(g))
+        assert cache.evaluate((1, 2)) == 3.0
         assert type(cache.evaluate((1, 2))) is float
+        cache.insert((5, 6), 2.5)
+        assert cache.peek((5, 6)) == 2.5
+
+    def test_insert_coerces_to_one_float(self):
+        cache = FitnessCache(lambda g: 0.0)
         cache.insert((5, 6), 7)
+        assert cache.peek((5, 6)) == 7.0
         assert type(cache.peek((5, 6))) is float
+        # A fitness is one float: a vector is refused and nothing is stored.
+        with pytest.raises(TypeError):
+            cache.insert((8, 9), [7, 8])
+        assert (8, 9) not in cache
+
+    def test_non_finite_error_names_the_genome(self):
+        cache = FitnessCache(lambda g: float("nan"))
+        with pytest.raises(GAError, match=r"non-finite fitness nan for genome \[1, 2\]"):
+            cache.evaluate((1, 2))
+        with pytest.raises(GAError, match=r"non-finite fitness inf for genome \[3\]"):
+            cache.insert((3,), math.inf)
+        assert cache.size == 0
 
     def test_nan_fitness_rejected(self):
         cache = FitnessCache(lambda g: float("nan"))
