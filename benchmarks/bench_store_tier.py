@@ -1,12 +1,14 @@
 """Throughput benchmark of the sharded evaluation-store tier.
 
 Batched warm-start lookup (the guarded ``speedup``), the sharded tier
-(``repro.perf.storetier``) vs the legacy single-file
-``repro.perf.store.EvaluationStore``: a new job opens an accumulated
-store holding many contexts' records and answers one context's
-genomes.  The legacy store replays the *whole* JSONL file line by line
-on open — every context, every record, JSON-parsed — before the first
-lookup can be served.  The tier answers the same open with one indexed
+(``repro.perf.storetier``) vs a replay of the single-file JSONL store
+it replaced: a new job opens an accumulated store holding many
+contexts' records and answers one context's genomes.  The replay leg
+reads the *whole* legacy file line by line — every context, every
+record, JSON-parsed — through ``_iter_shard_records``, the reader
+``repro store migrate`` uses, and keeps one context's entries in a
+hash map, as opening the single-file store did before the first lookup
+could be served.  The tier answers the same open with one indexed
 SQLite query against the compacted pack (plus a replay of whatever
 uncompacted shard tail exists), loading only the requested context
 into its in-memory hash map.  Both legs then serve the identical lookup
@@ -25,14 +27,14 @@ committed baseline (``benchmarks/BENCH_store_baseline.json``).
 
 from __future__ import annotations
 
+import json
 import os
 import resource
 import shutil
 import tempfile
 from typing import Dict, List, Tuple
 
-from repro.perf.store import EvaluationStore
-from repro.perf.storetier import StoreTier, TierStore
+from repro.perf.storetier import StoreTier, TierStore, _iter_shard_records
 
 from conftest import emit
 
@@ -67,7 +69,7 @@ def run_store_tier(
     per_context: int = 2500,
     rounds: int = 5,
 ) -> Dict[str, object]:
-    """Measure legacy single-file replay vs the sharded tier's lookup."""
+    """Measure a legacy single-file replay vs the sharded tier's lookup."""
 
     def clock() -> float:
         # user CPU time only — see the module docstring
@@ -79,12 +81,12 @@ def run_store_tier(
         # -- fixture: one accumulated legacy file and its tier ---------
         corpus = _build_corpus(n_contexts, per_context)
         legacy_path = os.path.join(root, "legacy.jsonl")
-        for context, records in corpus.items():
-            with EvaluationStore(
-                legacy_path, context=context, flush_every=4096
-            ) as store:
+        with open(legacy_path, "w", encoding="utf-8") as handle:
+            for context, records in corpus.items():
                 for genome, fitness in records:
-                    store.record(genome, fitness)
+                    record = {"ctx": context, "genome": list(genome),
+                              "fitness": fitness}
+                    handle.write(json.dumps(record) + "\n")
         tier_path = os.path.join(root, "tier")
         tier = StoreTier(tier_path)
         tier.migrate_legacy(legacy_path)  # imports + compacts into a pack
@@ -93,8 +95,12 @@ def run_store_tier(
         batch = [genome for genome, _fitness in corpus[target]]
 
         def legacy_lookup() -> List[float]:
-            store = EvaluationStore(legacy_path, context=target)
-            return [store.get(genome) for genome in batch]
+            entries = {
+                genome: fitness
+                for ctx, genome, fitness, _per in _iter_shard_records(legacy_path)
+                if ctx == target
+            }
+            return [entries.get(genome) for genome in batch]
 
         def tier_lookup() -> List[float]:
             store = TierStore(tier_path, context=target)

@@ -105,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with --dir",
     )
     p_camp.add_argument(
-        "--store-tier",
-        default=None,
-        metavar="DIR",
-        help="same as --store",
-    )
-    p_camp.add_argument(
         "--warm-start",
         choices=("exact", "neighbors"),
         default="exact",
@@ -390,7 +384,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.experiments.campaign import STORE_TIER_NAME, grid_tasks, run_campaign
+    from repro.experiments.campaign import grid_tasks, run_campaign
     from repro.experiments.tuning import _store_path
     from repro.resilience import RetryPolicy
 
@@ -405,14 +399,10 @@ def _cmd_campaign(args) -> int:
         metrics=[m.strip() for m in args.metrics.split(",") if m.strip()],
         seed=args.seed,
     )
-    if args.store_tier is not None and args.store is not None:
-        print("error: --store and --store-tier are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    store = args.store or args.store_tier
+    store = args.store
     if store is None and args.campaign_dir is None:
         # (with --dir the campaign directory supplies its default store)
-        store = _store_path(STORE_TIER_NAME)
+        store = _store_path()
     policy = RetryPolicy(
         max_attempts=args.retries, timeout=args.task_timeout, seed=args.seed
     )
@@ -603,14 +593,14 @@ def _cmd_jobs(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    from repro.perf.storetier import StoreTier, is_tier_path
+    from repro.perf.storetier import StoreTier
 
     if args.store_command == "migrate":
         tier = StoreTier(args.tier)
         imported = tier.migrate_legacy(args.legacy)
         print(f"migrated {imported} record(s) from {args.legacy} into {args.tier}")
         return 0
-    if not os.path.isdir(args.tier) or not is_tier_path(args.tier):
+    if not os.path.isdir(args.tier):
         print(f"error: {args.tier!r} is not a store-tier directory",
               file=sys.stderr)
         return 2

@@ -190,17 +190,21 @@ class InliningTuner:
         self.space = space or TABLE1_SPACE
         self.cost_model = cost_model
         self._evaluator_factory = evaluator_factory or HeuristicEvaluator
-        #: when set, genome fitnesses persist here, keyed by the
-        #: evaluation context; an identical re-run (same task, programs,
-        #: space, cost model) re-simulates nothing.  A directory (or
-        #: ``*.tier`` path) opens as a sharded
-        #: :class:`~repro.perf.storetier.TierStore`; anything else as
-        #: the legacy single-file JSONL store.
+        if store_path is not None:
+            from repro.perf.storetier import require_tier
+
+            require_tier(store_path, "tuner store")
+        #: when set, genome fitnesses persist in this store tier (a
+        #: :class:`~repro.perf.storetier.TierStore` directory, created on
+        #: first use), keyed by the evaluation context; an identical
+        #: re-run (same task, programs, space, cost model) re-simulates
+        #: nothing.  A single-file JSONL store is refused with a one-line
+        #: error naming ``repro store migrate``, which imports it.
         self.store_path = store_path
-        #: opt-in, trajectory-changing: when the store is a tier and the
-        #: task's context has no recorded entries yet, seed the initial
-        #: GA population with the best genomes of the nearest-neighbour
-        #: workload profiles already in the tier.
+        #: opt-in, trajectory-changing: when the task's context has no
+        #: recorded entries yet, seed the initial GA population with the
+        #: best genomes of the nearest-neighbour workload profiles
+        #: already in the tier.
         self.warm_start_neighbors = warm_start_neighbors
         #: the store used by the most recent :meth:`tune` call (closed),
         #: and that run's accelerator counters — campaign bookkeeping.
@@ -238,8 +242,8 @@ class InliningTuner:
             space=self.space,
             cost_model=self.cost_model,
         )
-        store = self._open_store(task, training_programs)
-        strategy = self._build_strategy(task, training_programs, store)
+        store, profile = self._open_store(task, training_programs)
+        strategy = self._build_strategy(task, store, profile)
 
         start = time.perf_counter()
         try:
@@ -306,7 +310,7 @@ class InliningTuner:
         )
 
     def _build_strategy(
-        self, task: TuningTask, programs: Sequence[Program], store
+        self, task: TuningTask, store, profile: Optional[dict]
     ) -> SearchStrategy:
         """The :attr:`strategy` search for *task*, seeded with the
         default heuristic.
@@ -321,7 +325,7 @@ class InliningTuner:
             config = self.ga_config.scaled(
                 seed=task.seed, rng_key=f"tuner:{task.name}"
             )
-            seeds += self._warm_start_seeds(task, programs, store)
+            seeds += self._warm_start_seeds(store, profile)
             return GAStrategy(ga_space, config, initial_genomes=seeds)
         cfg = self.ga_config
         return strategy_class(self.strategy)(
@@ -333,19 +337,19 @@ class InliningTuner:
         )
 
     def _open_store(self, task: TuningTask, programs: Sequence[Program]):
-        """Open the persistent evaluation store for *task*, if enabled.
+        """``(store, profile)`` for *task*, or ``(None, None)`` without
+        a :attr:`store_path`.
 
-        A tier path opens as a :class:`~repro.perf.storetier.TierStore`
-        and the task's workload profile is registered with the tier so
-        later jobs with different workloads can find it as a
-        nearest-neighbour warm-start source.
+        The store is the task's context in the tier, and the task's
+        workload profile is registered with the tier so later jobs with
+        different workloads can find it as a nearest-neighbour
+        warm-start source.
         """
         if self.store_path is None:
-            return None
-        from repro.perf.store import evaluation_context_key
-        from repro.perf.storetier import TierStore, build_profile, open_store
+            return None, None
+        from repro.perf.storetier import TierStore, build_profile, context_key
 
-        context = evaluation_context_key(
+        profile = build_profile(
             task.machine,
             task.scenario,
             task.metric,
@@ -353,47 +357,23 @@ class InliningTuner:
             self.space,
             programs,
         )
-        store = open_store(self.store_path, context=context)
-        if isinstance(store, TierStore):
-            store.tier.register_profile(
-                context,
-                build_profile(
-                    task.machine,
-                    task.scenario,
-                    task.metric,
-                    self.cost_model,
-                    self.space,
-                    programs,
-                ),
-            )
-        return store
+        context = context_key(profile)
+        store = TierStore(self.store_path, context=context)
+        store.tier.register_profile(context, profile)
+        return store, profile
 
-    def _warm_start_seeds(
-        self, task: TuningTask, programs: Sequence[Program], store
-    ) -> list:
+    def _warm_start_seeds(self, store, profile: Optional[dict]) -> list:
         """Nearest-neighbour population seeds from the tier (opt-in).
 
-        Only fires when enabled, the store is a tier, and the task's own
+        Only fires when enabled, a store is open, and the task's own
         context is empty — a context with recorded entries already warm
         starts *exactly* through store lookups, which is strictly
         better (and bitwise-identical to a cold run, which seeding is
         not)."""
-        from repro.perf.storetier import TierStore, build_profile
-
-        if not self.warm_start_neighbors or not isinstance(store, TierStore):
-            return []
-        if store.size:
+        if not self.warm_start_neighbors or store is None or store.size:
             return []
         seeds = store.tier.warm_start_genomes(
-            build_profile(
-                task.machine,
-                task.scenario,
-                task.metric,
-                self.cost_model,
-                self.space,
-                programs,
-            ),
-            k=max(1, self.ga_config.population_size // 4),
+            profile, k=max(1, self.ga_config.population_size // 4)
         )
         return [tuple(seed) for seed in seeds]
 

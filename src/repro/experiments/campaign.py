@@ -47,7 +47,7 @@ from repro.errors import CampaignError, ConfigurationError
 from repro.ga.engine import GAConfig
 from repro.jvm.scenario import get_scenario
 from repro.perf.engine import STAT_COUNTERS, AcceleratorStats
-from repro.perf.storetier import StoreTier
+from repro.perf.storetier import STORE_TIER_NAME, StoreTier, require_tier
 from repro.resilience import (
     CampaignManifest,
     FailureReport,
@@ -81,10 +81,6 @@ __all__ = [
 DEFAULT_MACHINES = ("pentium4", "powerpc-g4")
 DEFAULT_SCENARIOS = ("adapt", "opt")
 DEFAULT_METRICS = ("balance",)
-
-#: file name of a campaign's default store tier, in the tuning cache or
-#: the campaign directory
-STORE_TIER_NAME = "evaluations.tier"
 
 
 def grid_tasks(
@@ -331,16 +327,6 @@ def execute_cell(request: CellRequest) -> CellOutcome:
     )
 
 
-def _require_tier(path: str, where: str) -> None:
-    """Refuse a legacy single-file store: campaign workers share a tier."""
-    if path.endswith(".jsonl") or os.path.isfile(path):
-        raise ConfigurationError(
-            f"{where} {path!r} is a single-file JSONL store, but campaigns "
-            f"write a store tier; import it with 'repro store migrate "
-            f"{path} TIER' and pass TIER as the store"
-        )
-
-
 def _resumed_result(task_name: str, cell: dict) -> CampaignTaskResult:
     """A completed cell of a previous run, reconstructed from the
     manifest."""
@@ -470,7 +456,7 @@ def _run_campaign_impl(
         raise ConfigurationError(f"duplicate task names in campaign: {names}")
     policy = retry_policy or RetryPolicy()
     if store_path is not None:
-        _require_tier(store_path, "campaign store")
+        require_tier(store_path, "campaign store")
 
     manifest: Optional[CampaignManifest] = None
     if campaign_dir is not None:
@@ -488,7 +474,7 @@ def _run_campaign_impl(
             store_path = manifest.store_path or os.path.join(
                 campaign_dir, STORE_TIER_NAME
             )
-            _require_tier(store_path, f"the manifest of {campaign_dir!r} names store")
+            require_tier(store_path, f"the manifest of {campaign_dir!r} names store")
             if manifest.store_path != store_path:
                 manifest.store_path = store_path
                 manifest.save()

@@ -11,22 +11,26 @@ results are cached twice:
   recalibration invalidates stale entries.  Set ``REPRO_NO_DISK_CACHE=1``
   to disable.
 
-Tuning runs additionally share a persistent genome->fitness store
-(``.repro_cache/evaluations.jsonl``, see ``docs/PERFORMANCE.md``): even
-when the GA must run (e.g. a changed budget invalidates the result
-cache), genomes already simulated under the same evaluation context are
-recalled instead of re-simulated.
+Tuning runs additionally share a persistent genome->fitness store, the
+store tier ``.repro_cache/evaluations.tier`` (see
+``docs/PERFORMANCE.md``): even when the GA must run (e.g. a changed
+budget invalidates the result cache), genomes already simulated under
+the same evaluation context are recalled instead of re-simulated.  An
+``evaluations.jsonl`` left by older versions is neither read nor
+deleted; ``repro store migrate`` imports it into the tier.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Dict, Optional
 
 import repro
 from repro.core.scenarios import get_task
 from repro.core.tuner import DEFAULT_GA_CONFIG, InliningTuner, TunedHeuristic
 from repro.ga.engine import GAConfig
+from repro.perf.storetier import STORE_TIER_NAME
 from repro.rng import stable_hash
 from repro.workloads.suites import SPECJVM98, get_benchmark
 
@@ -85,27 +89,28 @@ def _store(key: str, tuned: TunedHeuristic) -> None:
 
 
 def clear_tuning_cache(disk: bool = False) -> None:
-    """Drop the in-process cache (and optionally the disk cache)."""
+    """Drop the in-process cache (and optionally the disk cache: the
+    result JSONs and the store tier)."""
     _MEMORY_CACHE.clear()
     if disk:
         root = _cache_dir()
         if root is not None:
             for entry in os.listdir(root):
-                if entry.endswith(".json") or entry == _STORE_FILENAME:
+                if entry.endswith(".json"):
                     os.remove(os.path.join(root, entry))
+            shutil.rmtree(os.path.join(root, STORE_TIER_NAME), ignore_errors=True)
 
 
-#: shared genome->fitness store; entries are context-keyed, so every
-#: task/seed combination can safely share the one file.
-_STORE_FILENAME = "evaluations.jsonl"
+def _store_path() -> Optional[str]:
+    """The shared store tier in the cache directory (None when disabled).
 
-
-def _store_path(name: str = _STORE_FILENAME) -> Optional[str]:
-    """The store *name* in the cache directory (None when disabled)."""
+    Entries are context-keyed, so every task/seed combination can
+    safely share the one tier.
+    """
     root = _cache_dir()
     if root is None:
         return None
-    return os.path.join(root, name)
+    return os.path.join(root, STORE_TIER_NAME)
 
 
 def tuned_heuristic(

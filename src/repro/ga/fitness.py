@@ -8,12 +8,12 @@ the statistics and the search-ablation bench report.  A fitness is
 one finite float (every value passes through ``float()``; NaN and
 infinities are refused).
 
-The in-memory cache can be backed by a persistent
-:class:`repro.perf.store.EvaluationStore`: lookups missing in memory
-fall back to the store (:meth:`FitnessCache.recall`), and every insert
-is written through, so evaluations survive process restarts and
-checkpoint-restored entries land on disk too (the store deduplicates
-unchanged re-records).
+The in-memory cache can be backed by a persistent store, one context
+of a store tier (:class:`repro.perf.storetier.TierStore`): lookups
+missing in memory fall back to the store (:meth:`FitnessCache.recall`),
+and every insert is written through, so evaluations survive process
+restarts and checkpoint-restored entries land on disk too (the store
+deduplicates unchanged re-records).
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    over a column store of cached method versions, and whole
    :class:`~repro.jvm.runtime.ExecutionReport` objects are memoized by
    the program-level plan signature.
-3. **Persistent evaluation store** (:mod:`repro.perf.store`) — an
-   on-disk genome -> fitness store keyed by an evaluation-context
-   fingerprint, shared by the fitness cache, campaign workers,
-   checkpoint resume and the benchmark scripts, so no configuration is
-   ever simulated twice across process restarts.
+3. **Persistent evaluation store** (:mod:`repro.perf.storetier`) — an
+   on-disk genome -> fitness store tier keyed by an evaluation-context
+   fingerprint, shared by the fitness cache, the tuner, the paper
+   pipeline, campaign workers, the service, checkpoint resume and the
+   benchmark scripts, so no configuration is ever simulated twice
+   across process restarts.
 4. **Generation batching** (:mod:`repro.perf.batch`) — whole GA
    generations resolve against the region cache in one pass (a single
    C call on the compiled rung) that compiles each distinct parameter
@@ -58,7 +59,6 @@ from repro.perf.shm import (
     WorkloadArchive,
     shared_memory_supported,
 )
-from repro.perf.store import EvaluationStore, evaluation_context_key
 
 __all__ = [
     "AcceleratorStats",
@@ -68,8 +68,6 @@ __all__ = [
     "MethodPlanCache",
     "SharedArraySegment",
     "WorkloadArchive",
-    "EvaluationStore",
-    "evaluation_context_key",
     "aggregate_stats",
     "batched_cache_pressure",
     "shared_memory_supported",

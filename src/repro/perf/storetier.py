@@ -1,15 +1,18 @@
-"""Sharded, content-addressed evaluation-store tier.
+"""The persistent evaluation store: a sharded, content-addressed tier.
 
-The single-file :class:`~repro.perf.store.EvaluationStore` has exactly
-one writer, so it cannot serve concurrent workers.  Every multi-process
-job (``repro campaign``, the ``repro serve`` daemon) stores its
-evaluations in a *tier* instead: a directory whose records are
-content-addressed by ``(evaluation context, genome)`` and spread
-over many files, so that
+Every entry point that persists evaluations opens one: the tuner
+(``InliningTuner(store_path=...)``), the paper pipeline's tuning cache
+(``<cache>/evaluations.tier``, :mod:`repro.experiments.tuning`),
+``repro campaign`` and the ``repro serve`` daemon.  A tier is a
+directory whose records are content-addressed by ``(evaluation
+context, genome)`` and spread over many files, so that
 
 * **N writers append without coordination** — every process owns a
   private active shard (a JSONL file created with ``O_EXCL``) and
   appends durable records directly, with no coordinator in between.
+  Appends batch flush + ``fsync`` every :data:`FLUSH_EVERY` records
+  and at close, so a hard crash loses at most ``FLUSH_EVERY - 1``
+  re-simulatable records.
   Record identity is the 64-bit
   :func:`record_key` hash of ``ctx|genome``; duplicate appends of the
   same record by racing writers are idempotent by construction (same
@@ -25,13 +28,13 @@ over many files, so that
   that is fully readable (worst case: the same records exist in both a
   pack and a shard, which deduplicate on load) and repairable by simply
   compacting again.
-* **results are reusable across campaigns** — records are keyed by the
-  same evaluation-context fingerprint the single-file store uses
-  (machine model, scenario, metric, cost model, parameter space,
-  training-program content hashes), which never mentions a campaign or
+* **results are reusable across jobs** — records are keyed by the
+  evaluation-context fingerprint (:func:`context_key` of the workload
+  profile :func:`build_profile` describes: machine model, scenario,
+  metric, cost model, parameter space, training-program content
+  hashes), which never mentions a campaign or
   process: any later job with the same context answers its genomes from
-  the tier at memory speed.  Each context's *workload profile* (the
-  ingredients of the fingerprint plus the program content hashes) is
+  the tier at memory speed.  Each context's profile is
   registered under ``profiles/`` so a **new** job with a different
   workload can find its nearest neighbours
   (:meth:`StoreTier.nearest_profiles`) and seed its GA population from
@@ -52,13 +55,14 @@ Tiers written while compiled plans were persisted also hold
 ``<root>/plans/plan-*.npz``.  Nothing reads them any more; they open
 and recall as any tier, and :meth:`StoreTier.compact` removes them.
 
-Shard records use the exact line format of the legacy store
-(``{"ctx":…, "genome":…, "fitness":…, "per":…}``), so migrating a
-legacy file is a copy into ``shards/`` plus a compaction
-(:meth:`StoreTier.migrate_legacy`), and the torn-line repair rules are
-shared: a torn trailing line in a shard is skipped on load and dropped
-at compaction, unparsable interior lines are skipped and logged, never
-deleted.
+Shard records are JSONL lines
+(``{"ctx":…, "genome":…, "fitness":…, "per":…}``), the format of the
+retired single-file store, so ``repro store migrate`` imports a legacy
+``evaluations.jsonl`` by reading it with the shard reader and
+compacting (:meth:`StoreTier.migrate_legacy`).  No shard is ever
+rewritten: a torn trailing line (a crash mid-append) is skipped on load
+and dropped at compaction, and unparsable interior lines are skipped
+and logged, never deleted.
 
 Warm starts come in two strengths:
 
@@ -86,7 +90,7 @@ import struct
 import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import GAError
+from repro.errors import ConfigurationError, GAError
 from repro.resilience.faults import get_fault_injector
 from repro.rng import stable_hash
 from repro.telemetry import emit as telemetry_emit
@@ -94,10 +98,13 @@ from repro.telemetry import emit as telemetry_emit
 __all__ = [
     "StoreTier",
     "TierStore",
-    "is_tier_path",
-    "open_store",
+    "build_profile",
+    "context_key",
     "record_key",
+    "require_tier",
     "DEFAULT_BUCKETS",
+    "FLUSH_EVERY",
+    "STORE_TIER_NAME",
 ]
 
 Genome = Tuple[int, ...]
@@ -109,6 +116,12 @@ DEFAULT_BUCKETS = 16
 
 #: tier marker file, also the lifetime-counter scoreboard
 TIER_MARKER = "tier.json"
+
+#: a writer's appends batch flush+fsync at this many records
+FLUSH_EVERY = 64
+
+#: the name a store tier takes inside a cache or campaign directory
+STORE_TIER_NAME = "evaluations.tier"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS evals (
@@ -144,39 +157,19 @@ def _unpack_genome(blob: bytes) -> Genome:
     return tuple(struct.unpack(f"<{len(blob) // 8}q", blob))
 
 
-def is_tier_path(path: Optional[str]) -> bool:
-    """Whether *path* names a store *tier* rather than a legacy file.
+def require_tier(path: str, where: str) -> None:
+    """Refuse a legacy single-file JSONL store: every store is a tier.
 
-    A tier is an existing directory, anything ending in ``.tier`` (the
-    directory is then created on first open), or a path whose
-    ``tier.json`` marker already exists.
+    A path ending in ``.jsonl``, or naming an existing file, is refused
+    with a one-line error that names the migration; anything else opens
+    as a tier (created on first open).
     """
-    if path is None:
-        return False
-    if os.path.isdir(path):
-        return True
-    if path.endswith(".tier") or path.rstrip("/").endswith(".tier"):
-        return True
-    return os.path.exists(os.path.join(path, TIER_MARKER))
-
-
-def open_store(path: str, context: str, flush_every: Optional[int] = None):
-    """Open the right store implementation for *path*.
-
-    Directories (and ``*.tier`` paths) open as a :class:`TierStore`
-    bound to *context*; anything else opens the legacy single-file
-    :class:`~repro.perf.store.EvaluationStore`.  ``flush_every=None``
-    takes the store's default batch.
-    """
-    if is_tier_path(path):
-        return TierStore(path, context=context, flush_every=flush_every)
-    from repro.perf.store import DEFAULT_FLUSH_EVERY, EvaluationStore
-
-    return EvaluationStore(
-        path,
-        context=context,
-        flush_every=DEFAULT_FLUSH_EVERY if flush_every is None else flush_every,
-    )
+    if path.endswith(".jsonl") or os.path.isfile(path):
+        raise ConfigurationError(
+            f"{where} {path!r} is a single-file JSONL store, but evaluation "
+            f"stores are tiers; import it with 'repro store migrate "
+            f"{path} TIER' and pass TIER as the store"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -262,10 +255,10 @@ class _ShardWriter:
     compaction skips hot shards and reaps locks whose pid is gone.
     Appends batch flush+fsync every *flush_every* records and always
     flush+fsync on :meth:`close` (and from a GC finalizer as a safety
-    net), mirroring the legacy store's durability contract.
+    net).
     """
 
-    def __init__(self, directory: str, flush_every: int) -> None:
+    def __init__(self, directory: str, flush_every: int = FLUSH_EVERY) -> None:
         os.makedirs(directory, exist_ok=True)
         self.flush_every = flush_every
         self._unflushed = 0
@@ -753,8 +746,8 @@ class StoreTier:
     def migrate_legacy(self, legacy_path: str, compact: bool = True) -> int:
         """Import a legacy single-file JSONL store into the tier.
 
-        The legacy file is parsed with the shared repair rules (torn
-        trailing line skipped, foreign lines ignored) and its records
+        The legacy file is parsed with the shard reader (torn trailing
+        line skipped, foreign lines ignored) and its records
         re-appended through a private shard, then compacted by default.
         The legacy file itself is left untouched.  Returns the number
         of records imported.
@@ -893,36 +886,24 @@ class StoreTier:
 
 
 # ----------------------------------------------------------------------
-# the EvaluationStore-compatible facade
+# one context's store
 # ----------------------------------------------------------------------
 class TierStore:
     """One evaluation context's view of a :class:`StoreTier`.
 
-    Drop-in for :class:`~repro.perf.store.EvaluationStore` wherever the
-    GA stack touches a store (:class:`~repro.ga.fitness.FitnessCache`,
-    :class:`~repro.ga.engine.GAEngine`, checkpoints), with one
-    deliberate difference: **every instance may write.**  Appends go
-    straight to a private shard, durable at the next flush; the
-    ``appended`` counter reports what this instance recorded.  Worker
-    processes open their own instance from the tier path.
+    The store the GA stack reads and writes
+    (:class:`~repro.ga.fitness.FitnessCache`,
+    :class:`~repro.ga.engine.GAEngine`, checkpoints).  **Every instance
+    may write:** appends go straight to a private shard, durable at the
+    next flush (every :data:`FLUSH_EVERY` records, :meth:`flush` and
+    :meth:`close`); the ``appended`` counter reports what this instance
+    recorded.  Worker processes open their own instance from the tier
+    path.
     """
 
-    #: tier appends batch flush+fsync at this many records
-    DEFAULT_FLUSH_EVERY = 64
-
-    def __init__(
-        self,
-        path: str,
-        context: str = "default",
-        flush_every: Optional[int] = None,
-    ) -> None:
-        if flush_every is None:
-            flush_every = self.DEFAULT_FLUSH_EVERY
-        if flush_every < 1:
-            raise GAError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, path: str, context: str = "default") -> None:
         self.path = path
         self.context = context
-        self.flush_every = flush_every
         self.tier = StoreTier(path)
         self.hits = 0
         self.misses = 0
@@ -978,9 +959,7 @@ class TierStore:
         if per_benchmark:
             record["per"] = dict(per_benchmark)
         if self._writer is None:
-            self._writer = _ShardWriter(
-                self.tier.shards_dir, flush_every=self.flush_every
-            )
+            self._writer = _ShardWriter(self.tier.shards_dir)
         injector = get_fault_injector()
         if injector is not None and injector.should_fire(
             "torn-write", key=str(list(key))
@@ -1041,11 +1020,11 @@ class TierStore:
 # workload profiles
 # ----------------------------------------------------------------------
 def build_profile(machine, scenario, metric, cost_model, space, programs) -> dict:
-    """The workload profile registered next to an evaluation context.
+    """The workload profile of an evaluation context.
 
-    Mirrors :func:`repro.perf.store.evaluation_context_key` field for
-    field; the program fingerprints double as the similarity features
-    for :meth:`StoreTier.nearest_profiles`.
+    :func:`context_key` fingerprints it, and it is registered next to
+    its context; the program fingerprints double as the similarity
+    features for :meth:`StoreTier.nearest_profiles`.
     """
     import repro
 
@@ -1061,3 +1040,23 @@ def build_profile(machine, scenario, metric, cost_model, space, programs) -> dic
         ),
         "programs": [program.fingerprint() for program in programs],
     }
+
+
+#: the profile fields the context key hashes, in order (the program
+#: fingerprints follow)
+_KEY_FIELDS = ("version", "machine", "scenario", "metric", "cost_model", "space")
+
+
+def context_key(profile: dict) -> str:
+    """The evaluation-context fingerprint of a :func:`build_profile`
+    profile: ``stable_hash`` of its fields joined by ``|``, the program
+    fingerprints last.
+
+    Any change to the machine model, scenario, optimization goal, cost
+    model, search space or training-program content yields a different
+    key, so recorded entries are never served to another context (they
+    stay in the tier, unread).
+    """
+    parts = [profile[field] for field in _KEY_FIELDS]
+    parts.extend(profile["programs"])
+    return f"{stable_hash('|'.join(parts)):016x}"

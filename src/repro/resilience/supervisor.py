@@ -105,11 +105,17 @@ def retire_pool(pool: ProcessPoolExecutor) -> None:
     outlive the run.  Every worker is killed and waited for: SIGKILL,
     because a forked worker inherits its coordinator's signal handlers
     (the daemon's SIGTERM drain, say) and could shrug off a SIGTERM.
+
+    The kill comes first and ``shutdown`` waits, so the pool's manager
+    thread, which reaps the dead workers, is their only reaper.  Had
+    this thread joined them too, the loser of the race for a worker's
+    exit status would leave it looking alive for a moment (listed by
+    ``multiprocessing.active_children()``, ``exitcode`` None).
     """
     workers = list((pool._processes or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
     for worker in workers:
         worker.kill()
+    pool.shutdown(wait=True, cancel_futures=True)
     for worker in workers:
         worker.join(RETIRE_JOIN_SECONDS)
 

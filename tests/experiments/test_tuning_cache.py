@@ -10,6 +10,7 @@ from repro.experiments.tuning import (
     tuned_heuristic,
 )
 from repro.ga.engine import GAConfig
+from repro.perf.storetier import StoreTier
 
 TINY_GA = GAConfig(population_size=6, generations=2, elitism=1)
 
@@ -73,6 +74,24 @@ class TestDiskCache:
         assert list(tmp_path.glob("*.json"))
         clear_tuning_cache(disk=True)
         assert not list(tmp_path.glob("*.json"))
+
+    def test_store_is_a_tier(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        tuned = tuned_heuristic("Opt:Tot", ga_config=TINY_GA)
+        assert (tmp_path / "evaluations.tier" / "tier.json").exists()
+        assert not (tmp_path / "evaluations.jsonl").exists()
+        counts = StoreTier(str(tmp_path / "evaluations.tier")).contexts()
+        assert sum(counts.values()) == tuned.evaluations
+
+    def test_clear_disk_cache_removes_the_tier(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        tuned_heuristic("Opt:Tot", ga_config=TINY_GA)
+        legacy = tmp_path / "evaluations.jsonl"
+        legacy.write_text("")  # an older version's store: left alone
+        assert (tmp_path / "evaluations.tier").is_dir()
+        clear_tuning_cache(disk=True)
+        assert not (tmp_path / "evaluations.tier").exists()
+        assert legacy.exists()
 
 
 class TestPerProgram:

@@ -9,19 +9,22 @@ import pytest
 
 from repro.arch import PENTIUM4
 from repro.core.metrics import Metric
+from repro.core.parameters import TABLE1_SPACE
+from repro.core.scenarios import get_task
 from repro.core.tuner import InliningTuner, TunedHeuristic, TuningTask
-from repro.errors import GAError
+from repro.errors import ConfigurationError, GAError
 from repro.ga.engine import GAConfig
-from repro.perf.store import EvaluationStore
+from repro.jvm.costmodel import DEFAULT_COST_MODEL
 from repro.perf.storetier import (
     StoreTier,
     TierStore,
     build_profile,
-    is_tier_path,
-    open_store,
+    context_key,
     record_key,
+    require_tier,
 )
 from repro.jvm.scenario import OPTIMIZING
+from repro.workloads.suites import SPECJVM98
 
 from helpers import chain_program, diamond_program
 
@@ -40,27 +43,84 @@ class TestRecordKey:
             assert 0 <= key < (1 << 63)
 
 
+class TestContextKey:
+    def _key(self, programs, metric=Metric.RUNNING):
+        return context_key(
+            build_profile(
+                PENTIUM4,
+                OPTIMIZING,
+                metric,
+                DEFAULT_COST_MODEL,
+                TABLE1_SPACE,
+                programs,
+            )
+        )
+
+    def test_deterministic(self, diamond):
+        assert self._key([diamond]) == self._key([diamond])
+
+    def test_program_content_changes_key(self, diamond, chain):
+        assert self._key([diamond]) != self._key([chain])
+
+    def test_metric_changes_key(self, diamond):
+        assert self._key([diamond], Metric.RUNNING) != self._key(
+            [diamond], Metric.TOTAL
+        )
+
+    def test_table4_key_is_pinned(self):
+        """Tiers filled by earlier runs keep recalling: Opt:Bal's key on
+        the default workload is the one every earlier version wrote."""
+        task = get_task("Opt:Bal")
+        profile = build_profile(
+            task.machine,
+            task.scenario,
+            task.metric,
+            DEFAULT_COST_MODEL,
+            TABLE1_SPACE,
+            SPECJVM98.programs(seed=0),
+        )
+        assert context_key(profile) == "645d2e2e5c545048"
+
+
 class TestTierPathDispatch:
-    def test_none_and_jsonl_are_not_tiers(self, tmp_path):
-        assert not is_tier_path(None)
-        assert not is_tier_path(str(tmp_path / "evals.jsonl"))
+    """Every store is a tier.  A directory, a ``*.tier`` path or any new
+    path opens as one; a ``.jsonl`` path or an existing file is refused
+    with one line naming ``repro store migrate``, by the tuner and
+    campaigns alike (:func:`require_tier`)."""
+
+    def test_none_and_jsonl_are_not_tiers(self, tmp_path, diamond):
+        task = TuningTask(
+            name="storeless", scenario=OPTIMIZING, machine=PENTIUM4,
+            metric=Metric.RUNNING,
+        )
+        assert InliningTuner()._open_store(task, [diamond]) == (None, None)
+        path = str(tmp_path / "evals.jsonl")
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            require_tier(path, "store")
+        assert not os.path.exists(path)
 
     def test_directory_and_tier_suffix_are_tiers(self, tmp_path):
-        assert is_tier_path(str(tmp_path))  # existing directory
-        assert is_tier_path(str(tmp_path / "evals.tier"))  # created on open
-
-    def test_open_store_dispatches_by_path(self, tmp_path):
-        legacy = open_store(str(tmp_path / "evals.jsonl"), context="c")
-        assert isinstance(legacy, EvaluationStore)
-        tiered = open_store(str(tmp_path / "evals.tier"), context="c")
-        assert isinstance(tiered, TierStore)
-        tiered.close()
+        require_tier(str(tmp_path), "store")  # existing directory
+        require_tier(str(tmp_path / "evals.tier"), "store")  # created on open
+        with TierStore(str(tmp_path / "evals"), context="c") as store:
+            assert store.size == 0 and store.get((1,)) is None  # new: empty
+            store.record((1,), 1.0)
+        assert os.path.isdir(str(tmp_path / "evals"))
 
     def test_marker_makes_a_tier_recognizable(self, tmp_path):
         root = str(tmp_path / "t")
         StoreTier(root)
         assert os.path.exists(os.path.join(root, "tier.json"))
-        assert is_tier_path(root)
+        require_tier(root, "store")
+
+    def test_tuner_refuses_a_jsonl_store_path(self, tmp_path):
+        path = str(tmp_path / "evals.jsonl")
+        with pytest.raises(ConfigurationError) as info:
+            InliningTuner(store_path=path)
+        message = str(info.value)
+        assert "repro store migrate" in message and path in message
+        assert len(message.splitlines()) == 1
+        assert not os.path.exists(path)
 
 
 class TestTierStoreBasics:
@@ -73,6 +133,7 @@ class TestTierStoreBasics:
         assert reopened.get((1, 2, 3, 4, 5)) == 0.75
         assert reopened.size == 1
         assert reopened.hits == 1
+        assert reopened.repair_log == []  # a clean tier needs no repair
         reopened.close()
 
     def test_contexts_are_isolated(self, tmp_path):
@@ -371,28 +432,48 @@ class TestCompaction:
         reopened.close()
 
 
+def _legacy_records():
+    """``(ctx, genome, fitness, per)`` of the legacy fixture below."""
+    return [
+        (context, (i, i, i, i, i), float(i) + 0.5, {"jess": i / 4} if i % 2 else None)
+        for context in ("a", "b")
+        for i in range(4)
+    ]
+
+
+def _write_legacy(path):
+    """A single-file JSONL store as older versions wrote it: one record
+    per line, per-benchmark detail on some, a foreign line, and the
+    torn tail a crash mid-append leaves."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for ctx, genome, fitness, per in _legacy_records():
+            record = {"ctx": ctx, "genome": list(genome), "fitness": fitness}
+            if per:
+                record["per"] = per
+            handle.write(json.dumps(record) + "\n")
+        handle.write(json.dumps({"note": "foreign but intact"}) + "\n")
+        handle.write('{"ctx": "a", "genome": [9, 9')
+
+
 class TestMigrateLegacy:
     def test_migration_matches_the_legacy_store(self, tmp_path):
         legacy_path = str(tmp_path / "evals.jsonl")
-        for context in ("a", "b"):
-            with EvaluationStore(legacy_path, context=context) as store:
-                for i in range(4):
-                    store.record((i, i, i, i, i), float(i) + 0.5)
+        _write_legacy(legacy_path)
         root = str(tmp_path / "tier")
         tier = StoreTier(root)
         imported = tier.migrate_legacy(legacy_path)
         assert imported == 8
         assert tier.pack_files()  # migration compacts by default
         for context in ("a", "b"):
-            entries, _extras, _repairs = tier.load_context(context)
-            legacy = EvaluationStore(legacy_path, context=context)
-            assert len(entries) == legacy.size
-            assert all(legacy.get(g) == value for g, value in entries.items())
+            entries, extras, repairs = tier.load_context(context)
+            expected = [r for r in _legacy_records() if r[0] == context]
+            assert entries == {genome: fitness for _c, genome, fitness, _p in expected}
+            assert extras == {genome: per for _c, genome, _f, per in expected if per}
+            assert repairs == []  # the pack holds only intact records
 
     def test_legacy_file_is_left_untouched(self, tmp_path):
         legacy_path = str(tmp_path / "evals.jsonl")
-        with EvaluationStore(legacy_path, context="ctx") as store:
-            store.record((1, 2, 3, 4, 5), 0.75)
+        _write_legacy(legacy_path)
         before = open(legacy_path, "rb").read()
         StoreTier(str(tmp_path / "tier")).migrate_legacy(legacy_path)
         assert open(legacy_path, "rb").read() == before
@@ -450,7 +531,7 @@ class TestProfilesAndWarmStarts:
 class TestTunerTierStore:
     """The tier acceptance property: identical runs against the tier
     re-simulate nothing, before and after compaction, and the tuned
-    result is bitwise-identical to the legacy-store run."""
+    result is bitwise-identical to a storeless run."""
 
     CONFIG = GAConfig(
         population_size=6,
@@ -487,14 +568,14 @@ class TestTunerTierStore:
         assert third.params == first.params
         assert third.fitness == first.fitness
 
-    def test_tier_run_matches_legacy_store_run_bitwise(
+    def test_tier_run_matches_storeless_run_bitwise(
         self, tmp_path, diamond, chain
     ):
-        legacy = self._tune(str(tmp_path / "evals.jsonl"), diamond, chain)
+        storeless = self._tune(None, diamond, chain)
         tiered = self._tune(str(tmp_path / "evals.tier"), diamond, chain)
-        assert tiered.params == legacy.params
-        assert tiered.fitness == legacy.fitness
-        assert tiered.evaluations == legacy.evaluations
+        assert tiered.params == storeless.params
+        assert tiered.fitness == storeless.fitness
+        assert tiered.evaluations == storeless.evaluations
 
     def test_tier_records_every_evaluation(self, tmp_path, diamond, chain):
         root = str(tmp_path / "evals.tier")
@@ -537,9 +618,9 @@ class TestTunerTierStore:
             self.CONFIG, store_path=root, warm_start_neighbors=True
         )
         programs = [diamond]  # subset of the recorded workload
-        store = tuner._open_store(task, programs)
+        store, profile = tuner._open_store(task, programs)
         try:
-            seeds = tuner._warm_start_seeds(task, programs, store)
+            seeds = tuner._warm_start_seeds(store, profile)
         finally:
             store.close()
         assert seeds
@@ -575,8 +656,8 @@ class TestStoreCLI:
         from repro.cli import main
 
         legacy = str(tmp_path / "evals.jsonl")
-        with EvaluationStore(legacy, context="ctx") as store:
-            store.record((1, 2, 3, 4, 5), 0.75)
+        with open(legacy, "w", encoding="utf-8") as handle:
+            handle.write('{"ctx": "ctx", "genome": [1, 2, 3, 4, 5], "fitness": 0.75}\n')
         root = str(tmp_path / "tier")
         assert main(["store", "migrate", legacy, root]) == 0
         entries, _extras, _repairs = StoreTier(root).load_context("ctx")

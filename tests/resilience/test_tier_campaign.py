@@ -42,9 +42,8 @@ def _assert_bitwise(baseline, other):
 
 
 class TestTierCampaignParity:
-    def test_tier_campaign_matches_legacy_store_campaign(self, tmp_path):
-        """Tier == legacy: every cell equals its task tuned in-process
-        on a single-file JSONL store."""
+    def test_tier_campaign_matches_in_process_tuning(self, tmp_path):
+        """Every cell equals its task tuned in-process on a fresh tier."""
         tasks = _tasks_1x2()
         tiered = run_campaign(
             tasks, ga_config=TINY, store_path=str(tmp_path / "evals.tier"),
@@ -53,13 +52,13 @@ class TestTierCampaignParity:
         assert tiered.ok
         programs = SPECJVM98.programs(seed=0)
         for task, cell in zip(tasks, tiered.results):
-            tuner = InliningTuner(TINY, store_path=str(tmp_path / "clean.jsonl"))
-            legacy = tuner.tune(task, programs)
+            tuner = InliningTuner(TINY, store_path=str(tmp_path / "clean.tier"))
+            in_process = tuner.tune(task, programs)
             assert cell.task_name == task.name
-            assert cell.tuned.params == legacy.params
-            assert cell.tuned.fitness == legacy.fitness
-            assert cell.tuned.evaluations == legacy.evaluations
-            # the tier persisted every simulation the legacy store did
+            assert cell.tuned.params == in_process.params
+            assert cell.tuned.fitness == in_process.fitness
+            assert cell.tuned.evaluations == in_process.evaluations
+            # the campaign persisted every simulation the in-process run did
             assert cell.new_records == tuner.last_store.size
         assert tiered.total_new_records == tiered.total_evaluations
 

@@ -1,12 +1,11 @@
 """Crash safety of the sharded store tier: torn shards, killed compactions.
 
-Extends the legacy-store repair suite (``test_store_repair.py``) to the
-tier's two on-disk structures: append shards share the legacy JSONL
-repair rules (torn trailing line skipped, interior garbage skipped and
-logged, never deleted), and compaction must survive a SIGKILL at any
-point — the pack is published atomically and inputs are only removed
-after, so the worst case is records duplicated between a pack and a
-shard, which load-time dedup collapses.
+Covers the tier's two on-disk structures: append shards are never
+rewritten (a torn trailing line is skipped, interior garbage skipped
+and logged, never deleted), and compaction must survive a SIGKILL at
+any point — the pack is published atomically and inputs are only
+removed after, so the worst case is records duplicated between a pack
+and a shard, which load-time dedup collapses.
 """
 
 import json

@@ -251,7 +251,7 @@ class TestDriver:
         )
 
     def test_store_recall_counts_as_hits(self, space, tmp_path):
-        from repro.perf.store import EvaluationStore
+        from repro.perf.storetier import TierStore
 
         calls = []
 
@@ -259,11 +259,11 @@ class TestDriver:
             calls.append(genome)
             return sphere(genome)
 
-        store_path = str(tmp_path / "store.jsonl")
-        with EvaluationStore(store_path) as store:
+        store_path = str(tmp_path / "store.tier")
+        with TierStore(store_path) as store:
             run_search(CMAESStrategy(space, budget=30, seed=6), counting, store=store)
         first_calls = len(calls)
-        with EvaluationStore(store_path) as store:
+        with TierStore(store_path) as store:
             result = run_search(
                 CMAESStrategy(space, budget=30, seed=6), counting, store=store
             )

@@ -37,9 +37,11 @@ baseline:
   Needs a compiled backend (it raises without one) — hosts without a
   C compiler should run the other guards only.
 * ``benchmarks/bench_store_tier.py`` — the sharded store tier
-  (``repro.perf.storetier``) vs the legacy single-file store: batched
-  warm-start lookup against an 8-context store (indexed pack query vs
-  full JSONL replay), 5x acceptance floor.  Results in
+  (``repro.perf.storetier``) vs a replay of the single-file JSONL
+  store it replaced: batched warm-start lookup against an 8-context
+  store (indexed pack query vs a full replay of the legacy file
+  through the reader ``repro store migrate`` uses, keeping one
+  context), 5x acceptance floor.  Results in
   ``benchmarks/BENCH_store.json``, baseline in
   ``benchmarks/BENCH_store_baseline.json``.
 
