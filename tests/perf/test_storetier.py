@@ -68,8 +68,8 @@ class TestContextKey:
         )
 
     def test_table4_key_is_pinned(self):
-        """Tiers filled by earlier runs keep recalling: Opt:Bal's key on
-        the default workload is the one every earlier version wrote."""
+        """Opt:Bal's key on the default workload, as recorded in tiers and
+        migrated JSONL stores: a changed derivation would orphan them."""
         task = get_task("Opt:Bal")
         profile = build_profile(
             task.machine,
