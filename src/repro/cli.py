@@ -119,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="campaign_dir",
         default=None,
         help="campaign directory: records completed cells in a "
-        "crash-safe manifest and checkpoints GA state every generation",
+        "crash-safe manifest (interrupted cells re-run on the store)",
     )
     p_camp.add_argument(
         "--resume",
         action="store_true",
         help="resume the campaign in --dir: skip completed cells, "
-        "restart interrupted ones from their last GA generation",
+        "re-run interrupted ones, recalling their stored genomes",
     )
     p_camp.add_argument(
         "--retries",
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir",
         dest="state_dir",
         required=True,
-        help="service state directory (journal, checkpoints, store tier)",
+        help="service state directory (journal, store tier)",
     )
     p_serve.add_argument(
         "--workers", type=int, default=2, help="worker pool size (default 2)"
@@ -386,7 +386,7 @@ def _cmd_tune(args) -> int:
 def _cmd_campaign(args) -> int:
     from repro.experiments.campaign import grid_tasks, run_campaign
     from repro.experiments.tuning import _store_path
-    from repro.resilience import RetryPolicy
+    from repro.resilience.supervisor import RetryPolicy
 
     config = DEFAULT_GA_CONFIG.scaled(
         generations=args.generations,
@@ -467,7 +467,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.resilience import RetryPolicy
+    from repro.resilience.supervisor import RetryPolicy
     from repro.service import ServiceDaemon
 
     policy = RetryPolicy(max_attempts=args.retries, timeout=args.task_timeout)

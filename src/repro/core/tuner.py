@@ -18,7 +18,6 @@ contains the hand-tuned point.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
@@ -222,17 +221,15 @@ class InliningTuner:
         task: TuningTask,
         training_programs: Sequence[Program],
         on_generation=None,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 1,
     ) -> TunedHeuristic:
         """Tune the heuristic for *task* over *training_programs*.
 
-        ``checkpoint_path`` makes the run resumable: search state is
-        persisted there atomically every ``checkpoint_every``
-        iterations (GA generations), and a run finding an existing
-        checkpoint at that path resumes from it through the strategy's
-        ``restore_from`` instead of starting over (the campaign runner
-        uses this for ``--resume``).
+        With a :attr:`store_path` an interrupted run resumes by running
+        again: the search repeats from the start, recalls every genome
+        the tier recorded durably and simulates only the rest, landing
+        bitwise on the uninterrupted result.  (Not so with
+        :attr:`warm_start_neighbors`: neighbour seeds go only to a
+        context with no records yet.)
         """
         evaluator = self._evaluator_factory(
             programs=training_programs,
@@ -247,15 +244,8 @@ class InliningTuner:
 
         start = time.perf_counter()
         try:
-            if checkpoint_path is not None and os.path.exists(checkpoint_path):
-                strategy.restore_from(checkpoint_path)
             result = run_search(
-                strategy,
-                evaluator,
-                store=store,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                on_progress=on_generation,
+                strategy, evaluator, store=store, on_progress=on_generation
             )
             # evaluate before the accelerator is retired below so its
             # counters land in this run's stats snapshot

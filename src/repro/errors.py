@@ -15,7 +15,6 @@ __all__ = [
     "SimulationError",
     "GAError",
     "TuningError",
-    "CheckpointError",
     "CampaignError",
     "StoreCorruptionError",
 ]
@@ -49,10 +48,6 @@ class GAError(ReproError):
 
 class TuningError(ReproError):
     """The inlining tuner could not complete a tuning run."""
-
-
-class CheckpointError(ReproError):
-    """A GA checkpoint could not be written or restored."""
 
 
 class CampaignError(ReproError):

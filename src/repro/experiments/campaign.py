@@ -18,18 +18,20 @@ Each task also reports its accelerator counters (report-memo, method
 cache and batch-dedup hit rates), which
 :class:`CampaignResult.accelerator_totals` aggregates for the campaign.
 
-Fault tolerance: cells run under :func:`repro.resilience.run_supervised`
-(bounded retries with backoff, worker-death recovery with pool rebuild
-and resubmission, optional per-task timeouts).  A cell that exhausts
-its attempt budget is reported as a ``failed``
-:class:`CampaignTaskResult` alongside the cells that succeeded — a
-partial campaign returns its partial results plus structured
-:class:`~repro.resilience.FailureReport` entries instead of raising.
-With ``campaign_dir`` set, completed cells are recorded in a
-crash-safe :class:`~repro.resilience.CampaignManifest` as they finish
-and workers checkpoint their GA state every generation, so
-``resume=True`` (CLI: ``repro campaign --resume``) skips finished
-cells and restarts interrupted ones from their last generation.
+Fault tolerance: cells run under
+:func:`repro.resilience.supervisor.run_supervised` (bounded retries
+with backoff, worker-death recovery with pool rebuild and
+resubmission, optional per-task timeouts).  A cell that exhausts its
+attempt budget is reported as a ``failed`` :class:`CampaignTaskResult`
+alongside the cells that succeeded — a partial campaign returns its
+partial results plus structured
+:class:`~repro.resilience.supervisor.FailureReport` entries instead of
+raising.  A retried cell runs again from the start and recalls from
+the tier every genome its earlier attempts recorded durably.  With
+``campaign_dir`` set, completed cells are recorded in a crash-safe
+:class:`~repro.resilience.manifest.CampaignManifest` as they finish,
+so ``resume=True`` (CLI: ``repro campaign --resume``) skips finished
+cells and re-runs interrupted ones the same way.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ from repro.ga.engine import GAConfig
 from repro.jvm.scenario import get_scenario
 from repro.perf.engine import STAT_COUNTERS, AcceleratorStats
 from repro.perf.storetier import STORE_TIER_NAME, StoreTier, require_tier
-from repro.resilience import (
-    CampaignManifest,
+from repro.resilience.manifest import CampaignManifest, campaign_fingerprint
+from repro.resilience.supervisor import (
     FailureReport,
     RetryPolicy,
-    campaign_fingerprint,
-    checkpoint_path_for,
     run_supervised,
     run_supervised_serial,
 )
@@ -243,8 +243,6 @@ class CellRequest:
     #: shared evaluation-store tier directory, or None
     store_path: Optional[str] = None
     workload_seed: int = 0
-    #: per-cell GA checkpoint path (crash-safe resume), or None
-    checkpoint_path: Optional[str] = None
     #: shared-memory workload-archive segment name (repro.perf.shm)
     archive_name: Optional[str] = None
     #: published plan-archive base name (repro.perf.planshare)
@@ -276,10 +274,9 @@ def execute_cell(request: CellRequest) -> CellOutcome:
     This is the cell-execution core shared by ``repro campaign`` and
     the ``repro serve`` daemon.  The cell appends its records to the
     store from this process (a private shard of a tier) and only the
-    count, :attr:`CellOutcome.appended`, rides back.  With a checkpoint
-    path the GA persists its state every
-    generation and resumes from an existing checkpoint, so a retried or
-    resumed cell re-simulates only what the store cannot answer.
+    count, :attr:`CellOutcome.appended`, rides back.  A retried or
+    resumed cell runs its search again from the start and re-simulates
+    only what the store cannot answer.
     """
     task = request.task
     if request.plan_base is not None:
@@ -310,9 +307,7 @@ def execute_cell(request: CellRequest) -> CellOutcome:
                 warm_start_neighbors=request.warm_start_neighbors,
                 strategy=request.strategy,
             )
-            tuned = tuner.tune(
-                task, programs, checkpoint_path=request.checkpoint_path
-            )
+            tuned = tuner.tune(task, programs)
     store = tuner.last_store
     context = store.context if store is not None else None
     # the tier store counts what this cell appended to its shard
@@ -378,8 +373,8 @@ def run_campaign(
     receives one status line per finished task.
 
     *campaign_dir* turns on crash-safe bookkeeping: a manifest records
-    each completed cell the moment the coordinator persisted it, and
-    every cell checkpoints its GA state there each generation.  If the
+    each completed cell the moment the coordinator persisted it; an
+    interrupted cell re-runs from the start on the store.  If the
     directory's manifest already exists it must match this campaign's
     fingerprint (tasks, GA budget, seeds, version), and its completed
     cells are skipped — ``resume=True`` additionally *requires* the
@@ -388,11 +383,11 @@ def run_campaign(
     manifest names, or a new tier at ``<campaign_dir>/evaluations.tier``.
 
     Cells run supervised under *retry_policy* (default
-    :class:`~repro.resilience.RetryPolicy`): worker deaths rebuild the
-    pool and resubmit, exceptions retry with backoff, and a cell that
-    exhausts its budget is returned as a failed result — the campaign
-    reports partial results plus structured failures instead of
-    raising.
+    :class:`~repro.resilience.supervisor.RetryPolicy`): worker deaths
+    rebuild the pool and resubmit, exceptions retry with backoff, and a
+    cell that exhausts its budget is returned as a failed result — the
+    campaign reports partial results plus structured failures instead
+    of raising.
 
     *telemetry_dir* (CLI: ``repro campaign --telemetry DIR``) turns on
     the observability layer for the run: a telemetry session is
@@ -529,9 +524,6 @@ def _run_campaign_impl(
                 ga_config=ga_config,
                 store_path=store_path,
                 workload_seed=workload_seed,
-                checkpoint_path=checkpoint_path_for(campaign_dir, task.name)
-                if campaign_dir is not None
-                else None,
                 plan_base=plan_publisher.base
                 if plan_publisher is not None
                 else None,

@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.tuner import DEFAULT_GA_CONFIG
 from repro.experiments.figures import figure1, figure2, figure10, tuned_vs_default
 from repro.experiments.tables import table4, table5
+from repro.experiments.tuning import compact_tuning_store
 from repro.ga.engine import GAConfig
 
 __all__ = ["generate_report", "PAPER_TABLE4", "PAPER_TABLE5"]
@@ -227,6 +228,9 @@ def generate_report(
         "win) — per-program magnitudes depend on workload details the "
         "synthetic suites only match in aggregate.\n"
     )
+
+    # every tune is done: fold their shards into one pack
+    compact_tuning_store()
 
     # ---------------- evaluation-engine statistics ----------------
     say("accelerator statistics ...")

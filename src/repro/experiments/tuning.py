@@ -30,11 +30,16 @@ import repro
 from repro.core.scenarios import get_task
 from repro.core.tuner import DEFAULT_GA_CONFIG, InliningTuner, TunedHeuristic
 from repro.ga.engine import GAConfig
-from repro.perf.storetier import STORE_TIER_NAME
+from repro.perf.storetier import STORE_TIER_NAME, StoreTier
 from repro.rng import stable_hash
 from repro.workloads.suites import SPECJVM98, get_benchmark
 
-__all__ = ["tuned_heuristic", "tuned_for_program", "clear_tuning_cache"]
+__all__ = [
+    "tuned_heuristic",
+    "tuned_for_program",
+    "clear_tuning_cache",
+    "compact_tuning_store",
+]
 
 _MEMORY_CACHE: Dict[str, TunedHeuristic] = {}
 
@@ -111,6 +116,24 @@ def _store_path() -> Optional[str]:
     if root is None:
         return None
     return os.path.join(root, STORE_TIER_NAME)
+
+
+def compact_tuning_store() -> None:
+    """Fold the store tier's shards into one indexed pack, best-effort.
+
+    Every tune appends a shard, so a pipeline run leaves one per tuning
+    call; compacting once at its end (as ``run_campaign`` does) lets the
+    next run load each context with one indexed query.  A tier that
+    does not exist yet is not created, and a failed compaction leaves a
+    fully readable tier.
+    """
+    path = _store_path()
+    if path is None or not os.path.isdir(path):
+        return
+    try:
+        StoreTier(path).compact()
+    except Exception:  # pragma: no cover - e.g. read-only mount
+        pass
 
 
 def tuned_heuristic(

@@ -2,8 +2,10 @@
 
 Stands in for ECJ [Luke, 2004], which the paper uses: steady
 generational GA over integer genomes with configurable selection,
-crossover, mutation, elitism, fitness caching, checkpointing and
-generation-batched evaluation.  The library is generic — nothing in this
+crossover, mutation, elitism, fitness caching and generation-batched
+evaluation.  ECJ's checkpoints have no counterpart: a run resumes by
+running again on its persistent evaluation store, which recalls every
+genome it recorded.  The library is generic — nothing in this
 package knows about inlining — and is exercised independently by its own
 test suite.
 """
@@ -31,7 +33,6 @@ from repro.ga.operators_extra import (
     BoundaryMutation,
 )
 from repro.ga.parallel import SerialEvaluator, BatchEvaluator
-from repro.ga.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
     "IntVectorSpace",
@@ -57,6 +58,4 @@ __all__ = [
     "BoundaryMutation",
     "SerialEvaluator",
     "BatchEvaluator",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

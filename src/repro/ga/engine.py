@@ -12,9 +12,9 @@ Since the search-strategy extraction (ROADMAP item 3) the evolution
 loop itself lives in :class:`repro.search.ga.GAStrategy` and the
 evaluation machinery in :mod:`repro.search.driver`; this engine is the
 stable public API over that pair, with bitwise-identical behavior to
-the pre-extraction loop (checkpoints, RNG streams, fitness
-trajectories).  Imports of :mod:`repro.search` stay inside method
-bodies: ``repro.search.ga`` imports :class:`GAConfig` from here.
+the pre-extraction loop (RNG streams, fitness trajectories).  Imports
+of :mod:`repro.search` stay inside method bodies: ``repro.search.ga``
+imports :class:`GAConfig` from here.
 """
 
 from __future__ import annotations
@@ -122,9 +122,6 @@ class GAEngine:
         fitness_fn: FitnessFn,
         on_generation: Optional[GenerationHook] = None,
         initial_genomes: Optional[Sequence[Sequence[int]]] = None,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 1,
-        resume_from=None,
     ) -> GAResult:
         """Evolve and return the best individual.
 
@@ -133,31 +130,22 @@ class GAEngine:
         GA result can never be worse than the default on the training
         fitness.
 
-        ``checkpoint_path`` persists the full engine state (population,
-        best, fitness cache, RNG state, early-stop counter) atomically
-        every ``checkpoint_every`` generations.  ``resume_from`` (a
-        :class:`~repro.ga.checkpoint.Checkpoint`) restores that state:
-        a resumed run continues the exact evolution the interrupted run
-        would have performed — identical breeding decisions, identical
-        final best — with every already-paid genome answered from the
-        restored cache (and the persistent store, when attached).
+        With a persistent ``store`` an interrupted run resumes by
+        running again: the RNG stream replays the identical evolution,
+        and every genome the store recorded durably is recalled instead
+        of simulated.
         """
         from repro.search.driver import run_search
         from repro.search.ga import GAStrategy
 
         strategy = GAStrategy(
-            self.space,
-            self.config,
-            initial_genomes=initial_genomes,
-            resume_from=resume_from,
+            self.space, self.config, initial_genomes=initial_genomes
         )
         result = run_search(
             strategy,
             fitness_fn,
             evaluator=self.evaluator,
             store=self.store,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
             on_progress=on_generation,
         )
         return GAResult(

@@ -12,8 +12,7 @@ The in-memory cache can be backed by a persistent store, one context
 of a store tier (:class:`repro.perf.storetier.TierStore`): lookups
 missing in memory fall back to the store (:meth:`FitnessCache.recall`),
 and every insert is written through, so evaluations survive process
-restarts and checkpoint-restored entries land on disk too (the store
-deduplicates unchanged re-records).
+restarts (the store deduplicates unchanged re-records).
 """
 
 from __future__ import annotations
@@ -100,9 +99,9 @@ class FitnessCache:
         return value
 
     def insert(self, genome: Sequence[int], value: float) -> None:
-        """Insert an externally computed fitness (parallel evaluation,
-        checkpoint restore).  Written through to the persistent store
-        when one is attached (no-op there if already stored unchanged).
+        """Insert an externally computed fitness (batched evaluation).
+        Written through to the persistent store when one is attached
+        (no-op there if already stored unchanged).
         """
         key = self._key(genome)
         value = float(value)
@@ -120,7 +119,3 @@ class FitnessCache:
     def size(self) -> int:
         """Number of distinct genomes evaluated so far."""
         return len(self._store)
-
-    def items(self):
-        """Iterate over (genome, fitness) pairs (checkpointing)."""
-        return self._store.items()

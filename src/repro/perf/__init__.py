@@ -20,9 +20,9 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
 3. **Persistent evaluation store** (:mod:`repro.perf.storetier`) — an
    on-disk genome -> fitness store tier keyed by an evaluation-context
    fingerprint, shared by the fitness cache, the tuner, the paper
-   pipeline, campaign workers, the service, checkpoint resume and the
-   benchmark scripts, so no configuration is ever simulated twice
-   across process restarts.
+   pipeline, campaign workers, the service and the benchmark scripts,
+   so no configuration is ever simulated twice across process restarts
+   (it is also how an interrupted search resumes).
 4. **Generation batching** (:mod:`repro.perf.batch`) — whole GA
    generations resolve against the region cache in one pass (a single
    C call on the compiled rung) that compiles each distinct parameter

@@ -893,7 +893,8 @@ class TierStore:
 
     The store the GA stack reads and writes
     (:class:`~repro.ga.fitness.FitnessCache`,
-    :class:`~repro.ga.engine.GAEngine`, checkpoints).  **Every instance
+    :class:`~repro.ga.engine.GAEngine`), and the only state an
+    interrupted search resumes from.  **Every instance
     may write:** appends go straight to a private shard, durable at the
     next flush (every :data:`FLUSH_EVERY` records, :meth:`flush` and
     :meth:`close`); the ``appended`` counter reports what this instance

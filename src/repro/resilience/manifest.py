@@ -1,23 +1,18 @@
 """Crash-safe campaign manifests.
 
-A campaign directory holds everything needed to resume an interrupted
-arch x scenario x metric campaign:
-
-``manifest.json``
-    which grid cells are done (with their serialized
-    :class:`~repro.core.tuner.TunedHeuristic` and bookkeeping), the
-    campaign fingerprint, and the store path;
-``checkpoints/<task>.json``
-    the per-task GA checkpoint, written every generation by the worker
-    that owns the cell.
+A campaign directory's ``manifest.json`` records which grid cells of
+an arch x scenario x metric campaign are done (with their serialized
+:class:`~repro.core.tuner.TunedHeuristic` and bookkeeping), the
+campaign fingerprint, and the store path.
 
 The manifest is rewritten atomically (write-temp-then-``os.replace``)
 after every cell completes, so a hard abort at any instant leaves
 either the previous or the next consistent manifest on disk — never a
 torn one.  ``repro campaign --resume <dir>`` then skips completed
-cells entirely and restarts interrupted ones from their last GA
-generation, with every previously simulated genome answered by the
-shared evaluation store.
+cells entirely and re-runs interrupted ones from the start, with every
+genome the store tier recorded durably recalled instead of simulated.
+Directories written by older versions also hold
+``checkpoints/<task>.json``; nothing reads or deletes them.
 
 The *fingerprint* hashes everything that determines cell results (task
 names, GA budget, seeds, library version); resuming with a different
@@ -28,22 +23,14 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CampaignError
 from repro.rng import stable_hash
 
-__all__ = ["CampaignManifest", "campaign_fingerprint", "checkpoint_path_for"]
+__all__ = ["CampaignManifest", "campaign_fingerprint"]
 
 _FORMAT_VERSION = 1
-
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9_.@-]")
-
-
-def _safe_filename(task_name: str) -> str:
-    """Task name as a filesystem-safe checkpoint stem."""
-    return _SAFE_NAME.sub("_", task_name)
 
 
 def campaign_fingerprint(
@@ -75,11 +62,6 @@ def campaign_fingerprint(
     return f"{stable_hash('|'.join(parts)):016x}"
 
 
-def checkpoint_path_for(campaign_dir: str, task_name: str) -> str:
-    """Per-task GA checkpoint path inside *campaign_dir*."""
-    return os.path.join(campaign_dir, "checkpoints", f"{_safe_filename(task_name)}.json")
-
-
 class CampaignManifest:
     """Completed-cell ledger of one campaign directory."""
 
@@ -103,7 +85,6 @@ class CampaignManifest:
         store_path: Optional[str],
     ) -> "CampaignManifest":
         """Start a fresh manifest (writes it immediately)."""
-        os.makedirs(os.path.join(campaign_dir, "checkpoints"), exist_ok=True)
         manifest = cls(campaign_dir, fingerprint)
         manifest.store_path = store_path
         manifest.save()
@@ -147,7 +128,6 @@ class CampaignManifest:
         if os.path.exists(os.path.join(campaign_dir, "manifest.json")):
             manifest = cls.load(campaign_dir)
             manifest.require_fingerprint(fingerprint)
-            os.makedirs(os.path.join(campaign_dir, "checkpoints"), exist_ok=True)
             return manifest
         return cls.create(campaign_dir, fingerprint, store_path)
 

@@ -135,10 +135,7 @@ class BanditHalvingStrategy(SearchStrategy):
         shared cache counts the genomes that were new to this search:
         simulated or recalled from the store alike.  A re-run on a
         filled store therefore spends its budget exactly as the first
-        run did, and only recalls.  Checkpoints written before this
-        rule stored ``charged`` as a count of cache misses; resuming
-        one charges the store recalls of its earlier rounds once more
-        in the first round, which can only end the search sooner.
+        run did, and only recalls.
         """
         cache = self._cache
         if cache is None:
@@ -159,35 +156,3 @@ class BanditHalvingStrategy(SearchStrategy):
             iterations=self.round,
             detail={"rounds": self.round, "cohort_size": self.cohort_size},
         )
-
-    # -- checkpointing -------------------------------------------------
-    def checkpoint_state(self) -> Optional[dict]:
-        from repro.search.cmaes import _rng_state_out
-
-        return {
-            "round": self.round,
-            "iteration": self.iteration,
-            "evaluated": self.evaluated,
-            "charged": getattr(self, "_charged", 0),
-            "cohort": [list(g) for g in self._cohort],
-            "done": self._done,
-            "rng_state": _rng_state_out(self.rng),
-            "best": None
-            if self.best is None
-            else [list(self.best.genome), self.best.require_fitness()],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from repro.search.cmaes import _rng_state_in
-
-        self.round = int(state["round"])
-        self.iteration = int(state["iteration"])
-        self.evaluated = int(state["evaluated"])
-        self._charged = int(state["charged"])
-        self._cohort = [tuple(int(g) for g in genome) for genome in state["cohort"]]
-        self._done = bool(state["done"])
-        _rng_state_in(self.rng, state["rng_state"])
-        best = state.get("best")
-        if best is not None:
-            genome, fitness = best
-            self.best = Individual(tuple(int(g) for g in genome), float(fitness))

@@ -22,27 +22,15 @@ fitness is one float.
 
 from __future__ import annotations
 
-import json
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import CheckpointError
 from repro.ga.individual import Individual
 
-__all__ = [
-    "Genome",
-    "SearchResult",
-    "SearchStrategy",
-    "save_strategy_checkpoint",
-    "load_strategy_checkpoint",
-]
+__all__ = ["Genome", "SearchResult", "SearchStrategy"]
 
 Genome = Tuple[int, ...]
-
-#: on-disk format tag of the generic (non-GA) strategy checkpoint
-_STRATEGY_CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -76,8 +64,7 @@ class SearchStrategy(ABC):
     """Proposes genome batches and absorbs their fitnesses.
 
     Subclasses set :attr:`name` (the registry key) and maintain
-    :attr:`iteration` (batches told so far — the default checkpoint
-    cadence).  ``emits_events=True`` makes the driver emit
+    :attr:`iteration` (batches told so far).  ``emits_events=True`` makes the driver emit
     ``strategy.*`` telemetry per batch; the GA opts out to keep its
     historical ``ga.generation`` spans as the only signal.
     """
@@ -88,17 +75,12 @@ class SearchStrategy(ABC):
     def __init__(self) -> None:
         self.iteration = 0
         self._cache = None
-        self._restored_cache_entries: Optional[Dict[Genome, float]] = None
 
     # -- lifecycle -----------------------------------------------------
     def prepare(self, cache) -> None:
         """Driver hook: runs once with the shared fitness cache before
-        the first :meth:`ask`.  Replays restored checkpoint entries."""
+        the first :meth:`ask`."""
         self._cache = cache
-        if self._restored_cache_entries:
-            for genome, value in self._restored_cache_entries.items():
-                cache.insert(genome, value)
-            self._restored_cache_entries = None
 
     @abstractmethod
     def ask(self) -> List[Genome]:
@@ -122,90 +104,3 @@ class SearchStrategy(ABC):
 
     def on_error(self, exc_type, exc, tb) -> None:
         """Driver hook: evaluation of the current batch raised."""
-
-    # -- checkpointing -------------------------------------------------
-    def checkpoint_state(self) -> Optional[dict]:
-        """JSON-serializable resume state, or None to disable the
-        generic checkpoint path (the GA writes its own v2 format)."""
-        return None
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild internal state from :meth:`checkpoint_state` output."""
-        raise CheckpointError(
-            f"strategy {self.name!r} does not support checkpoint resume"
-        )
-
-    def maybe_checkpoint(self, path: str, every: int, cache) -> None:
-        """Driver hook after each told batch; default writes the
-        generic strategy checkpoint every *every* iterations."""
-        state = self.checkpoint_state()
-        if state is None or self.iteration % every != 0:
-            return
-        save_strategy_checkpoint(path, self, cache)
-
-    def restore_from(self, path: str) -> None:
-        """Resume from a generic strategy checkpoint at *path*."""
-        state, entries = load_strategy_checkpoint(path, self.name)
-        self.restore_state(state)
-        self._restored_cache_entries = entries
-
-
-def save_strategy_checkpoint(path: str, strategy: SearchStrategy, cache) -> None:
-    """Atomically persist a non-GA strategy's state plus the fitness
-    cache (same write-temp-then-rename discipline as the GA format)."""
-    payload = {
-        "format": "strategy-checkpoint",
-        "version": _STRATEGY_CHECKPOINT_VERSION,
-        "strategy": strategy.name,
-        "state": strategy.checkpoint_state(),
-        "cache": [
-            [list(genome), value] for genome, value in cache.items()
-        ],
-    }
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except (OSError, TypeError, ValueError) as exc:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise CheckpointError(f"cannot write checkpoint to {path!r}: {exc}") from exc
-
-
-def load_strategy_checkpoint(path: str, name: str):
-    """Read the generic checkpoint of a *name* strategy: (state, cache
-    dict).  An envelope another strategy wrote is refused before its
-    state is parsed."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != "strategy-checkpoint"
-        or payload.get("version") != _STRATEGY_CHECKPOINT_VERSION
-    ):
-        raise CheckpointError(
-            f"checkpoint {path!r} is not a readable strategy checkpoint"
-        )
-    if payload.get("strategy") != name:
-        raise CheckpointError(
-            f"checkpoint {path!r} was written by strategy "
-            f"{payload.get('strategy')!r}, cannot resume a {name!r} search from it"
-        )
-    try:
-        entries = {
-            tuple(int(g) for g in genome): float(value)
-            for genome, value in payload.get("cache", [])
-        }
-        return dict(payload["state"]), entries
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path!r}: {exc}") from exc

@@ -5,8 +5,7 @@ simplified): sample a Gaussian population around a mean, rank by
 fitness, recombine the top half with log-linear weights, and adapt the
 global step size (CSA) and per-coordinate variances.  The diagonal
 restriction keeps the update O(d) with no eigendecomposition — ample
-for the paper's 5-dimensional space — and makes the state trivially
-JSON-serializable for checkpoint/resume.
+for the paper's 5-dimensional space.
 
 Samples are rounded and clipped to the integer box before evaluation,
 so the fitness cache and evaluation store see ordinary genomes; the
@@ -189,58 +188,3 @@ class CMAESStrategy(SearchStrategy):
             iterations=self.iteration,
             detail={"sigma": self.sigma, "evaluated": self.evaluated},
         )
-
-    # -- checkpointing -------------------------------------------------
-    def checkpoint_state(self) -> Optional[dict]:
-        return {
-            "iteration": self.iteration,
-            "evaluated": self.evaluated,
-            "mean": self.mean.tolist(),
-            "sigma": self.sigma,
-            "diag_c": self.diag_c.tolist(),
-            "path_sigma": self.path_sigma.tolist(),
-            "path_c": self.path_c.tolist(),
-            "rng_state": _rng_state_out(self.rng),
-            "best": None
-            if self.best is None
-            else [list(self.best.genome), self.best.require_fitness()],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        # a restored run already consumed its first batch; dropping the
-        # seed queue keeps the resumed RNG/tell stream aligned
-        self._seed_queue = []
-        self._pending_seeds = 0
-        self.iteration = int(state["iteration"])
-        self.evaluated = int(state["evaluated"])
-        self.mean = np.array(state["mean"], dtype=np.float64)
-        self.sigma = float(state["sigma"])
-        self.diag_c = np.array(state["diag_c"], dtype=np.float64)
-        self.path_sigma = np.array(state["path_sigma"], dtype=np.float64)
-        self.path_c = np.array(state["path_c"], dtype=np.float64)
-        _rng_state_in(self.rng, state["rng_state"])
-        best = state.get("best")
-        if best is not None:
-            genome, fitness = best
-            self.best = Individual(tuple(int(g) for g in genome), float(fitness))
-
-
-def _rng_state_out(rng: np.random.Generator) -> dict:
-    """PCG64 state as JSON-safe ints."""
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": int(state["state"]["state"]),
-        "inc": int(state["state"]["inc"]),
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def _rng_state_in(rng: np.random.Generator, payload: dict) -> None:
-    rng.bit_generator.state = {
-        "bit_generator": payload["bit_generator"],
-        "state": {"state": int(payload["state"]), "inc": int(payload["inc"])},
-        "has_uint32": int(payload["has_uint32"]),
-        "uinteger": int(payload["uinteger"]),
-    }

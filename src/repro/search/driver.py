@@ -3,7 +3,7 @@
 Owns everything a search needs that is *not* the proposal policy: the
 fitness cache, persistent-store recall, batched evaluation (which is
 where the generation-batched accelerator and shared plans plug in),
-checkpoint cadence, and ``strategy.*`` telemetry.
+and ``strategy.*`` telemetry.
 :func:`evaluate_genomes` is the exact dedup/recall/count discipline the
 GA engine always used — extracted verbatim so every strategy pays and
 counts evaluations identically and the GA stays bitwise-identical to
@@ -13,7 +13,7 @@ its pre-extraction behavior.
 from __future__ import annotations
 
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import GAError
 from repro.ga.fitness import FitnessCache
@@ -67,8 +67,6 @@ def run_search(
     fitness_fn,
     evaluator=None,
     store=None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1,
     on_progress=None,
 ) -> SearchResult:
     """Drive *strategy* to completion and return its result.
@@ -76,13 +74,13 @@ def run_search(
     ``evaluator`` defaults to :class:`~repro.ga.parallel.BatchEvaluator`
     (degrades to a serial loop for fitness functions without an
     ``evaluate_batch`` hook).  ``store`` attaches a persistent
-    evaluation store to the cache; ``checkpoint_path`` enables the
-    strategy's checkpoint hook every ``checkpoint_every`` batches;
-    ``on_progress`` receives whatever report objects the strategy's
-    ``tell`` returns.
+    evaluation store to the cache; ``on_progress`` receives whatever
+    report objects the strategy's ``tell`` returns.
+
+    Nothing but the store persists: an interrupted search is resumed by
+    running it again from the start on the same store, which recalls
+    every genome recorded durably and simulates only the rest.
     """
-    if checkpoint_every < 1:
-        raise GAError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     if evaluator is None:
         evaluator = BatchEvaluator()
     cache = FitnessCache(fitness_fn, store=store)
@@ -118,8 +116,6 @@ def run_search(
                 ).inc(evaluated)
         if report is not None and on_progress is not None:
             on_progress(report)
-        if checkpoint_path is not None:
-            strategy.maybe_checkpoint(checkpoint_path, checkpoint_every, cache)
 
     result = strategy.result()
     result.evaluations = cache.misses

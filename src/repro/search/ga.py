@@ -1,10 +1,10 @@
 """The paper's generational GA as a :class:`SearchStrategy`.
 
 This is ``GAEngine.run`` factored into ask/tell form — the breeding,
-elitism, early stopping, ``ga.generation`` spans, v2 checkpoint bytes
-and RNG stream are all preserved exactly, pinned by the randomized
-parity sweep in ``tests/search/test_ga_parity.py``.  ``GAEngine``
-remains the public API and delegates here.
+elitism, early stopping, ``ga.generation`` spans and RNG stream are
+all preserved exactly, pinned by the randomized parity sweep in
+``tests/search/test_ga_parity.py``.  ``GAEngine`` remains the public
+API and delegates here.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import GAError
 from repro.ga.individual import Individual, IntVectorSpace
 from repro.ga.statistics import GenerationStats
 from repro.rng import rng_for
@@ -73,11 +72,7 @@ def breed(
 class GAStrategy(SearchStrategy):
     """Ask/tell adapter around the exact ``GAEngine`` evolution loop.
 
-    One ask/tell round is one generation (the restore batch of a
-    resumed run is a zeroth, span-less round re-priming the population
-    from the checkpoint's cache).  Checkpoints keep the v2 format and
-    bytes — :meth:`maybe_checkpoint` and :meth:`restore_from` override
-    the generic strategy checkpoint entirely.
+    One ask/tell round is one generation.
     """
 
     name = "ga"
@@ -88,49 +83,28 @@ class GAStrategy(SearchStrategy):
         space: IntVectorSpace,
         config,
         initial_genomes: Optional[Sequence[Sequence[int]]] = None,
-        resume_from=None,
     ) -> None:
         super().__init__()
         self.space = space
         self.config = config
         self.initial_genomes = initial_genomes
-        self.resume_from = resume_from
         self.rng = rng_for(config.rng_key, config.seed)
         self.history: List[GenerationStats] = []
         self.population: List[Individual] = []
         self.best: Optional[Individual] = None
         self.stale = 0
-        #: generation the *next* evolve batch will run
+        #: generation the *next* batch will run (0: the initial population)
         self.gen = 0
         self.generations_run = 0
         self.stopped_early = False
-        self._mode = "restore" if resume_from is not None else "init"
         self._done = False
-        #: generation the just-told batch completed (None = no checkpoint)
-        self._checkpoint_gen: Optional[int] = None
         self._span_cm = None
         self._span = None
 
     # -- lifecycle -----------------------------------------------------
-    def prepare(self, cache) -> None:
-        self._cache = cache
-        if self.resume_from is not None:
-            self.resume_from.restore_cache(cache)
-
     def ask(self) -> List[Genome]:
         cfg = self.config
-        if self._mode == "restore":
-            checkpoint = self.resume_from
-            self.population = [
-                Individual(self.space.clip(ind.genome), ind.fitness)
-                for ind in checkpoint.population
-            ]
-            if len(self.population) != cfg.population_size:
-                raise GAError(
-                    f"checkpoint population size {len(self.population)} does not match "
-                    f"configured population_size {cfg.population_size}"
-                )
-        elif self._mode == "init":
+        if self.gen == 0:
             self._open_span(0)
             self.population = initial_population(
                 self.space, cfg, self.rng, self.initial_genomes
@@ -147,26 +121,7 @@ class GAStrategy(SearchStrategy):
         cfg = self.config
         cache = self._cache
 
-        if self._mode == "restore":
-            checkpoint = self.resume_from
-            best = checkpoint.best.copy() if checkpoint.best is not None else None
-            if best is None or best.fitness is None:
-                best = min(
-                    self.population, key=lambda ind: ind.require_fitness()
-                ).copy()
-            self.best = best
-            if checkpoint.rng_state is not None:
-                self.rng.bit_generator.state = checkpoint.rng_state
-            self.stale = checkpoint.stale
-            self.gen = checkpoint.generation + 1
-            self.generations_run = max(1, self.gen)
-            self._checkpoint_gen = None
-            self._mode = "evolve"
-            if self.gen >= cfg.generations:
-                self._done = True
-            return None
-
-        if self._mode == "init":
+        if self.gen == 0:
             self.best = min(
                 self.population, key=lambda ind: ind.require_fitness()
             ).copy()
@@ -177,10 +132,8 @@ class GAStrategy(SearchStrategy):
             self._note_span(stats, cache)
             self._close_span()
             self.history.append(stats)
-            self._checkpoint_gen = 0
             self.gen = 1
             self.generations_run = 1
-            self._mode = "evolve"
             if self.gen >= cfg.generations:
                 self._done = True
             return stats
@@ -199,7 +152,6 @@ class GAStrategy(SearchStrategy):
         self._note_span(stats, cache)
         self._close_span()
         self.history.append(stats)
-        self._checkpoint_gen = gen
         self.gen = gen + 1
         if cfg.early_stop_patience is not None and self.stale >= cfg.early_stop_patience:
             self.stopped_early = True
@@ -250,30 +202,4 @@ class GAStrategy(SearchStrategy):
             mean=stats.mean_fitness,
             evaluations=stats.evaluations,
             cache_hit_rate=(cache.hits / answered) if answered else 0.0,
-        )
-
-    # -- checkpointing -------------------------------------------------
-    def restore_from(self, path: str) -> None:
-        """Resume from the v2 GA checkpoint at *path* (the restore batch
-        of :meth:`ask` re-primes the population from it)."""
-        from repro.ga.checkpoint import load_checkpoint
-
-        self.resume_from = load_checkpoint(path)
-        self._mode = "restore"
-
-    def maybe_checkpoint(self, path: str, every: int, cache) -> None:
-        if path is None or self._checkpoint_gen is None:
-            return
-        if self._checkpoint_gen % every != 0:
-            return
-        from repro.ga.checkpoint import save_checkpoint
-
-        save_checkpoint(
-            path,
-            generation=self._checkpoint_gen,
-            population=self.population,
-            best=self.best,
-            cache=cache,
-            rng_state=self.rng.bit_generator.state,
-            stale=self.stale,
         )

@@ -5,9 +5,10 @@
 
 * on start it loads the state directory's journal and *re-queues every
   non-terminal job* — their finished cells keep their journalled
-  results, their interrupted cells resume from GA checkpoints, so a
-  SIGKILLed daemon restarted against the same directory completes its
-  jobs bitwise-identically to a crash-free run (a job naming a search
+  results, their interrupted cells run again and recall every genome
+  the store tier recorded durably, so a SIGKILLed daemon restarted
+  against the same directory completes its jobs bitwise-identically to
+  a crash-free run (a job naming a search
   strategy that no longer exists settles as ``failed`` instead, with a
   one-line error and no cell attempt);
 * the API thread admits jobs under **admission control**: schema
@@ -34,12 +35,12 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.resilience import RetryPolicy
 from repro.resilience.faults import (
     SITE_JOB_ADMIT,
     SITE_JOURNAL_IO,
     get_fault_injector,
 )
+from repro.resilience.supervisor import RetryPolicy
 from repro.search.registry import STRATEGY_NAMES
 from repro.service.api import (
     CODE_BAD_REQUEST,

@@ -9,9 +9,9 @@ previous or the next consistent journal on disk, never a torn one.
 
 Recovery is a pure read: :meth:`JobJournal.load` returns the records;
 the daemon re-queues every non-terminal job's unfinished cells, which
-resume from their GA checkpoints under the state directory.  Completed
-cells keep their recorded results — a resumed job never re-simulates a
-genome its crash-free twin would not.
+run again and recall every genome the state directory's store tier
+recorded durably.  Completed cells keep their recorded results — a
+resumed job never re-simulates a genome its crash-free twin would not.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ workers forked from the daemon, each exiting on its own once the
 daemon is gone.
 
 Results are journalled the moment they land (see
-:mod:`repro.service.journal`), and every cell checkpoints its GA state
-under the state directory, so a SIGKILLed daemon resumes mid-cell on
-restart, bitwise-identically to a crash-free run.
+:mod:`repro.service.journal`), and every cell appends its evaluations
+to the state directory's store tier, so a SIGKILLed daemon re-runs its
+interrupted cells on restart, recalling every durably recorded genome,
+bitwise-identically to a crash-free run.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ from repro.core.metrics import Metric
 from repro.core.tuner import TuningTask
 from repro.experiments.campaign import CellRequest, execute_cell
 from repro.jvm.scenario import get_scenario
-from repro.resilience import RetryPolicy, checkpoint_path_for
 from repro.resilience.supervisor import (
     KIND_EXCEPTION,
     KIND_TIMEOUT,
     KIND_WORKER_DEATH,
     FailureReport,
+    RetryPolicy,
     process_pool,
     retire_pool,
 )
@@ -438,8 +439,6 @@ class CellScheduler:
 
     def _request_for(self, job: _JobState, cell: _CellState) -> CellRequest:
         spec = job.record.spec
-        job_dir = os.path.join(self.state_dir, "jobs", job.record.job_id)
-        os.makedirs(os.path.join(job_dir, "checkpoints"), exist_ok=True)
         archive = self._archive_for(spec.workload_seed)
         return CellRequest(
             task=TuningTask(
@@ -452,7 +451,6 @@ class CellScheduler:
             ga_config=spec.ga_config(),
             store_path=self.store_path,
             workload_seed=spec.workload_seed,
-            checkpoint_path=checkpoint_path_for(job_dir, cell.name),
             archive_name=archive.name if archive is not None else None,
             plan_base=(
                 self._plan_publisher.base

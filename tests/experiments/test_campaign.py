@@ -14,7 +14,7 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.ga.engine import GAConfig
-from repro.resilience import CampaignManifest, campaign_fingerprint
+from repro.resilience.manifest import CampaignManifest, campaign_fingerprint
 
 TINY_GA = GAConfig(population_size=6, generations=2, seed=0)
 

@@ -1,16 +1,32 @@
 """Tests for the EXPERIMENTS.md report generator (tiny GA budget)."""
 
+import glob
+import os
+
 import pytest
 
 from repro.experiments.report import PAPER_TABLE4, PAPER_TABLE5, generate_report
+from repro.experiments.tuning import clear_tuning_cache, tuned_heuristic
 from repro.ga.engine import GAConfig
+from repro.perf.storetier import STORE_TIER_NAME, StoreTier
 
 TINY_GA = GAConfig(population_size=6, generations=2, elitism=1)
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    return generate_report(ga_config=TINY_GA)
+def report_run(tmp_path_factory):
+    """``(text, cache dir)`` of one report tuned on a fresh cache."""
+    cache_dir = str(tmp_path_factory.mktemp("tuning-cache"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", cache_dir)
+        clear_tuning_cache()  # tune here, not from another test's results
+        text = generate_report(ga_config=TINY_GA)
+    return text, cache_dir
+
+
+@pytest.fixture
+def report_text(report_run):
+    return report_run[0]
 
 
 class TestGenerateReport:
@@ -48,6 +64,25 @@ class TestGenerateReport:
     def test_reading_guide_present(self, report_text):
         assert "Reading guide" in report_text
         assert "shape" in report_text
+
+
+class TestTuningStoreCompaction:
+    def test_report_compacts_its_tier_and_a_retune_recalls(
+        self, report_run, monkeypatch
+    ):
+        _, cache_dir = report_run
+        tier = StoreTier(os.path.join(cache_dir, STORE_TIER_NAME))
+        assert tier.shard_files() == []
+        assert len(tier.pack_files()) == 1
+
+        # drop the result caches: the next call tunes again, on the tier
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+        clear_tuning_cache()
+        for path in glob.glob(os.path.join(cache_dir, "*.json")):
+            os.remove(path)
+        retuned = tuned_heuristic("Adapt", ga_config=TINY_GA)
+        assert retuned.evaluations == 0
+        assert retuned.store_hits > 0
 
 
 class TestPaperConstants:

@@ -83,4 +83,4 @@ class TestFitnessCache:
         cache.evaluate((1,))
         cache.evaluate((2,))
         assert cache.size == 2
-        assert dict(cache.items()) == {(1,): 1.0, (2,): 2.0}
+        assert (cache.peek((1,)), cache.peek((2,))) == (1.0, 2.0)

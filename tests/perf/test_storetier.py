@@ -670,3 +670,29 @@ class TestStoreCLI:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{}\n")
         assert main(["store", "stats", path]) != 0
+
+
+class TestImportFootprint:
+    def test_tier_does_not_import_the_supervisor(self):
+        """The tier needs only the fault injector of the resilience
+        package; the supervisor, the manifest and multiprocessing stay
+        unloaded (checked in a fresh interpreter)."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.perf.storetier; "
+            "print(sorted(m for m in ('repro.resilience.supervisor', "
+            "'repro.resilience.manifest', 'multiprocessing') "
+            "if m in sys.modules))"
+        )
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"

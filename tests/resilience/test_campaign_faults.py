@@ -16,7 +16,7 @@ from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
 from repro.perf.shm import SEGMENT_PREFIX
-from repro.resilience import RetryPolicy
+from repro.resilience.supervisor import RetryPolicy
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,

@@ -1,13 +1,17 @@
-"""Tests for atomic GA checkpoints and bitwise-exact resume."""
+"""Resume by recall: an interrupted GA run, run again on its store,
+is bitwise identical to the uninterrupted run and re-simulates nothing
+the store recorded.
 
-import os
+The engine keeps no state on disk but the store: the RNG stream makes
+the re-run replay the identical evolution, and the store answers every
+genome the interrupted run recorded durably.
+"""
 
 import pytest
 
-from repro.errors import CheckpointError, GAError
-from repro.ga.checkpoint import load_checkpoint, save_checkpoint
 from repro.ga.engine import GAConfig, GAEngine
-from repro.ga.individual import Individual, IntVectorSpace
+from repro.ga.individual import IntVectorSpace
+from repro.perf.storetier import StoreTier, TierStore
 
 SPACE = IntVectorSpace(lows=(0, 0, 0), highs=(20, 20, 20))
 CONFIG = GAConfig(population_size=8, generations=6, seed=3)
@@ -21,77 +25,45 @@ class _Abort(Exception):
     """Simulated hard abort mid-run."""
 
 
-class TestAtomicCheckpoint:
-    def test_failure_mid_serialize_leaves_no_partial_file(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        population = [Individual((1, 2, 3), fitness=1.0)]
-        with pytest.raises(CheckpointError):
-            save_checkpoint(
-                path, 0, population, None,
-                rng_state={"unserializable": object()},  # json.dump blows up
-            )
-        assert os.listdir(tmp_path) == []  # neither checkpoint nor temp file
-
-    def test_failure_preserves_previous_checkpoint(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        population = [Individual((1, 2, 3), fitness=1.0)]
-        save_checkpoint(path, 4, population, None)
-        with pytest.raises(CheckpointError):
-            save_checkpoint(
-                path, 5, population, None, rng_state={"bad": object()}
-            )
-        assert load_checkpoint(path).generation == 4  # old state intact
-
-    def test_rng_state_and_stale_round_trip(self, tmp_path):
-        from repro.rng import rng_for
-
-        path = str(tmp_path / "ckpt.json")
-        rng = rng_for("test", 1)
-        rng.random(10)  # advance the stream
-        state = rng.bit_generator.state
-        save_checkpoint(
-            path, 2, [Individual((1, 2, 3), fitness=1.0)], None,
-            rng_state=state, stale=3,
-        )
-        loaded = load_checkpoint(path)
-        assert loaded.rng_state == state
-        assert loaded.stale == 3
-
-
 class TestEngineResume:
-    def _interrupted_then_resumed(self, tmp_path, abort_after_gen):
-        """Run with checkpointing, hard-abort, resume; return the result."""
-        path = str(tmp_path / "ckpt.json")
+    def _interrupted(self, path, fitness_fn, abort_after_gen):
+        """Run on the store at *path*, abort after generation
+        *abort_after_gen*; return the genomes the store recorded."""
 
         def abort_hook(stats):
-            # fires after the checkpoint for abort_after_gen was written
             if stats.generation > abort_after_gen:
                 raise _Abort()
 
-        engine = GAEngine(SPACE, CONFIG)
-        with pytest.raises(_Abort):
-            engine.run(_fitness, on_generation=abort_hook, checkpoint_path=path)
+        with TierStore(path) as store:
+            with pytest.raises(_Abort):
+                GAEngine(SPACE, CONFIG, store=store).run(
+                    fitness_fn, on_generation=abort_hook
+                )
+        entries, _, _ = StoreTier(path).load_context("default")
+        return set(entries)
 
-        checkpoint = load_checkpoint(path)
-        assert checkpoint.generation == abort_after_gen
-        resumed_engine = GAEngine(SPACE, CONFIG)
-        return resumed_engine.run(
-            _fitness, checkpoint_path=path, resume_from=checkpoint
-        )
+    def _resumed(self, path, fitness_fn):
+        with TierStore(path) as store:
+            return GAEngine(SPACE, CONFIG, store=store).run(fitness_fn)
 
     def test_resume_is_bitwise_identical_to_uninterrupted(self, tmp_path):
         full = GAEngine(SPACE, CONFIG).run(_fitness)
-        resumed = self._interrupted_then_resumed(tmp_path, abort_after_gen=2)
+        path = str(tmp_path / "evals.tier")
+        recorded = self._interrupted(path, _fitness, abort_after_gen=2)
+        resumed = self._resumed(path, _fitness)
 
         assert resumed.best_genome == full.best_genome
         assert resumed.best_fitness == full.best_fitness
         assert resumed.generations_run == full.generations_run
-        # the post-resume generations replay the exact same evolution
+        # the re-run replays the exact same evolution
         tail = full.history[-len(resumed.history):]
         for a, b in zip(tail, resumed.history):
             assert (a.generation, a.best_fitness, a.best_genome) == (
                 b.generation, b.best_fitness, b.best_genome
             )
+        # and simulates only what the interrupted run did not record
+        assert recorded
+        assert resumed.evaluations == full.evaluations - len(recorded)
 
     def test_resume_skips_already_paid_genomes(self, tmp_path):
         calls = []
@@ -100,42 +72,11 @@ class TestEngineResume:
             calls.append(tuple(genome))
             return _fitness(genome)
 
-        path = str(tmp_path / "ckpt.json")
-
-        def abort_hook(stats):
-            if stats.generation > 2:
-                raise _Abort()
-
-        with pytest.raises(_Abort):
-            GAEngine(SPACE, CONFIG).run(
-                counting_fitness, on_generation=abort_hook, checkpoint_path=path
-            )
+        path = str(tmp_path / "evals.tier")
+        recorded = self._interrupted(path, counting_fitness, abort_after_gen=2)
         calls.clear()
 
-        checkpoint = load_checkpoint(path)
-        recorded = set(checkpoint.cache_entries)
         assert recorded  # the interrupted run did pay for genomes
-        GAEngine(SPACE, CONFIG).run(counting_fitness, resume_from=checkpoint)
-        # the restored cache answers every genome the checkpoint recorded
+        self._resumed(path, counting_fitness)
+        # the store answers every genome the interrupted run recorded
         assert not (set(calls) & recorded)
-
-    def test_population_size_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(
-            path, 1, [Individual((1, 2, 3), fitness=1.0)] * 4, None
-        )
-        engine = GAEngine(SPACE, CONFIG)  # population_size=8, checkpoint has 4
-        with pytest.raises(GAError, match="population size"):
-            engine.run(_fitness, resume_from=load_checkpoint(path))
-
-    def test_checkpoint_every_validation(self):
-        with pytest.raises(GAError):
-            GAEngine(SPACE, CONFIG).run(_fitness, checkpoint_every=0)
-
-    def test_checkpoint_every_skips_generations(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        config = GAConfig(population_size=6, generations=4, seed=0)
-        GAEngine(SPACE, config).run(
-            _fitness, checkpoint_path=path, checkpoint_every=2
-        )
-        assert load_checkpoint(path).generation == 2  # gens 0 and 2 saved

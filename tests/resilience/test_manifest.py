@@ -7,11 +7,7 @@ import pytest
 
 from repro.errors import CampaignError
 from repro.ga.engine import GAConfig
-from repro.resilience.manifest import (
-    CampaignManifest,
-    campaign_fingerprint,
-    checkpoint_path_for,
-)
+from repro.resilience.manifest import CampaignManifest, campaign_fingerprint
 
 GA = GAConfig(population_size=6, generations=2, seed=0)
 NAMES = ["Opt:balance@pentium4", "Adapt:balance@pentium4"]
@@ -29,23 +25,11 @@ class TestFingerprint:
         assert campaign_fingerprint(NAMES, GA, 1) != base
 
 
-class TestCheckpointPath:
-    def test_inside_campaign_dir(self, tmp_path):
-        path = checkpoint_path_for(str(tmp_path), "Opt:balance@pentium4")
-        assert path.startswith(str(tmp_path))
-        assert path.endswith(".json")
-
-    def test_hostile_names_are_sanitized(self, tmp_path):
-        path = checkpoint_path_for(str(tmp_path), "../../etc/passwd")
-        assert os.path.dirname(path) == os.path.join(str(tmp_path), "checkpoints")
-
-
 class TestManifestLifecycle:
     def test_create_load_round_trip(self, tmp_path):
         fp = campaign_fingerprint(NAMES, GA, 0)
         manifest = CampaignManifest.create(str(tmp_path), fp, store_path="s.jsonl")
         assert os.path.exists(manifest.path)
-        assert os.path.isdir(os.path.join(str(tmp_path), "checkpoints"))
 
         loaded = CampaignManifest.load(str(tmp_path))
         assert loaded.fingerprint == fp

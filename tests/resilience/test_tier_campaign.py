@@ -17,7 +17,7 @@ from repro.core.tuner import InliningTuner
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
 from repro.perf.storetier import StoreTier, TierStore
-from repro.resilience import RetryPolicy
+from repro.resilience.supervisor import RetryPolicy
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,

@@ -3,27 +3,24 @@
 The ``SearchStrategy`` extraction (ROADMAP item 3) moved the GA's
 evolution loop from :class:`~repro.ga.engine.GAEngine` into
 :class:`~repro.search.ga.GAStrategy` with the promise that nothing
-observable changed: fitness trajectories, RNG streams, evaluation
-counts and checkpoint files must be bitwise-identical to the
-pre-extraction engine.  ``reference_run`` below is a line-for-line
-transcription of that pre-extraction loop (``git show`` of the seed
-``GAEngine.run``, telemetry spans elided — spans never touched RNG or
-checkpoint state); the randomized sweep proves the refactored engine
-reproduces it exactly.
+observable changed: fitness trajectories, RNG streams and evaluation
+counts must be bitwise-identical to the pre-extraction engine.
+``reference_run`` below is a line-for-line transcription of that
+pre-extraction loop (``git show`` of the seed ``GAEngine.run``,
+telemetry spans and checkpoint writes elided — neither touched the RNG
+stream or the fitness cache); the randomized sweep proves the
+refactored engine reproduces it exactly.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
 
-from repro.ga.checkpoint import load_checkpoint, save_checkpoint
 from repro.ga.engine import GAConfig, GAEngine
 from repro.ga.fitness import FitnessCache
 from repro.ga.individual import Individual, IntVectorSpace
 from repro.ga.parallel import BatchEvaluator
 from repro.ga.statistics import GenerationStats
+from repro.perf.storetier import TierStore
 from repro.rng import rng_for
 
 
@@ -32,15 +29,9 @@ def reference_run(
     cfg,
     fitness_fn,
     initial_genomes=None,
-    checkpoint_path=None,
-    checkpoint_every=1,
-    stop_after_gen=None,
 ):
-    """The seed engine's loop, transcribed verbatim (minus spans).
-
-    ``stop_after_gen`` simulates a crash: the loop abandons everything
-    after checkpointing generation *stop_after_gen*.
-    """
+    """The seed engine's loop, transcribed verbatim (minus spans and
+    checkpoint writes)."""
     evaluator = BatchEvaluator()
     rng = rng_for(cfg.rng_key, cfg.seed)
     cache = FitnessCache(fitness_fn)
@@ -63,19 +54,6 @@ def reference_run(
         for ind in population:
             ind.fitness = cache.peek(ind.genome)
 
-    def maybe_checkpoint(generation, population, best, stale):
-        if checkpoint_path is None or generation % checkpoint_every != 0:
-            return
-        save_checkpoint(
-            checkpoint_path,
-            generation=generation,
-            population=population,
-            best=best,
-            cache=cache,
-            rng_state=rng.bit_generator.state,
-            stale=stale,
-        )
-
     history = []
     population = []
     if initial_genomes:
@@ -88,9 +66,6 @@ def reference_run(
     stale = 0
     stats = GenerationStats.from_population(0, population, cache.misses, cache.hits)
     history.append(stats)
-    maybe_checkpoint(0, population, best, stale)
-    if stop_after_gen == 0:
-        return None
 
     stopped_early = False
     generations_run = 1
@@ -128,9 +103,6 @@ def reference_run(
             gen, population, cache.misses, cache.hits
         )
         history.append(stats)
-        maybe_checkpoint(gen, population, best, stale)
-        if stop_after_gen == gen:
-            return None
 
         if cfg.early_stop_patience is not None and stale >= cfg.early_stop_patience:
             stopped_early = True
@@ -217,67 +189,15 @@ class TestTrajectoryParity:
         assert got == expected
 
 
-class TestCheckpointParity:
-    def test_checkpoint_bytes_identical_to_reference(self, space, tmp_path):
-        cfg = GAConfig(population_size=6, generations=5, elitism=1, seed=3)
-        ref_path = str(tmp_path / "reference.json")
-        new_path = str(tmp_path / "engine.json")
-        reference_run(space, cfg, rastrigin, checkpoint_path=ref_path)
-        GAEngine(space, cfg).run(rastrigin, checkpoint_path=new_path)
-        with open(ref_path, "rb") as handle:
-            expected = handle.read()
-        with open(new_path, "rb") as handle:
-            got = handle.read()
-        assert got == expected
-        # scalar-fitness runs must stay on the v2 format: a checkpoint
-        # written today must load in a pre-strategy reader
-        assert json.loads(got)["version"] == 2
-
-    @pytest.mark.parametrize("crash_gen", [0, 2])
-    def test_pre_refactor_checkpoint_resumes_bitwise(
-        self, space, tmp_path, crash_gen
-    ):
-        """A checkpoint written by the seed loop resumes under the new
-        engine to the exact uninterrupted result, re-simulating zero
-        genomes."""
-        cfg = GAConfig(population_size=6, generations=6, elitism=1, seed=21)
-        uninterrupted = reference_run(space, cfg, rastrigin)
-
-        path = str(tmp_path / "crash.json")
-        reference_run(
-            space, cfg, rastrigin, checkpoint_path=path, stop_after_gen=crash_gen
-        )
-        checkpoint = load_checkpoint(path)
-        assert checkpoint.generation == crash_gen
-
-        evaluated = []
-
-        def counting(genome):
-            evaluated.append(genome)
-            return rastrigin(genome)
-
-        resumed = GAEngine(space, cfg).run(counting, resume_from=checkpoint)
-        assert result_digest(resumed)["best_genome"] == uninterrupted["best_genome"]
-        assert result_digest(resumed)["best_fitness"] == uninterrupted["best_fitness"]
-        # the resumed trajectory is the uninterrupted tail
-        ref_tail = uninterrupted["history"][crash_gen + 1 :]
-        got_history = result_digest(resumed)["history"]
-        assert [h[0] for h in got_history] == [h[0] for h in ref_tail]
-        assert [h[1] for h in got_history] == [h[1] for h in ref_tail]
-        # zero re-simulation: nothing the interrupted run paid for is
-        # evaluated again after the resume
-        paid = set(checkpoint.cache_entries)
-        assert not (paid & {tuple(g) for g in evaluated})
-
-
 class TestEngineCheckpointRoundTrip:
     def test_interrupt_resume_equals_uninterrupted(self, space, tmp_path):
-        """New engine end to end: run, 'crash', resume from its own
-        checkpoint, land on the identical result."""
+        """New engine end to end: run on a store, 'crash', run again on
+        the store, land on the identical result having simulated only
+        what the store did not record."""
         cfg = GAConfig(population_size=6, generations=6, elitism=1, seed=5)
         uninterrupted = result_digest(GAEngine(space, cfg).run(rastrigin))
 
-        path = str(tmp_path / "own.json")
+        path = str(tmp_path / "own.tier")
         crash_at = 3
 
         class Crash(Exception):
@@ -287,14 +207,17 @@ class TestEngineCheckpointRoundTrip:
             if stats.generation == crash_at:
                 raise Crash()
 
-        with pytest.raises(Crash):
-            GAEngine(space, cfg).run(
-                rastrigin, checkpoint_path=path, on_generation=crash_hook
+        with TierStore(path) as store, pytest.raises(Crash):
+            GAEngine(space, cfg, store=store).run(
+                rastrigin, on_generation=crash_hook
             )
-        resumed = GAEngine(space, cfg).run(
-            rastrigin, resume_from=load_checkpoint(path)
-        )
+        with TierStore(path) as store:
+            recorded = store.size
+            resumed = GAEngine(space, cfg, store=store).run(rastrigin)
         digest = result_digest(resumed)
         assert digest["best_genome"] == uninterrupted["best_genome"]
         assert digest["best_fitness"] == uninterrupted["best_fitness"]
         assert digest["stopped_early"] == uninterrupted["stopped_early"]
+        assert digest["generations_run"] == uninterrupted["generations_run"]
+        assert recorded
+        assert digest["evaluations"] == uninterrupted["evaluations"] - recorded

@@ -12,8 +12,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, GAError
+from repro.errors import GAError
 from repro.ga.individual import IntVectorSpace
+from repro.perf.storetier import TierStore
 from repro.search import (
     DEFAULT_STRATEGY,
     STRATEGY_NAMES,
@@ -28,6 +29,28 @@ from repro.search.cmaes import CMAESStrategy
 
 def sphere(genome):
     return float(sum((g - 10) ** 2 for g in genome))
+
+
+class Interrupt(Exception):
+    pass
+
+
+def interrupted_on_store(path, strategy, after):
+    """Run *strategy* on the store at *path* and abort it at the
+    fitness call after *after*; return how many genomes the store
+    recorded."""
+    told = []
+
+    def interrupting(genome):
+        if len(told) >= after:
+            raise Interrupt
+        told.append(genome)
+        return sphere(genome)
+
+    with TierStore(path) as store, pytest.raises(Interrupt):
+        run_search(strategy, interrupting, store=store)
+    with TierStore(path) as store:
+        return store.size
 
 
 @pytest.fixture
@@ -87,28 +110,23 @@ class TestCMAES:
         assert result.best_genome == default
 
     def test_checkpoint_resume_matches_uninterrupted(self, space, tmp_path):
-        path = str(tmp_path / "cmaes.json")
+        """An interrupted run, run again on its store, lands on the
+        uninterrupted result and simulates only what the store lacks."""
+        path = str(tmp_path / "cmaes.tier")
         full = run_search(CMAESStrategy(space, budget=80, seed=3), sphere)
 
-        interrupted = CMAESStrategy(space, budget=80, seed=3)
-        # drive half the budget manually, checkpointing each batch
-        cache_probe = []
-
-        def counting(genome):
-            cache_probe.append(genome)
-            return sphere(genome)
-
-        result = run_search(
-            CMAESStrategy(space, budget=40, seed=3),
-            counting,
-            checkpoint_path=path,
+        recorded = interrupted_on_store(
+            path, CMAESStrategy(space, budget=80, seed=3), after=40
         )
-        assert os.path.exists(path)
-        resumed = CMAESStrategy(space, budget=80, seed=3)
-        resumed.restore_from(path)
-        continued = run_search(resumed, sphere, checkpoint_path=path)
-        assert continued.best_fitness <= result.best_fitness
+        assert recorded
+        with TierStore(path) as store:
+            continued = run_search(
+                CMAESStrategy(space, budget=80, seed=3), sphere, store=store
+            )
+        assert continued.best_genome == full.best_genome
         assert continued.best_fitness == full.best_fitness
+        assert continued.iterations == full.iterations
+        assert continued.evaluations == full.evaluations - recorded
 
 
 class TestBandit:
@@ -135,73 +153,23 @@ class TestBandit:
         assert result.best_fitness == 0.0
 
     def test_checkpoint_resume_matches_uninterrupted(self, space, tmp_path):
-        path = str(tmp_path / "bandit.json")
+        """An interrupted run, run again on its store, lands on the
+        uninterrupted result and simulates only what the store lacks."""
+        path = str(tmp_path / "bandit.tier")
         full = run_search(BanditHalvingStrategy(space, budget=48, seed=4), sphere)
 
-        class Interrupt(Exception):
-            pass
-
-        told = []
-
-        def interrupting(genome):
-            if len(told) >= 30:
-                raise Interrupt
-            told.append(genome)
-            return sphere(genome)
-
-        with pytest.raises(Interrupt):
-            run_search(
-                BanditHalvingStrategy(space, budget=48, seed=4),
-                interrupting,
-                checkpoint_path=path,
+        recorded = interrupted_on_store(
+            path, BanditHalvingStrategy(space, budget=48, seed=4), after=30
+        )
+        assert recorded
+        with TierStore(path) as store:
+            continued = run_search(
+                BanditHalvingStrategy(space, budget=48, seed=4), sphere, store=store
             )
-        assert json.load(open(path))["strategy"] == "bandit"
-        resumed = BanditHalvingStrategy(space, budget=48, seed=4)
-        resumed.restore_from(path)
-        assert resumed.iteration >= 1
-        continued = run_search(resumed, sphere)
         assert continued.best_genome == full.best_genome
         assert continued.best_fitness == full.best_fitness
         assert continued.iterations == full.iterations
-
-    def test_checkpoint_name_mismatch_is_rejected(self, space, tmp_path):
-        path = str(tmp_path / "wrong.json")
-        run_search(
-            CMAESStrategy(space, budget=10, seed=0), sphere, checkpoint_path=path
-        )
-        strategy = BanditHalvingStrategy(space, budget=10)
-        with pytest.raises(CheckpointError, match="cmaes") as info:
-            strategy.restore_from(path)
-        assert "\n" not in str(info.value)
-
-    @pytest.mark.parametrize(
-        "name, entry",
-        [
-            # an inline-decision genome, and an objective-vector fitness
-            ("mcts", [[1, 0, 1], 0.98]),
-            ("pareto", [[1, 2, 3], [1.0, 0.9, 1.1]]),
-        ],
-        ids=["mcts", "pareto"],
-    )
-    def test_deleted_strategy_checkpoint_is_refused(
-        self, space, tmp_path, name, entry
-    ):
-        path = str(tmp_path / "deleted.json")
-        with open(path, "w") as handle:
-            json.dump(
-                {
-                    "format": "strategy-checkpoint",
-                    "version": 1,
-                    "strategy": name,
-                    "state": {},
-                    "cache": [entry],
-                },
-                handle,
-            )
-        strategy = BanditHalvingStrategy(space, budget=10)
-        with pytest.raises(CheckpointError, match=f"strategy '{name}'") as info:
-            strategy.restore_from(path)
-        assert "\n" not in str(info.value)
+        assert continued.evaluations == full.evaluations - recorded
 
 
 class TestDriver:

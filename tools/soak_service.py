@@ -94,8 +94,8 @@ def reference_results() -> dict:
     """Fault-free, store-free expected result per distinct cell.
 
     Maps ``(shape index, cell name)`` to ``(params, fitness)``; the
-    daemon's warm starts, checkpointed resumes and retries must all be
-    bitwise-identical to this.
+    daemon's warm starts, re-runs of interrupted cells on its store tier
+    and retries must all be bitwise-identical to this.
     """
     reference = {}
     for shape_index, shape in enumerate(SPEC_SHAPES):
