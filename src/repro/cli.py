@@ -448,12 +448,6 @@ def _cmd_campaign(args) -> int:
         f"method hit rate {totals['method_hit_rate']:.1%}, "
         f"batch dedup rate {totals['batch_dedup_rate']:.1%}"
     )
-    if totals.get("plan_preloaded") or totals.get("plan_warm_hits"):
-        print(
-            f"plans    : {int(totals['plan_preloaded'])} entries fetched "
-            f"from the shared archive, {int(totals['plan_warm_hits'])} warm "
-            f"hits, {int(totals['plan_recompiles'])} recompiles"
-        )
     if not result.ok:
         for failure in result.failures:
             print(f"failure  : {failure}", file=sys.stderr)
@@ -795,7 +789,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "list": _cmd_list,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # flush here, so a closed pipe surfaces below and not as an
+        # unraisable error at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``repro store stats T | head``):
+        # point stdout at devnull so the exit-time flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -209,11 +209,6 @@ class InliningTuner:
         #: and that run's accelerator counters — campaign bookkeeping.
         self.last_store = None
         self.last_accelerator_stats: Optional[Dict[str, float]] = None
-        #: the most recent run's compiled plan caches as flat arrays
-        #: (repro.perf.planshare), captured only when this process holds
-        #: a plan-share client — campaign workers return them so the
-        #: coordinator can merge and republish for later tasks.
-        self.last_plan_exports = None
 
     # ------------------------------------------------------------------
     def tune(
@@ -260,21 +255,7 @@ class InliningTuner:
             self.last_accelerator_stats = (
                 accelerator.stats.as_dict() if accelerator is not None else None
             )
-            self.last_plan_exports = None
             if accelerator is not None:
-                from repro.perf import planshare
-
-                if planshare.get_client() is not None:
-                    # campaign worker: hand the compiled plans back to the
-                    # coordinator before the accelerator (and its caches)
-                    # is retired
-                    try:
-                        self.last_plan_exports = (
-                            planshare.export_accelerator_plans(accelerator)
-                            or None
-                        )
-                    except Exception:
-                        self.last_plan_exports = None
                 # this run's accelerator is done: fold its counters into
                 # the process totals and drop it from live aggregation,
                 # so per-task attribution never re-counts dead

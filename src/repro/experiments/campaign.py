@@ -9,7 +9,10 @@ process pool.
 
 Every worker appends its records straight to its own shard of the
 tier, only a count rides back with the cell's result, and the
-coordinator compacts the cooled shards when the campaign finishes.  A
+coordinator compacts the cooled shards when the campaign finishes.
+Each cell compiles into its own plan caches: no compiled plan rides
+back or is shared between cells, because a compile (in C) costs less
+than shipping, merging and republishing one.  A
 re-run of the same campaign answers every genome from the tier — zero
 new simulations.  A legacy single-file JSONL store is refused: import
 it first with ``repro store migrate``.
@@ -233,9 +236,9 @@ class CellRequest:
 
     Everything a worker process needs to tune one cell rides in here
     (pickled onto the pool's call queue): the tuning task, the GA
-    budget, the shared store, and the shared-memory optimizations
-    (the service's workload archive, the plan archive) that degrade to
-    nothing when absent.
+    budget, the shared store, and the service's shared-memory workload
+    archive, which degrades to nothing when absent.  Each cell compiles
+    into its own plan caches; no compiled plan crosses a process.
     """
 
     task: TuningTask
@@ -245,8 +248,6 @@ class CellRequest:
     workload_seed: int = 0
     #: shared-memory workload-archive segment name (repro.perf.shm)
     archive_name: Optional[str] = None
-    #: published plan-archive base name (repro.perf.planshare)
-    plan_base: Optional[str] = None
     #: opt-in nearest-neighbour population seeding (tier stores only)
     warm_start_neighbors: bool = False
     #: search strategy tuning this cell (repro.search registry name)
@@ -262,8 +263,6 @@ class CellOutcome:
     #: evaluation-context key of the cell's store partition
     context: Optional[str]
     accelerator_stats: Optional[Dict[str, float]]
-    #: compiled plan caches as flat arrays (repro.perf.planshare)
-    plan_exports: Optional[dict]
     #: records the cell appended to the store from its own process
     appended: int
 
@@ -279,14 +278,6 @@ def execute_cell(request: CellRequest) -> CellOutcome:
     only what the store cannot answer.
     """
     task = request.task
-    if request.plan_base is not None:
-        # attach the coordinator's published plan caches: accelerators
-        # in this worker then warm-start instead of recompiling plans
-        # another cell already produced (degrades to private caches on
-        # any shm failure)
-        from repro.perf import planshare
-
-        planshare.ensure_client(request.plan_base)
     from repro.resilience.faults import get_fault_injector
 
     injector = get_fault_injector()
@@ -317,7 +308,6 @@ def execute_cell(request: CellRequest) -> CellOutcome:
         tuned=tuned,
         context=context,
         accelerator_stats=tuner.last_accelerator_stats,
-        plan_exports=tuner.last_plan_exports,
         appended=appended,
     )
 
@@ -499,23 +489,6 @@ def _run_campaign_impl(
 
         SPECJVM98.programs(seed=workload_seed)
 
-    # Parallel runs also share *compiled plan caches*: each finished
-    # cell returns its plan exports, the coordinator merges them into a
-    # PlanArchive and republishes, and later cells' workers warm-start
-    # from the newest epoch instead of recompiling identical plans.
-    # This is purely a throughput optimization — warm-started cells are
-    # bitwise-identical to cold ones, and any failure degrades the
-    # campaign to private caches.  The archive dies with the campaign.
-    plan_publisher = None
-    if parallel:
-        try:
-            from repro.perf import planshare
-
-            if planshare.plan_sharing_enabled():
-                plan_publisher = planshare.PlanSharePublisher()
-        except Exception:
-            plan_publisher = None
-
     requests = [
         (
             task.name,
@@ -524,9 +497,6 @@ def _run_campaign_impl(
                 ga_config=ga_config,
                 store_path=store_path,
                 workload_seed=workload_seed,
-                plan_base=plan_publisher.base
-                if plan_publisher is not None
-                else None,
                 warm_start_neighbors=warm_start_neighbors,
                 strategy=strategy,
             ),
@@ -547,11 +517,6 @@ def _run_campaign_impl(
         context = outcome.context
         accel_stats = outcome.accelerator_stats
         fresh = outcome.appended
-        if plan_publisher is not None and outcome.plan_exports:
-            # fold the cell's compiled plans into the shared archive and
-            # republish so cells still queued warm-start from them
-            plan_publisher.merge(outcome.plan_exports)
-            plan_publisher.publish_if_dirty()
         finished[task_name] = CampaignTaskResult(
             task_name=task_name,
             tuned=tuned,
@@ -601,12 +566,6 @@ def _run_campaign_impl(
                     },
                     prefix="repro_accel_",
                 )
-                registry.counter("repro_plan_warm_hits_total").inc(
-                    int(accel_stats.get("plan_warm_hits", 0))
-                )
-                registry.counter("repro_plan_recompiles_total").inc(
-                    int(accel_stats.get("plan_recompiles", 0))
-                )
             if store_path is not None:
                 # tier hit/miss accounting: genomes the tier answered vs
                 # genomes the cell had to simulate (and append)
@@ -625,8 +584,6 @@ def _run_campaign_impl(
         registry.counter("repro_ipc_bytes_total", transport="shm").inc(0)
         registry.counter("repro_shm_attach_total").inc(0)
         registry.counter("repro_backend_selected_total", backend="numpy").inc(0)
-        registry.counter("repro_plan_warm_hits_total").inc(0)
-        registry.counter("repro_plan_recompiles_total").inc(0)
         registry.counter("repro_tier_hits_total").inc(0)
         registry.counter("repro_tier_misses_total").inc(0)
         registry.counter("repro_tier_appends_total").inc(0)
@@ -640,28 +597,24 @@ def _run_campaign_impl(
             "repro_strategy_evaluations_total", strategy=strategy
         ).inc(0)
 
-    try:
-        with trace("campaign", tasks=len(todo)):
-            if not parallel:
-                n_processes = 1
-                _, failures = run_supervised_serial(
-                    requests, execute_cell, policy=policy, on_result=on_result
-                )
+    with trace("campaign", tasks=len(todo)):
+        if not parallel:
+            n_processes = 1
+            _, failures = run_supervised_serial(
+                requests, execute_cell, policy=policy, on_result=on_result
+            )
+        else:
+            if processes is not None:
+                n_processes = max(1, min(processes, len(todo)))
             else:
-                if processes is not None:
-                    n_processes = max(1, min(processes, len(todo)))
-                else:
-                    n_processes = min(len(todo), max(1, os.cpu_count() or 1))
-                _, failures = run_supervised(
-                    requests,
-                    execute_cell,
-                    policy=policy,
-                    max_workers=n_processes,
-                    on_result=on_result,
-                )
-    finally:
-        if plan_publisher is not None:
-            plan_publisher.unlink()
+                n_processes = min(len(todo), max(1, os.cpu_count() or 1))
+            _, failures = run_supervised(
+                requests,
+                execute_cell,
+                policy=policy,
+                max_workers=n_processes,
+                on_result=on_result,
+            )
 
     if store_path is not None:
         # the campaign's writers have closed their shards; fold the

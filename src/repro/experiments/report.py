@@ -262,9 +262,6 @@ def generate_report(
     w(f"| native kernel propagations | {stats.native_propagations} |\n")
     w(f"| native kernel rows | {stats.native_rows} |\n")
     w(f"| native kernel fallbacks | {stats.native_fallbacks} |\n")
-    w(f"| plan-cache entries fetched from shm on a miss | {stats.plan_preloaded} |\n")
-    w(f"| plan lookups served warm (shared plans) | {stats.plan_warm_hits} |\n")
-    w(f"| plan recompiles after a warm start | {stats.plan_recompiles} |\n")
     w(f"| degraded runs (fell back to reference) | {stats.degraded_runs} |\n")
     w(f"| degraded batches (fell back to serial) | {stats.degraded_batches} |\n")
 

@@ -35,7 +35,7 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    the final-version accounting runs as matrix expressions over the
    representative dimension.
 6. **Zero-copy transport and compiled kernels** (:mod:`repro.perf.shm`,
-   :mod:`repro.perf.native`) — workload and plan archives live in
+   :mod:`repro.perf.native`) — the service's workload archives live in
    named ``multiprocessing.shared_memory`` segments that pool workers
    map read-only instead of rebuilding after a pickle, and the
    serial-by-construction invocation propagation, the cold path's plan

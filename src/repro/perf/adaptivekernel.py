@@ -91,8 +91,8 @@ class AdaptiveBatchKernel:
         (:meth:`EvaluationAccelerator._resolve_pending`) with the
         fan-out counters on: each traced plan is fanned out to every
         later genome its region covers, so genomes sharing a region
-        never reach the compiler or the archive.  The compiled rung
-        runs the same step in C and does not come through here.
+        never reach the compiler.  The compiled rung runs the same step
+        in C and does not come through here.
         """
         self.accelerator._resolve_pending(
             state, params_list, values_matrix, resolved, count_groups=True

@@ -190,12 +190,7 @@ class GenerationBatchEvaluator:
         stats.runs += n_genomes
         stats.method_lookups += n_genomes * len(key_mids)
 
-        builds_before = stats.method_builds
         resolved = self._resolve_batch(state, params_list, values_matrix)
-        if state.archived is not None:
-            builds = stats.method_builds - builds_before
-            stats.plan_warm_hits += n_genomes * len(key_mids) - builds
-            stats.plan_recompiles += builds
 
         # partition the generation by plan signature over the key
         # columns; row bytes key the grouping (cheaper than a lexsort),
@@ -301,22 +296,20 @@ class GenerationBatchEvaluator:
         each compile shared by all the genomes of its region.  On the
         compiled rung the whole step is one C call
         (:meth:`EvaluationAccelerator._resolve_compiled`); the numpy
-        rung and program states with a plan-archive view run the same
-        algorithm in Python
+        rung runs the same algorithm in Python
         (:meth:`EvaluationAccelerator._resolve_pending`, through
         :meth:`AdaptiveBatchKernel.resolve_missing` under the adaptive
         kernel).
         """
         acc = self.accelerator
-        if state.archived is None:
-            backend = acc.native_backend()
-            if backend is not None:
-                resolved = acc._resolve_compiled(
-                    state, backend, values_matrix,
-                    count_groups=self._kernel is not None,
-                )
-                if resolved is not None:
-                    return resolved
+        backend = acc.native_backend()
+        if backend is not None:
+            resolved = acc._resolve_compiled(
+                state, backend, values_matrix,
+                count_groups=self._kernel is not None,
+            )
+            if resolved is not None:
+                return resolved
         resolved = state.cache.match_many(values_matrix)
         if self._kernel is not None:
             self._kernel.resolve_missing(state, params_list, values_matrix, resolved)

@@ -45,7 +45,7 @@ from repro.jvm.codecache import hot_code_size, pressure_factor
 from repro.jvm.compiled import CompiledMethod
 from repro.jvm.inlining import InliningParameters
 from repro.perf.fastcompile import TracedCompiler
-from repro.perf.plancache import ArchivedPlans, MethodPlanCache
+from repro.perf.plancache import MethodPlanCache
 
 __all__ = ["AcceleratorStats", "EvaluationAccelerator", "aggregate_stats"]
 
@@ -69,9 +69,6 @@ STAT_COUNTERS = (
     "native_propagations",
     "native_rows",
     "native_fallbacks",
-    "plan_preloaded",
-    "plan_warm_hits",
-    "plan_recompiles",
     "degraded_runs",
     "degraded_batches",
 )
@@ -106,15 +103,6 @@ class AcceleratorStats:
     #: compiled-kernel calls that raised and fell back to the numpy
     #: path (the backend is then disabled for this accelerator)
     native_fallbacks: int = 0
-    #: plan-cache entries fetched on a cache miss from the campaign's
-    #: shared plan archive (repro.perf.planshare) instead of compiled
-    plan_preloaded: int = 0
-    #: method resolutions in warm-started program states (those with an
-    #: archive view) that were served without compiling
-    plan_warm_hits: int = 0
-    #: compiles a warm-started state still had to run because the
-    #: archive lacked the region (the warm-start miss count)
-    plan_recompiles: int = 0
     #: accelerated runs that raised and fell back to ``run_reference``
     degraded_runs: int = 0
     #: generation batches that raised and fell back to the serial
@@ -178,9 +166,6 @@ class AcceleratorStats:
             "native_propagations": self.native_propagations,
             "native_rows": self.native_rows,
             "native_fallbacks": self.native_fallbacks,
-            "plan_preloaded": self.plan_preloaded,
-            "plan_warm_hits": self.plan_warm_hits,
-            "plan_recompiles": self.plan_recompiles,
             "degraded_runs": self.degraded_runs,
             "degraded_batches": self.degraded_batches,
         }
@@ -251,7 +236,6 @@ class _ProgramState:
         "baseline_info",
         "promotion_level",
         "native_ctx",
-        "archived",
         "slots",
     )
 
@@ -279,10 +263,6 @@ class _ProgramState:
         # flat arrays prepared for the compiled adaptive kernel
         # (promoted-slot map + baseline CSR); built on first native use
         self.native_ctx: Optional[Tuple] = None
-        # the shared plan archive's rows for this program, fetched on a
-        # cache miss; None compiles privately (and gates the
-        # warm-hit/recompile accounting)
-        self.archived: Optional[ArchivedPlans] = None
         # (method ids, levels) of the versions a genome needs, in
         # compile order; built on the first batched resolve
         self.slots: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -346,35 +326,8 @@ class EvaluationAccelerator:
         state = self._states.get(id(program))
         if state is None or state.program is not program:
             state = _ProgramState(program)
-            self._attach_archive(state)
             self._states[id(program)] = state
         return state
-
-    def _attach_archive(self, state: _ProgramState) -> None:
-        """Index the shared plan archive's rows for a fresh program state.
-
-        Applies only when the process holds a plan-share client (see
-        :mod:`repro.perf.planshare`).  Nothing is loaded here: a cache
-        miss later fetches the one archived row whose region covers the
-        vector (:meth:`_resolve_missing`).  Any failure leaves the state
-        without a view — sharing never breaks a run.
-        """
-        try:
-            from repro.perf.planshare import get_client, plan_key
-
-            client = get_client()
-            if client is None:
-                return
-            vm = self.vm
-            arrays = client.arrays_for(
-                plan_key(state.program, vm.machine, vm.scenario, vm.cost_model)
-            )
-            if arrays is not None and len(arrays["entry_method"]):
-                state.archived = ArchivedPlans(arrays, len(state.program))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            state.archived = None
 
     def clear(self) -> None:
         """Drop all cached state (programs, plans, reports)."""
@@ -408,10 +361,8 @@ class EvaluationAccelerator:
         """Fill the slots of one parameter vector the cache left open.
 
         *missing* lists ``(slot, method_id, level)`` for every unresolved
-        ``row[slot]``.  With an archive view the covering archived rows
-        are fetched first (:meth:`_fetch`); what is still missing then
-        compiles in listed order.  On the compiled rung that is the
-        generation resolve over this one genome
+        ``row[slot]``, compiled in listed order.  On the compiled rung
+        that is the generation resolve over this one genome
         (:meth:`_resolve_compiled`, the missing methods as its slots),
         which appends the versions to the cache's column buffers in
         place; on the numpy rung, or after that call degraded this
@@ -423,8 +374,6 @@ class EvaluationAccelerator:
         appends the same entry sequence.  Returns the number of
         compiles.
         """
-        if missing and state.archived is not None:
-            missing = self._fetch(state, values, missing, row)
         if not missing:
             return 0
         backend = self.native_backend()
@@ -447,45 +396,6 @@ class EvaluationAccelerator:
             row[slot] = entry
         self.stats.method_builds += len(missing)
         return len(missing)
-
-    def _fetch(
-        self,
-        state: _ProgramState,
-        values: Tuple[int, ...],
-        missing: List[Tuple[int, int, int]],
-        row,
-    ) -> List[Tuple[int, int, int]]:
-        """Append the archived rows covering *values*; returns the rest.
-
-        One bound check over the missing methods' archived rows, one
-        :meth:`MethodPlanCache.load_arrays` call (``plan_preloaded``).
-        Regions of one method are disjoint, so a covering row is the
-        version compiling at *values* would produce.  A malformed
-        archive drops the view: the state compiles privately from then
-        on.
-        """
-        archived = state.archived
-        cache = state.cache
-        first = len(cache)
-        try:
-            positions, rows = archived.covering(
-                values, [mid for _, mid, _ in missing]
-            )
-            if len(rows):
-                self.stats.plan_preloaded += cache.load_arrays(archived.arrays, rows)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            _log.debug("plan archive fetch failed; compiling privately", exc_info=True)
-            state.archived = None
-            return missing
-        taken = positions.tolist()
-        for entry, pos in enumerate(taken, first):
-            row[missing[pos][0]] = entry
-        if len(taken) == len(missing):
-            return []
-        taken = set(taken)
-        return [m for j, m in enumerate(missing) if j not in taken]
 
     # ------------------------------------------------------------------
     # whole-generation resolution (repro.perf.batch)
@@ -526,11 +436,10 @@ class EvaluationAccelerator:
         one block bound check (:meth:`MethodPlanCache.covers`): a later
         genome's row is then exactly what a fresh match against the
         grown cache would return, and a genome the fan-outs completed
-        never reaches the archive or the compiler.
+        never reaches the compiler.
 
-        This is the numpy rung's resolve and that of program states
-        with a plan-archive view; the compiled rung runs the same
-        algorithm in one C call (:meth:`_resolve_compiled`).  With
+        This is the numpy rung's resolve; the compiled rung runs the
+        same algorithm in one C call (:meth:`_resolve_compiled`).  With
         *count_groups* (the adaptive kernel), every compiled entry
         covering later genomes counts one ``adaptive_grouped_compiles``
         and its covered genomes ``adaptive_group_covered``.
@@ -668,10 +577,7 @@ class EvaluationAccelerator:
         self.stats.method_lookups += len(reachable)
         level = vm.scenario.opt_level
         missing = [(mid, mid, level) for mid in reachable if resolved[mid] < 0]
-        builds = self._resolve_missing(state, values, missing, resolved)
-        if state.archived is not None:
-            self.stats.plan_warm_hits += len(reachable) - builds
-            self.stats.plan_recompiles += builds
+        self._resolve_missing(state, values, missing, resolved)
 
         signature = tuple(resolved[mid] for mid in reachable)
         memo = state.reports.get(signature)
@@ -848,10 +754,7 @@ class EvaluationAccelerator:
             for i, (mid, level) in enumerate(skeleton.promotions)
             if resolved[i] < 0
         ]
-        builds = self._resolve_missing(state, values, missing, resolved)
-        if state.archived is not None:
-            self.stats.plan_warm_hits += len(skeleton.promotions) - builds
-            self.stats.plan_recompiles += builds
+        self._resolve_missing(state, values, missing, resolved)
 
         signature = tuple(resolved)
         memo = state.reports.get(signature)

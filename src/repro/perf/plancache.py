@@ -35,7 +35,7 @@ import numpy as np
 from repro.jvm.compiled import CompiledMethod
 from repro.jvm.inlining import ParamRegion, _REGION_UNBOUNDED
 
-__all__ = ["ArchivedPlans", "CompiledBatch", "MergedExport", "MethodPlanCache"]
+__all__ = ["CompiledBatch", "MergedExport", "MethodPlanCache"]
 
 #: maps the unbounded region limit onto its one shared int object (every
 #: other bound maps to itself), so built regions stay small
@@ -748,56 +748,3 @@ class MergedExport:
         self.arrays = merged
         self._keys = np.insert(self._keys, np.searchsorted(self._keys, keys), keys)
         return len(rows)
-
-
-class ArchivedPlans:
-    """One plan key's archived rows, indexed by method for fetch on miss.
-
-    Built from an :meth:`MethodPlanCache.export_arrays` payload — in
-    practice a plan-archive snapshot (:mod:`repro.perf.planshare`).  The
-    payload is copied once: the archive reader unmaps an epoch's segment
-    after a newer epoch appears, while a program state keeps fetching
-    from this index for its whole life.  Rows are grouped by method
-    (a stable sort), so :meth:`covering` checks only the rows of the
-    methods a lookup asks about.
-    """
-
-    __slots__ = ("arrays", "_order", "_starts", "_lo", "_hi")
-
-    def __init__(self, arrays: Dict[str, np.ndarray], n_methods: int) -> None:
-        if int(arrays["n_methods"][0]) != n_methods:
-            raise ValueError(
-                f"plan arrays describe {int(arrays['n_methods'][0])} methods, "
-                f"program has {n_methods}"
-            )
-        self.arrays = {field: np.array(array) for field, array in arrays.items()}
-        method = self.arrays["entry_method"]
-        order = np.argsort(method, kind="stable")
-        self._order = order
-        # method m's rows are order[starts[m]:starts[m + 1]]
-        self._starts = np.searchsorted(
-            method[order], np.arange(n_methods + 1, dtype=np.int64)
-        )
-        self._lo = self.arrays["lo"][order]
-        self._hi = self.arrays["hi"][order]
-
-    def covering(
-        self, values: Tuple[int, ...], method_ids: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Archived rows whose region covers *values*, for listed methods.
-
-        Returns ``(positions, rows)``: the positions in *method_ids* an
-        archived row covers, ascending, and parallel to them the row ids
-        into :attr:`arrays`.  Regions of one method are disjoint, so each
-        method has at most one such row — the version compiling it at
-        *values* would produce.  One bound check over the listed
-        methods' rows resolves them all.
-        """
-        # grouped-order index of every candidate row, method by method
-        idx, counts = _csr_rows(self._starts, np.asarray(method_ids, dtype=np.int64))
-        p = np.asarray(values, dtype=np.int64)
-        hits = np.flatnonzero(
-            ((self._lo[idx] <= p) & (p <= self._hi[idx])).all(axis=1)
-        )
-        positions = np.searchsorted(np.cumsum(counts), hits, side="right")
-        return positions, self._order[idx[hits]]

@@ -1,52 +1,37 @@
-"""Campaign-wide sharing of compiled plan caches.
+"""Campaign-wide sharing of compiled plan caches (a library no entry
+point calls).
 
-PR 6 moved workloads and genomes into shared memory, but every campaign
-worker still recompiled the same inline plans from scratch: plan
-expansion (``TracedCompiler.compile``) dominates the accelerated leg on
-cold caches, and a campaign grid runs the identical (program, machine,
-scenario) cells in every worker process.  This module makes the
-compiled plan state a campaign-wide resource:
+Campaigns and the service used to share compiled plans between their
+pool workers; since the cold compile runs in C, shipping, merging and
+republishing plans costs more than compiling them, and every cell now
+compiles into its own :class:`~repro.perf.plancache.MethodPlanCache`.
+This module, :class:`~repro.perf.shm.PlanArchive` /
+:class:`~repro.perf.shm.PlanArchiveReader` and
+:class:`~repro.perf.plancache.MergedExport` stay only until the
+end-to-end benchmark's layer table stops naming them; then they go.
 
-* the coordinator owns a :class:`~repro.perf.shm.PlanArchive` and
-  publishes every program's
-  :class:`~repro.perf.plancache.MethodPlanCache` (exported as flat
-  arrays) under a *plan key* — the program fingerprint plus the full
-  ``repr`` of the machine model, scenario, and cost model, i.e. exactly
-  the inputs plan expansion depends on;
-* workers hold a process-global :class:`PlanShareClient`; when an
-  :class:`~repro.perf.engine.EvaluationAccelerator` first sees a
-  program it asks the client for that key's arrays and indexes them
-  by method (:class:`~repro.perf.plancache.ArchivedPlans`).  On a
-  cache miss it fetches the archived row whose region covers the
-  parameter vector into its private cache, and compiles only what no
-  archived row covers;
-* as workers return their compiled entries with their results, the
-  coordinator's :class:`PlanSharePublisher` merges them array by array
-  (deduplicated by ``(method, lo, hi)`` — regions of one method are
-  disjoint across distinct plans, so an already-present region *is*
-  the same version) and republishes a new epoch for later tasks to
-  warm-start from.
+What the library does:
 
-The archive lives only as long as its campaign or daemon; nothing is
-written to disk.  A re-run on a filled store tier recalls every genome
-and compiles nothing, so persisted plans would only cost it their load
-and republish.  Tiers written while plans were persisted still carry
-``plans/plan-*.npz`` files, which :meth:`StoreTier.compact
-<repro.perf.storetier.StoreTier.compact>` removes.
+* a :class:`PlanSharePublisher` owns a :class:`~repro.perf.shm.PlanArchive`
+  and publishes every program's plan cache (exported as flat arrays by
+  :meth:`~repro.perf.plancache.MethodPlanCache.export_arrays`) under a
+  *plan key* — the program fingerprint plus the full ``repr`` of the
+  machine model, scenario, and cost model, i.e. exactly the inputs plan
+  expansion depends on;
+* exports merge array by array (deduplicated by ``(method, lo, hi)`` —
+  regions of one method are disjoint across distinct plans, so an
+  already-present region *is* the same version) and a republish writes
+  a new epoch;
+* a process-global :class:`PlanShareClient` returns the newest
+  published arrays for a key, which
+  :meth:`~repro.perf.plancache.MethodPlanCache.load_arrays` turns back
+  into byte-for-byte reconstructions of the versions that produced
+  them.
 
-Fetched entries are byte-for-byte reconstructions of the versions that
-produced them (see ``MethodPlanCache.export_arrays``), so a
-warm-started worker resolves, propagates, and accounts
-bitwise-identically to a cold-started one — the parity suite asserts
-this over randomized sweeps.
-
-Degradation, as everywhere in the perf stack: any shm failure —
-platform without shared memory, archive vanished mid-campaign, torn
-snapshot that never settles — permanently degrades the failing side to
-its private cache.  Plan sharing is a throughput optimization, never a
-correctness dependency.  The ``REPRO_PLAN_SHARE`` environment knob
-(``auto``/``on``/``off``, mirroring ``REPRO_KERNEL_BACKEND``) forces
-the policy for a whole process tree.
+Nothing is written to disk.  Degradation, as everywhere in the perf
+stack: any shm failure permanently degrades the failing side to
+nothing.  The ``REPRO_PLAN_SHARE`` environment knob
+(``auto``/``on``/``off``) is read only by :func:`plan_sharing_enabled`.
 """
 
 from __future__ import annotations

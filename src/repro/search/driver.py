@@ -2,8 +2,8 @@
 
 Owns everything a search needs that is *not* the proposal policy: the
 fitness cache, persistent-store recall, batched evaluation (which is
-where the generation-batched accelerator and shared plans plug in),
-and ``strategy.*`` telemetry.
+where the generation-batched accelerator plugs in), and
+``strategy.*`` telemetry.
 :func:`evaluate_genomes` is the exact dedup/recall/count discipline the
 GA engine always used — extracted verbatim so every strategy pays and
 counts evaluations identically and the GA stays bitwise-identical to

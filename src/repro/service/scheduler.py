@@ -185,10 +185,9 @@ class CellScheduler:
         self._stopping = False
         self.failures: List[FailureReport] = []
 
-        # campaign-scope optimizations, shared across every job the
-        # daemon runs; each degrades to nothing on any failure
+        # one workload archive per workload seed, shared across every
+        # job the daemon runs; degrades to nothing on any failure
         self._archives: Dict[int, object] = {}
-        self._plan_publisher = None
 
         # shm hygiene: published segment names are registered in a
         # state-dir sidecar so a restart can unlink what a SIGKILLed
@@ -198,13 +197,6 @@ class CellScheduler:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        try:
-            from repro.perf import planshare
-
-            if planshare.plan_sharing_enabled():
-                self._plan_publisher = planshare.PlanSharePublisher()
-        except Exception:
-            self._plan_publisher = None
         self._record_segments()
         self._thread = threading.Thread(
             target=self._run, name="repro-scheduler", daemon=True
@@ -248,12 +240,6 @@ class CellScheduler:
             except Exception:
                 pass
         self._archives.clear()
-        if self._plan_publisher is not None:
-            try:
-                self._plan_publisher.unlink()
-            except Exception:
-                pass
-            self._plan_publisher = None
         try:
             os.remove(self._shm_registry_path)
         except OSError:
@@ -393,16 +379,6 @@ class CellScheduler:
                 names.append(archive.name)
             except Exception:
                 pass
-        publisher = self._plan_publisher
-        if publisher is not None and not getattr(publisher, "dead", False):
-            try:
-                base = publisher.base
-                names.append(base)
-                epoch = int(publisher.archive.epoch)
-                if epoch:
-                    names.append(f"{base}-e{epoch}")
-            except Exception:
-                pass
         tmp = self._shm_registry_path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
@@ -452,11 +428,6 @@ class CellScheduler:
             store_path=self.store_path,
             workload_seed=spec.workload_seed,
             archive_name=archive.name if archive is not None else None,
-            plan_base=(
-                self._plan_publisher.base
-                if self._plan_publisher is not None
-                else None
-            ),
             warm_start_neighbors=spec.warm_start_neighbors,
             strategy=spec.strategy,
         )
@@ -604,13 +575,6 @@ class CellScheduler:
             if job.cancelled:
                 self._write_off(job, cell)
                 return
-        if self._plan_publisher is not None and outcome.plan_exports:
-            try:
-                self._plan_publisher.merge(outcome.plan_exports)
-                if self._plan_publisher.publish_if_dirty() is not None:
-                    self._record_segments()
-            except Exception:
-                pass
         record = job.record
         record.cell_done(
             cell.name,

@@ -139,8 +139,6 @@ REQUIRED_METRIC_FAMILIES: Tuple[str, ...] = (
     "repro_ipc_bytes_total",
     "repro_shm_attach_total",
     "repro_backend_selected_total",
-    "repro_plan_warm_hits_total",
-    "repro_plan_recompiles_total",
     "repro_tier_hits_total",
     "repro_tier_misses_total",
     "repro_tier_appends_total",

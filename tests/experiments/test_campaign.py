@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
@@ -120,6 +121,42 @@ class TestRunCampaign:
             assert b.task_name == a.task_name
             assert b.tuned.fitness == a.tuned.fitness
             assert b.tuned.params == a.tuned.params
+            assert b.new_records == a.new_records
+
+    def test_pooled_cells_share_no_plans_and_equal_serial(self, tmp_path):
+        """Two cells of one plan key (Opt:Tot and Opt:Bal on pentium4)
+        on two workers: no plan archive is in shared memory whenever a
+        cell lands, and every cell equals the serial campaign's bit for
+        bit."""
+        tasks = grid_tasks(
+            machines=["pentium4"], scenarios=["opt"], metrics=["total", "balance"]
+        )
+        pattern = "/dev/shm/repro-plans-*"
+        before = set(glob.glob(pattern))
+        published = []
+        pooled = run_campaign(
+            tasks,
+            ga_config=TINY_GA,
+            store_path=str(tmp_path / "pooled.tier"),
+            processes=2,
+            progress=lambda _line: published.append(
+                set(glob.glob(pattern)) - before
+            ),
+        )
+        serial = run_campaign(
+            tasks,
+            ga_config=TINY_GA,
+            store_path=str(tmp_path / "serial.tier"),
+            serial=True,
+        )
+        assert pooled.ok and pooled.processes == 2
+        assert published == [set()] * len(tasks)
+        for a, b in zip(serial.results, pooled.results):
+            assert b.task_name == a.task_name
+            assert b.tuned.params == a.tuned.params
+            assert b.tuned.fitness.hex() == a.tuned.fitness.hex()
+            assert b.tuned.default_fitness.hex() == a.tuned.default_fitness.hex()
+            assert b.tuned.evaluations == a.tuned.evaluations
             assert b.new_records == a.new_records
 
 

@@ -1,22 +1,21 @@
-"""Campaign-wide plan sharing: archive protocol, degradation, parity.
+"""The plan-sharing library: export, merge, archive protocol, degradation.
 
-The plan archive's contract mirrors the rest of the shm layer, with a
-stronger consistency requirement because the owner *republishes* while
-readers are live: a reader must either see a fully committed epoch or
-retry — never a torn snapshot — and a warm-started accelerator must be
-bitwise-indistinguishable from a cold-started one (plan entries fetched
-from the archive are exact reconstructions of the versions that
-produced them).
+No campaign or service cell shares compiled plans any more (each
+compiles into its own plan cache); :mod:`repro.perf.planshare`, the
+plan archive and the array merge stay as a library until their
+deletion, and these tests pin their contract.  The archive's contract
+mirrors the rest of the shm layer, with a stronger consistency
+requirement because the owner *republishes* while readers are live: a
+reader must either see a fully committed epoch or retry — never a torn
+snapshot — and an exported cache must reload byte for byte.
 """
 
 from __future__ import annotations
 
-import gc
 import glob
 import multiprocessing
 import os
 import signal
-import sys
 import time
 
 import numpy as np
@@ -27,10 +26,10 @@ from repro.errors import GAError
 from repro.jvm.compiled import CompiledMethod
 from repro.jvm.inlining import ParamRegion
 from repro.jvm.runtime import VirtualMachine
-from repro.jvm.scenario import ADAPTIVE, OPTIMIZING
+from repro.jvm.scenario import OPTIMIZING
 from repro.perf import planshare
 from repro.perf.batch import GenerationBatchEvaluator
-from repro.perf.plancache import ArchivedPlans, MergedExport, MethodPlanCache
+from repro.perf.plancache import MergedExport, MethodPlanCache
 from repro.perf.shm import (
     SEGMENT_PREFIX,
     PlanArchive,
@@ -41,7 +40,6 @@ from repro.perf.shm import (
 )
 from repro.workloads.suites import SPECJVM98
 
-from tests.perf.test_equivalence import REPORT_FIELDS, assert_reports_identical
 from tests.perf.test_native_backends import random_generation
 
 pytestmark = pytest.mark.skipif(
@@ -134,14 +132,6 @@ def _assert_exports_identical(got, want):
         assert got[field].dtype == array.dtype, field
         assert got[field].shape == array.shape, field
         assert got[field].tobytes() == array.tobytes(), field
-
-
-def _report_bits(report):
-    """Every report field, floats by their exact bit pattern."""
-    return tuple(
-        value.hex() if isinstance(value, float) else value
-        for value in (getattr(report, field) for field in REPORT_FIELDS)
-    )
 
 
 class TestExportRoundtrip:
@@ -324,233 +314,15 @@ class TestEpochProtocol:
 
 
 class TestWarmStartParity:
-    @pytest.mark.parametrize(
-        "scenario", [OPTIMIZING, ADAPTIVE], ids=lambda s: s.name
-    )
-    @pytest.mark.parametrize("seed", [17, 23])
-    def test_warm_accelerator_bitwise_identical(self, scenario, seed, monkeypatch):
-        """Randomized sweep: a warm-started accelerator reproduces the
-        cold run's every ExecutionReport field bit for bit, while
-        actually answering lookups from fetched archive entries."""
-        # test the mechanism even when the ambient policy disables it
-        # (CI's plan-share-degraded job exports REPRO_PLAN_SHARE=off)
-        monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
-        programs = SPECJVM98.programs(seed=0)[:2]
-        generation = random_generation(n=8, seed=seed)
-
-        planshare.clear_client()
-        cold_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
-        cold = GenerationBatchEvaluator(cold_vm)
-        cold_rows = cold.run_generation(programs, generation)
-        exports = planshare.export_accelerator_plans(cold.accelerator)
-        assert exports
-
-        archive = PlanArchive.create()
-        try:
-            archive.publish(exports)
-            assert planshare.ensure_client(archive.base) is not None
-            warm_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
-            warm = GenerationBatchEvaluator(warm_vm)
-            warm_rows = warm.run_generation(programs, generation)
-            for cold_row, warm_row in zip(cold_rows, warm_rows):
-                for cold_report, warm_report in zip(cold_row, warm_row):
-                    assert_reports_identical(cold_report, warm_report)
-            stats = warm_vm.perf_stats
-            assert stats.plan_preloaded > 0
-            assert stats.plan_warm_hits > 0
-            if scenario is OPTIMIZING:
-                # the archive held every version this generation needs
-                assert stats.plan_recompiles == 0
-        finally:
-            planshare.clear_client()
-            archive.unlink()
-
-    @pytest.mark.parametrize(
-        "scenario", [OPTIMIZING, ADAPTIVE], ids=lambda s: s.name
-    )
-    def test_mixed_fetch_and_compile_parity(self, scenario, monkeypatch):
-        """An archive holding the first half of each key's rows makes
-        one generation both fetch and compile.  Serial runs and batched
-        generations (Adapt with and without the adaptive kernel) each
-        reproduce the cold reports bit for bit and end with the same
-        cache entry sequence."""
-        monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
-        programs = SPECJVM98.programs(seed=0)[:2]
-        generation = random_generation(n=10, seed=41)
-
-        planshare.clear_client()
-        cold_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
-        cold = [[cold_vm.run(p, params) for p in programs] for params in generation]
-        exports = {
-            key: _first_rows(arrays, len(arrays["entry_method"]) // 2)
-            for key, arrays in planshare.export_accelerator_plans(
-                cold_vm._accelerator
-            ).items()
-        }
-
-        archive = PlanArchive.create()
-        try:
-            archive.publish(exports)
-            assert planshare.ensure_client(archive.base) is not None
-
-            serial_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
-            for params, cold_row in zip(generation, cold):
-                for program, cold_report in zip(programs, cold_row):
-                    warm_report = serial_vm.run(program, params)
-                    assert _report_bits(warm_report) == _report_bits(cold_report)
-            runs = {"serial": serial_vm}
-
-            kernels = (True, False) if scenario is ADAPTIVE else (True,)
-            for use_kernel in kernels:
-                vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
-                batch = GenerationBatchEvaluator(vm, use_adaptive_kernel=use_kernel)
-                rows = batch.run_generation(programs, generation)
-                for cold_row, warm_row in zip(cold, rows):
-                    for cold_report, warm_report in zip(cold_row, warm_row):
-                        assert _report_bits(warm_report) == _report_bits(cold_report)
-                runs[f"batch-kernel={use_kernel}"] = vm
-
-            for name, vm in runs.items():
-                stats = vm.perf_stats
-                assert stats.plan_preloaded > 0, name
-                assert stats.plan_recompiles > 0, name
-                assert stats.plan_warm_hits > 0, name
-            serial_caches = planshare.export_accelerator_plans(serial_vm._accelerator)
-            for name, vm in runs.items():
-                caches = planshare.export_accelerator_plans(vm._accelerator)
-                assert set(caches) == set(serial_caches), name
-                for key, arrays in caches.items():
-                    _assert_exports_identical(arrays, serial_caches[key])
-        finally:
-            planshare.clear_client()
-            archive.unlink()
+    """Only the library's policy knob is left to test here: no entry
+    point attaches an archive any more, so warm-started accelerators
+    (and their parity with cold ones) are gone with the run path."""
 
     def test_plan_share_off_disables_client(self, monkeypatch):
         monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "off")
         assert not planshare.plan_sharing_enabled()
         assert planshare.ensure_client("repro-plans-nope") is None
         assert planshare.get_client() is None
-
-
-class TestFetchOnMiss:
-    @pytest.mark.parametrize(
-        "scenario", [OPTIMIZING, ADAPTIVE], ids=lambda s: s.name
-    )
-    def test_fresh_state_loads_only_what_it_resolves(self, scenario, monkeypatch):
-        """Under a full archive, one genome in a fresh accelerator
-        fetches exactly the methods it resolves, compiles nothing, and
-        leaves the rest of the archive where it is."""
-        monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
-        program = SPECJVM98.programs(seed=0)[0]
-        generation = random_generation(n=32, seed=29)
-
-        planshare.clear_client()
-        cold_vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
-        GenerationBatchEvaluator(cold_vm).run_generation([program], generation)
-        exports = planshare.export_accelerator_plans(cold_vm._accelerator)
-        (archived,) = [len(arrays["entry_method"]) for arrays in exports.values()]
-        cold_report = cold_vm.run(program, generation[0])
-
-        archive = PlanArchive.create()
-        try:
-            archive.publish(exports)
-            assert planshare.ensure_client(archive.base) is not None
-            vm = VirtualMachine(PENTIUM4, scenario, memoize=True)
-            report = vm.run(program, generation[0])
-            (state,) = vm._accelerator._states.values()
-            if scenario is ADAPTIVE:
-                resolved = len(state.skeleton.promotions)
-            else:
-                resolved = len(state.reachable_list)
-            assert len(state.cache) == resolved
-            assert 4 * resolved < archived
-            assert len(state.archived.arrays["entry_method"]) == archived
-            stats = vm.perf_stats
-            assert stats.method_builds == 0
-            assert stats.plan_preloaded == resolved
-            assert stats.plan_warm_hits == resolved
-            assert stats.plan_recompiles == 0
-            assert state.traced is None  # nothing ever compiled
-            assert _report_bits(report) == _report_bits(cold_report)
-        finally:
-            planshare.clear_client()
-            archive.unlink()
-
-    def test_state_resolves_after_newer_epoch(self, monkeypatch):
-        """The reader unmaps an epoch's segment once a newer epoch
-        appears; a state indexed from the old epoch keeps fetching the
-        right versions, and no mapping is torn down under live views."""
-        monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "on")
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        first, second = SPECJVM98.programs(seed=0)[:2]
-        generation = random_generation(n=8, seed=37)
-
-        planshare.clear_client()
-        cold_vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
-        cold = [
-            (cold_vm.run(first, params), cold_vm.run(second, params))
-            for params in generation
-        ]
-        exports = planshare.export_accelerator_plans(cold_vm._accelerator)
-
-        archive = PlanArchive.create()
-        try:
-            archive.publish(exports)
-            client = planshare.ensure_client(archive.base)
-            vm = VirtualMachine(PENTIUM4, OPTIMIZING, memoize=True)
-            vm.run(first, generation[0])
-            state = vm._accelerator._state_for(first)
-            assert all(a.flags.owndata for a in state.archived.arrays.values())
-            fetched = vm.perf_stats.plan_preloaded
-
-            # epoch 2 appears; the next fresh state makes the reader
-            # snapshot it and close epoch 1's segment
-            assert archive.publish(exports) == 2
-            vm.run(second, generation[0])
-            assert client._reader.epoch == 2
-            gc.collect()
-
-            for params, (cold_first, _) in zip(generation[1:], cold[1:]):
-                warm = vm.run(first, params)
-                assert _report_bits(warm) == _report_bits(cold_first)
-            assert vm.perf_stats.plan_preloaded > fetched
-            assert vm.perf_stats.method_builds == 0
-            assert unraisable == []
-        finally:
-            planshare.clear_client()
-            archive.unlink()
-
-
-class TestArchivedPlans:
-    def test_every_row_covers_its_own_corners(self):
-        """Each archived row is the one covering hit at both corners of
-        its region, whichever other methods the lookup lists."""
-        arrays = _populated_cache(n_genomes=10).export_arrays()
-        index = ArchivedPlans(arrays, int(arrays["n_methods"][0]))
-        methods = np.unique(arrays["entry_method"]).tolist()
-        for row in range(len(arrays["entry_method"])):
-            mid = int(arrays["entry_method"][row])
-            for corner in (arrays["lo"][row], arrays["hi"][row]):
-                values = tuple(int(v) for v in corner)
-                positions, rows = index.covering(values, methods)
-                assert row in rows.tolist()
-                assert methods[int(positions[rows.tolist().index(row)])] == mid
-                # at most one row per method covers a vector
-                assert len(set(positions.tolist())) == len(positions)
-
-    def test_unknown_methods_and_empty_lookups(self):
-        arrays = _populated_cache().export_arrays()
-        n_methods = int(arrays["n_methods"][0])
-        index = ArchivedPlans(arrays, n_methods)
-        held = set(arrays["entry_method"].tolist())
-        absent = [m for m in range(n_methods) if m not in held]
-        positions, rows = index.covering((1, 1, 1, 1, 1), absent[:3])
-        assert len(positions) == len(rows) == 0
-        positions, rows = index.covering((1, 1, 1, 1, 1), [])
-        assert len(positions) == len(rows) == 0
-        with pytest.raises(ValueError):
-            ArchivedPlans(arrays, n_methods + 1)
 
 
 def _attach_and_hang(base: str, ready_path: str) -> None:

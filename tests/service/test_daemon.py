@@ -552,6 +552,35 @@ class TestShmHygiene:
         scheduler.stop(wait_seconds=5.0)
         assert not registry.exists()
 
+    def test_a_job_publishes_no_plan_archive(self, tmp_path):
+        """After one job the registry names its workload archive and no
+        ``repro-plans-`` segment: every cell compiles privately."""
+        from repro.perf.shm import shared_memory_supported
+        from repro.service.jobs import validate_job_payload
+
+        if not shared_memory_supported():
+            pytest.skip("shared memory unavailable on this platform")
+
+        state = tmp_path / "state"
+        journal = JobJournal(str(state))
+        scheduler = CellScheduler(str(state), journal, workers=1)
+        record = JobRecord(
+            job_id="job-000001", spec=validate_job_payload(job_payload("one"))
+        )
+        journal.admit(record)
+        scheduler.start()
+        try:
+            scheduler.submit(record)
+            deadline = time.monotonic() + 120
+            while not record.terminal and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert record.state == "done"
+            names = json.loads((state / "shm.json").read_text())["segments"]
+        finally:
+            scheduler.stop(wait_seconds=5.0)
+        assert names  # the job's workload archive
+        assert not [name for name in names if name.startswith("repro-plans-")]
+
     def test_corrupt_registry_is_tolerated(self, tmp_path):
         state = tmp_path / "state"
         state.mkdir()

@@ -193,3 +193,34 @@ class TestReportCommand:
         target = tmp_path / "EXP.md"
         target.write_text(text)
         assert target.read_text().startswith("# EXPERIMENTS")
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        """``repro store stats T | head``: the reader is gone before the
+        CLI writes; it exits non-zero with no traceback on stderr."""
+        import subprocess
+        import sys
+
+        import repro
+        from repro.perf.storetier import StoreTier
+
+        tier = str(tmp_path / "evals.tier")
+        StoreTier(tier)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "store", "stats", tier],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # closed before the child's interpreter is up, so every write
+        # it makes meets a pipe with no reader
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
