@@ -314,9 +314,7 @@ class TestEpochProtocol:
 
 
 class TestWarmStartParity:
-    """Only the library's policy knob is left to test here: no entry
-    point attaches an archive any more, so warm-started accelerators
-    (and their parity with cold ones) are gone with the run path."""
+    """The library's ``REPRO_PLAN_SHARE`` policy knob."""
 
     def test_plan_share_off_disables_client(self, monkeypatch):
         monkeypatch.setenv(planshare.ENV_PLAN_SHARE, "off")
