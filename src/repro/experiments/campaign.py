@@ -237,8 +237,7 @@ class CellRequest:
     Everything a worker process needs to tune one cell rides in here
     (pickled onto the pool's call queue): the tuning task, the GA
     budget, the shared store, and the service's shared-memory workload
-    archive, which degrades to nothing when absent.  Each cell compiles
-    into its own plan caches; no compiled plan crosses a process.
+    archive, which degrades to nothing when absent.
     """
 
     task: TuningTask
