@@ -21,10 +21,11 @@ Each task also reports its accelerator counters (report-memo, method
 cache and batch-dedup hit rates), which
 :class:`CampaignResult.accelerator_totals` aggregates for the campaign.
 
-Fault tolerance: cells run under
-:func:`repro.resilience.supervisor.run_supervised` (bounded retries
+Fault tolerance: the grid is one job on the supervision loop
+(:class:`repro.resilience.supervisor.Supervisor`, which the service's
+scheduler runs too), driven in the caller's thread: bounded retries
 with backoff, worker-death recovery with pool rebuild and
-resubmission, optional per-task timeouts).  A cell that exhausts its
+resubmission, optional per-task timeouts.  A cell that exhausts its
 attempt budget is reported as a ``failed`` :class:`CampaignTaskResult`
 alongside the cells that succeeded — a partial campaign returns its
 partial results plus structured
@@ -42,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch import get_machine
@@ -55,10 +56,11 @@ from repro.perf.engine import STAT_COUNTERS, AcceleratorStats
 from repro.perf.storetier import STORE_TIER_NAME, StoreTier, require_tier
 from repro.resilience.manifest import CampaignManifest, campaign_fingerprint
 from repro.resilience.supervisor import (
+    Cell,
     FailureReport,
+    Job,
     RetryPolicy,
-    run_supervised,
-    run_supervised_serial,
+    Supervisor,
 )
 from repro.telemetry import (
     configure as telemetry_configure,
@@ -325,6 +327,91 @@ def _resumed_result(task_name: str, cell: dict) -> CampaignTaskResult:
     )
 
 
+class _CampaignSupervisor(Supervisor):
+    """The loop ``run_campaign`` drives: it records each cell the moment
+    the cell lands.  The cell's records are already in the tier, so once
+    its manifest entry is written a crash later in the campaign costs
+    only the cells in flight."""
+
+    def __init__(
+        self,
+        policy: RetryPolicy,
+        workers: int,
+        inline: bool,
+        manifest: Optional[CampaignManifest],
+        store_path: Optional[str],
+        strategy: str,
+        say,
+    ) -> None:
+        super().__init__(execute_cell, policy, workers=workers, inline=inline)
+        self.manifest = manifest
+        self.store_path = store_path
+        self.strategy = strategy
+        self.say = say
+        #: task name -> result, for every cell that completed
+        self.finished: Dict[str, CampaignTaskResult] = {}
+
+    def on_result(self, job: Job, cell: Cell, outcome: CellOutcome) -> None:
+        task_name = outcome.task_name
+        tuned = outcome.tuned
+        context = outcome.context
+        accel_stats = outcome.accelerator_stats
+        fresh = outcome.appended
+        self.finished[task_name] = CampaignTaskResult(
+            task_name=task_name,
+            tuned=tuned,
+            context=context,
+            new_records=fresh,
+            accelerator_stats=accel_stats,
+            attempts=cell.attempts,
+        )
+        if self.manifest is not None:
+            self.manifest.record_done(
+                task_name, tuned.to_json(), context, fresh, accel_stats,
+                attempts=cell.attempts,
+            )
+        session = telemetry_get_session()
+        if session is not None:
+            session.emit("campaign.cell_done", task=task_name, ok=True,
+                         new_records=fresh)
+            registry = session.registry
+            registry.counter("repro_cells_total", status="done").inc()
+            registry.counter("repro_store_records_total").inc(fresh)
+            if self.strategy == "ga":
+                registry.counter("repro_ga_generations_total").inc(
+                    tuned.generations_run
+                )
+                registry.counter("repro_ga_evaluations_total").inc(
+                    tuned.evaluations
+                )
+            elif not self.inline:
+                # Worker registries die with the pool; fold the
+                # cell's ask/tell rounds and true evaluations here.
+                # Inline cells already counted these in-process via
+                # the search driver.
+                registry.counter(
+                    "repro_strategy_batches_total", strategy=self.strategy
+                ).inc(tuned.generations_run)
+                registry.counter(
+                    "repro_strategy_evaluations_total", strategy=self.strategy
+                ).inc(tuned.evaluations)
+            if accel_stats:
+                registry.absorb_counters(
+                    {
+                        counter: accel_stats.get(counter, 0)
+                        for counter in STAT_COUNTERS
+                    },
+                    prefix="repro_accel_",
+                )
+            if self.store_path is not None:
+                # tier hit/miss accounting: genomes the tier answered vs
+                # genomes the cell had to simulate (and append)
+                registry.counter("repro_tier_hits_total").inc(tuned.store_hits)
+                registry.counter("repro_tier_misses_total").inc(fresh)
+                registry.counter("repro_tier_appends_total").inc(fresh)
+        self.say(f"{task_name}: done")
+
+
 def run_campaign(
     tasks: Optional[Sequence[TuningTask]] = None,
     ga_config: GAConfig = DEFAULT_GA_CONFIG,
@@ -478,100 +565,43 @@ def _run_campaign_impl(
         else:
             todo.append(task)
 
-    parallel = not (serial or len(todo) <= 1)
+    inline = serial or len(todo) <= 1
+    if inline:
+        n_processes = 1
+    elif processes is not None:
+        n_processes = max(1, min(processes, len(todo)))
+    else:
+        n_processes = min(len(todo), max(1, os.cpu_count() or 1))
 
-    # Parallel runs generate the workload once, here, before the pool
+    # A pooled run generates the workload once, here, before the pool
     # forks: every worker inherits the programs through SPECJVM98's
     # cache instead of regenerating the suite per process.
-    if parallel:
+    if not inline:
         from repro.workloads.suites import SPECJVM98
 
         SPECJVM98.programs(seed=workload_seed)
 
-    requests = [
-        (
-            task.name,
-            CellRequest(
-                task=task,
-                ga_config=ga_config,
-                store_path=store_path,
-                workload_seed=workload_seed,
-                warm_start_neighbors=warm_start_neighbors,
-                strategy=strategy,
-            ),
-        )
-        for task in todo
-    ]
-    start = time.perf_counter()
-
-    finished: Dict[str, CampaignTaskResult] = {}
-
-    def on_result(name: str, outcome: CellOutcome) -> None:
-        # Fires in the coordinator as each cell completes.  The cell's
-        # records are already in the tier; record its manifest entry
-        # immediately, so a crash later in the campaign costs only the
-        # in-flight cells.
-        task_name = outcome.task_name
-        tuned = outcome.tuned
-        context = outcome.context
-        accel_stats = outcome.accelerator_stats
-        fresh = outcome.appended
-        finished[task_name] = CampaignTaskResult(
-            task_name=task_name,
-            tuned=tuned,
-            context=context,
-            new_records=fresh,
-            accelerator_stats=accel_stats,
-        )
-        if manifest is not None:
-            manifest.record_done(
-                task_name,
-                tuned.to_json(),
-                context,
-                fresh,
-                accel_stats,
-                attempts=1,  # corrected below once failures are known
+    loop = _CampaignSupervisor(
+        policy, n_processes, inline, manifest, store_path, strategy, say
+    )
+    job = Job(
+        [
+            Cell(
+                task.name,
+                CellRequest(
+                    task=task,
+                    ga_config=ga_config,
+                    store_path=store_path,
+                    workload_seed=workload_seed,
+                    warm_start_neighbors=warm_start_neighbors,
+                    strategy=strategy,
+                ),
             )
-        session = telemetry_get_session()
-        if session is not None:
-            session.emit("campaign.cell_done", task=task_name, ok=True,
-                         new_records=fresh)
-            registry = session.registry
-            registry.counter("repro_cells_total", status="done").inc()
-            registry.counter("repro_store_records_total").inc(fresh)
-            if strategy == "ga":
-                registry.counter("repro_ga_generations_total").inc(
-                    tuned.generations_run
-                )
-                registry.counter("repro_ga_evaluations_total").inc(
-                    tuned.evaluations
-                )
-            elif parallel:
-                # Worker registries die with the pool; fold the
-                # cell's ask/tell rounds and true evaluations here.
-                # Serial cells already counted these in-process via
-                # the search driver.
-                registry.counter(
-                    "repro_strategy_batches_total", strategy=strategy
-                ).inc(tuned.generations_run)
-                registry.counter(
-                    "repro_strategy_evaluations_total", strategy=strategy
-                ).inc(tuned.evaluations)
-            if accel_stats:
-                registry.absorb_counters(
-                    {
-                        counter: accel_stats.get(counter, 0)
-                        for counter in STAT_COUNTERS
-                    },
-                    prefix="repro_accel_",
-                )
-            if store_path is not None:
-                # tier hit/miss accounting: genomes the tier answered vs
-                # genomes the cell had to simulate (and append)
-                registry.counter("repro_tier_hits_total").inc(tuned.store_hits)
-                registry.counter("repro_tier_misses_total").inc(fresh)
-                registry.counter("repro_tier_appends_total").inc(fresh)
-        say(f"{task_name}: done")
+            for task in todo
+        ],
+        quota=n_processes,
+    )
+    start = time.perf_counter()
 
     telemetry_emit("campaign.start", tasks=len(tasks))
     session = telemetry_get_session()
@@ -597,23 +627,8 @@ def _run_campaign_impl(
         ).inc(0)
 
     with trace("campaign", tasks=len(todo)):
-        if not parallel:
-            n_processes = 1
-            _, failures = run_supervised_serial(
-                requests, execute_cell, policy=policy, on_result=on_result
-            )
-        else:
-            if processes is not None:
-                n_processes = max(1, min(processes, len(todo)))
-            else:
-                n_processes = min(len(todo), max(1, os.cpu_count() or 1))
-            _, failures = run_supervised(
-                requests,
-                execute_cell,
-                policy=policy,
-                max_workers=n_processes,
-                on_result=on_result,
-            )
+        loop.add(job)
+        loop.run()
 
     if store_path is not None:
         # the campaign's writers have closed their shards; fold the
@@ -634,30 +649,17 @@ def _run_campaign_impl(
         except Exception:  # pragma: no cover - e.g. read-only mount
             pass
 
-    attempts_spent = {name: 1 for name in finished}
-    for failure in failures:
-        attempts_spent[failure.task_name] = (
-            attempts_spent.get(failure.task_name, 0) + 1
-        )
-
+    fatal = {report.task_name: report for report in job.failures}
     results: List[CampaignTaskResult] = []
     for task in tasks:
         name = task.name
         if name in resumed:
             results.append(resumed[name])
-        elif name in finished:
-            result = finished[name]
-            attempts = attempts_spent[name]
-            if attempts != result.attempts:
-                result = replace(result, attempts=attempts)
-                if manifest is not None:
-                    manifest.cells[name]["attempts"] = attempts
-                    manifest.save()
-            results.append(result)
+        elif name in loop.finished:
+            results.append(loop.finished[name])
         else:
-            fatal = [f for f in failures if f.task_name == name]
-            message = str(fatal[-1]) if fatal else "task never completed"
-            say(f"{name}: FAILED ({message})")
+            report = fatal[name]
+            say(f"{name}: FAILED ({report})")
             telemetry_emit(
                 "campaign.cell_done", task=name, ok=False, new_records=0
             )
@@ -669,8 +671,8 @@ def _run_campaign_impl(
                     new_records=0,
                     accelerator_stats=None,
                     status="failed",
-                    error=message,
-                    attempts=attempts_spent.get(name, policy.max_attempts),
+                    error=str(report),
+                    attempts=report.attempt,
                 )
             )
 
@@ -689,5 +691,5 @@ def _run_campaign_impl(
         results=tuple(results),
         wall_seconds=time.perf_counter() - start,
         processes=n_processes,
-        failures=tuple(failures),
+        failures=tuple(job.failures),
     )

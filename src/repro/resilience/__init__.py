@@ -3,10 +3,11 @@
 The supervision layer around the campaign runner, the batched
 evaluators and the persistence layer:
 
-* :mod:`repro.resilience.supervisor` — bounded retries with backoff +
-  jitter, per-task timeouts, worker-death detection with pool rebuild,
-  structured :class:`~repro.resilience.supervisor.FailureReport`
-  accounting;
+* :mod:`repro.resilience.supervisor` — the one supervision loop
+  campaigns and the service run their cells on: bounded retries with
+  backoff + jitter, per-cell timeouts, worker-death detection with
+  pool rebuild, structured
+  :class:`~repro.resilience.supervisor.FailureReport` accounting;
 * :mod:`repro.resilience.manifest` — crash-safe campaign manifests for
   ``repro campaign --resume``;
 * :mod:`repro.resilience.faults` — a deterministic, seeded fault

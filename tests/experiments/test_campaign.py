@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import glob
 import json
+import multiprocessing
 import os
 
 import pytest
 
+import repro.experiments.campaign as campaign_module
+import repro.resilience.supervisor as supervisor_module
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.campaign import (
     CampaignResult,
@@ -158,6 +161,47 @@ class TestRunCampaign:
             assert b.tuned.default_fitness.hex() == a.tuned.default_fitness.hex()
             assert b.tuned.evaluations == a.tuned.evaluations
             assert b.new_records == a.new_records
+
+
+class TestOperatorAbort:
+    """``KeyboardInterrupt`` is an operator abort, never a failure: it
+    propagates at once, and no pool worker outlives it."""
+
+    def test_serial_cell_interrupt_propagates_after_one_attempt(
+        self, monkeypatch
+    ):
+        calls = []
+        reports = []
+
+        def interrupted(request):
+            calls.append(request.task.name)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(campaign_module, "execute_cell", interrupted)
+        monkeypatch.setattr(supervisor_module, "_emit_failure", reports.append)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"]),
+                ga_config=TINY_GA,
+                serial=True,
+            )
+        assert calls == ["Adapt:balance@pentium4"]  # one attempt, no retry
+        assert reports == []  # no FailureReport was made
+
+    def test_progress_interrupt_retires_the_pool(self, tmp_path):
+        def progress(message):
+            if message.endswith(": done"):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"]),
+                ga_config=TINY_GA,
+                store_path=str(tmp_path / "evals.tier"),
+                processes=2,
+                progress=progress,
+            )
+        assert multiprocessing.active_children() == []
 
 
 class TestCampaignStrategies:

@@ -1,4 +1,8 @@
-"""Tests for supervised task execution (retries, worker death, timeouts)."""
+"""Tests for the supervision loop (retries, worker death, timeouts).
+
+Every test drives :class:`Supervisor` as the campaign does: one job of
+named cells, run inline (``--serial``) or over a pool of workers.
+"""
 
 import inspect
 import itertools
@@ -16,13 +20,37 @@ from repro.resilience.supervisor import (
     KIND_EXCEPTION,
     KIND_TIMEOUT,
     KIND_WORKER_DEATH,
+    Cell,
     FailureReport,
+    Job,
     RetryPolicy,
-    run_supervised,
-    run_supervised_serial,
+    Supervisor,
 )
 
 FAST = RetryPolicy(max_attempts=3, backoff_base=0.0)
+
+
+class _Recorder(Supervisor):
+    """The loop with each success collected by name."""
+
+    def __init__(self, fn, policy, workers, inline, on_result):
+        super().__init__(fn, policy, workers=workers, inline=inline)
+        self.results = {}
+        self.notify = on_result
+
+    def on_result(self, job, cell, value):
+        self.results[cell.name] = value
+        if self.notify is not None:
+            self.notify(cell.name, value)
+
+
+def supervise(payloads, fn, policy, workers=1, inline=False, on_result=None):
+    """Run *payloads* as one job on the loop; returns (results, failures)."""
+    loop = _Recorder(fn, policy, workers, inline, on_result)
+    job = Job([Cell(name, payload) for name, payload in payloads], quota=workers)
+    loop.add(job)
+    loop.run()
+    return loop.results, job.failures
 
 
 # ----------------------------------------------------------------------
@@ -142,26 +170,28 @@ class TestRetryPolicy:
             jitter=0.0,
             timeout=0.5,
         )
-        results, failures = run_supervised_serial(
-            [("doomed", None)], _always_fail, policy=policy
+        results, failures = supervise(
+            [("doomed", None)], _always_fail, policy=policy, inline=True
         )
         assert results == {}
         assert len(failures) == 4
+        assert slept  # the loop's backoff waits all go through time.sleep
         assert sum(slept) <= policy.timeout + 1e-9
 
 
 class TestSerialSupervision:
     def test_all_succeed(self):
-        results, failures = run_supervised_serial(
-            [("a", 1), ("b", 2)], _double, policy=FAST
+        results, failures = supervise(
+            [("a", 1), ("b", 2)], _double, policy=FAST, inline=True
         )
         assert results == {"a": 2, "b": 4}
         assert failures == []
 
     def test_transient_failure_is_retried(self, tmp_path):
         marker = str(tmp_path / "fired")
-        results, failures = run_supervised_serial(
-            [("flaky", (marker, 42))], _fail_once_then_succeed, policy=FAST
+        results, failures = supervise(
+            [("flaky", (marker, 42))], _fail_once_then_succeed, policy=FAST,
+            inline=True,
         )
         assert results == {"flaky": 42}
         assert len(failures) == 1
@@ -170,10 +200,11 @@ class TestSerialSupervision:
         assert not failures[0].fatal
 
     def test_budget_exhaustion_is_fatal(self):
-        results, failures = run_supervised_serial(
+        results, failures = supervise(
             [("doomed", None), ("fine", 5)],
             lambda p: _always_fail(p) if p is None else _double(p),
             policy=FAST,
+            inline=True,
         )
         assert "doomed" not in results
         assert results == {"fine": 10}  # one bad task does not sink the rest
@@ -183,10 +214,11 @@ class TestSerialSupervision:
 
     def test_on_result_fires_per_success(self):
         seen = []
-        run_supervised_serial(
+        supervise(
             [("a", 1), ("b", 2)],
             _double,
             policy=FAST,
+            inline=True,
             on_result=lambda name, value: seen.append((name, value)),
         )
         assert seen == [("a", 2), ("b", 4)]
@@ -213,8 +245,8 @@ class TestClockDiscipline:
         monkeypatch.setattr(
             time, "perf_counter", lambda: 1e9 + next(ticks) * 1e6
         )
-        results, failures = run_supervised_serial(
-            [("doomed", None)], _always_fail, policy=FAST
+        results, failures = supervise(
+            [("doomed", None)], _always_fail, policy=FAST, inline=True
         )
         assert results == {}
         assert len(failures) == FAST.max_attempts
@@ -225,22 +257,22 @@ class TestClockDiscipline:
 @pytest.mark.slow
 class TestPooledSupervision:
     def test_all_succeed(self):
-        results, failures = run_supervised(
+        results, failures = supervise(
             [(str(i), i) for i in range(6)],
             _double,
             policy=FAST,
-            max_workers=2,
+            workers=2,
         )
         assert results == {str(i): i * 2 for i in range(6)}
         assert failures == []
 
     def test_exception_is_retried_in_pool(self, tmp_path):
         marker = str(tmp_path / "fired")
-        results, failures = run_supervised(
+        results, failures = supervise(
             [("flaky", (marker, 7)), ("ok", (str(tmp_path / "pre-claimed"), 8))],
             _fail_once_then_succeed,
             policy=FAST,
-            max_workers=2,
+            workers=2,
         )
         assert results["flaky"] == 7
         flaky = [f for f in failures if f.task_name == "flaky"]
@@ -248,11 +280,11 @@ class TestPooledSupervision:
 
     def test_worker_death_rebuilds_and_resubmits(self, tmp_path):
         marker = str(tmp_path / "killed")
-        results, failures = run_supervised(
+        results, failures = supervise(
             [("victim", (marker, 13))],
             _kill_self_once,
             policy=FAST,
-            max_workers=1,
+            workers=1,
         )
         assert results == {"victim": 13}
         assert any(f.kind == KIND_WORKER_DEATH for f in failures)
@@ -261,11 +293,11 @@ class TestPooledSupervision:
     def test_timeout_is_fatal_with_one_attempt(self):
         policy = RetryPolicy(max_attempts=1, backoff_base=0.0, timeout=0.5)
         children = set(multiprocessing.active_children())
-        results, failures = run_supervised(
+        results, failures = supervise(
             [("stuck", None)],
             _sleep_forever,
             policy=policy,
-            max_workers=1,
+            workers=1,
         )
         assert results == {}
         assert len(failures) == 1

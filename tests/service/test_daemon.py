@@ -345,6 +345,48 @@ class TestEndToEnd:
         assert twin.get(submitted["id"]).state == "done"
 
 
+class TestSupervisionEvents:
+    """The service reports failed attempts in the supervision vocabulary
+    campaigns use: one ``supervise.failure`` event per failed attempt,
+    keyed ``job-id/cell``."""
+
+    def test_failed_attempt_is_a_supervise_failure_event(self, tmp_path):
+        from repro.resilience.supervisor import RetryPolicy
+        from repro.telemetry.summarize import load_events
+
+        install_fault_plan(
+            FaultPlan(
+                sites={"task-exception": FaultSpec(max_fires=1)},
+                marker_dir=str(tmp_path / "markers"),
+            ),
+            propagate=False,
+        )
+        telemetry = str(tmp_path / "telemetry")
+        daemon = ServiceDaemon(
+            str(tmp_path / "state"),
+            workers=1,
+            policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            telemetry_dir=telemetry,
+        )
+        daemon.start()
+        try:
+            job_id = submit(daemon, "flaky")["id"]
+            record = daemon.journal.get(job_id)
+            deadline = time.monotonic() + 120
+            while not record.terminal and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert record.state == "done"
+        finally:
+            daemon.stop()
+        events, _ = load_events(telemetry)
+        failures = [e for e in events if e.get("event") == "supervise.failure"]
+        assert len(failures) == 1
+        (failure,) = failures
+        assert failure["task"] == f"{job_id}/adapt:running@pentium4"
+        assert failure["kind"] == "exception"
+        assert failure["fatal"] is False
+
+
 class TestRecovery:
     @pytest.mark.parametrize("name", ["mcts", "pareto"])
     def test_job_naming_a_deleted_strategy_fails_without_a_cell(
@@ -386,8 +428,8 @@ class TestRecovery:
 
 class TestCancellation:
     """The cancel op, pool-free: queued jobs settle immediately; the
-    in-flight write-off path is driven through the scheduler's own
-    boundary hooks (the slow e2e class covers the wire)."""
+    in-flight write-off path is driven through the loop's own landing
+    step (the slow e2e class covers the wire)."""
 
     def test_cancel_queued_job_is_immediate_and_journalled(self, idle_daemon):
         job_id = submit(idle_daemon, "alpha")["id"]
@@ -465,12 +507,10 @@ class TestCancellation:
         assert record.state == "cancelled"
         assert "job-000001" in scheduler._jobs
 
-        # the cell boundary: _consume's bookkeeping then the result
-        # landing, which must be written off, not journalled as done
+        # the cell boundary: the result landing on the loop, which
+        # must write it off, not journal it as done
         with scheduler._cond:
-            flying.inflight = False
-            job.inflight -= 1
-        scheduler._record_success(job, flying, outcome=None)
+            scheduler._land(job, flying, None)
         assert flying.settled
         assert record.cells[flying.name]["state"] == "cancelled"
         assert "job-000001" not in scheduler._jobs
