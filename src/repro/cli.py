@@ -118,14 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir",
         dest="campaign_dir",
         default=None,
-        help="campaign directory: records completed cells in a "
-        "crash-safe manifest (interrupted cells re-run on the store)",
+        help="campaign directory: its store tier <dir>/evaluations.tier "
+        "(unless --store names another) is the campaign's resume "
+        "record; every cell re-runs on it, recalling its stored genomes",
     )
     p_camp.add_argument(
         "--resume",
         action="store_true",
-        help="resume the campaign in --dir: skip completed cells, "
-        "re-run interrupted ones, recalling their stored genomes",
+        help="resume the campaign in --dir: like a plain re-run, but "
+        "its tier must exist (finished cells re-run as pure recalls, "
+        "interrupted ones recall what they flushed)",
     )
     p_camp.add_argument(
         "--retries",

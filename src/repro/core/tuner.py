@@ -203,7 +203,7 @@ class InliningTuner:
         #: opt-in, trajectory-changing: when the task's context has no
         #: recorded entries yet, seed the initial GA population with the
         #: best genomes of the nearest-neighbour workload profiles
-        #: already in the tier.
+        #: already in the tier; later runs of the context reuse them.
         self.warm_start_neighbors = warm_start_neighbors
         #: the store used by the most recent :meth:`tune` call (closed),
         #: and that run's accelerator counters — campaign bookkeeping.
@@ -222,9 +222,7 @@ class InliningTuner:
         With a :attr:`store_path` an interrupted run resumes by running
         again: the search repeats from the start, recalls every genome
         the tier recorded durably and simulates only the rest, landing
-        bitwise on the uninterrupted result.  (Not so with
-        :attr:`warm_start_neighbors`: neighbour seeds go only to a
-        context with no records yet.)
+        bitwise on the uninterrupted result.
         """
         evaluator = self._evaluator_factory(
             programs=training_programs,
@@ -336,17 +334,27 @@ class InliningTuner:
     def _warm_start_seeds(self, store, profile: Optional[dict]) -> list:
         """Nearest-neighbour population seeds from the tier (opt-in).
 
-        Only fires when enabled, a store is open, and the task's own
-        context is empty — a context with recorded entries already warm
-        starts *exactly* through store lookups, which is strictly
-        better (and bitwise-identical to a cold run, which seeding is
-        not)."""
-        if not self.warm_start_neighbors or store is None or store.size:
+        The context's first seeded run draws them while the context is
+        empty and records them beside its profile; every later run (a
+        retry, a resume, a re-run) reads them back, so it proposes the
+        same population and recalls the first run's genomes.  A context
+        that holds records but no seeds gets none: it warm starts
+        *exactly* through store lookups, bitwise-identical to a cold
+        run, which seeding is not."""
+        if not self.warm_start_neighbors or store is None:
             return []
-        seeds = store.tier.warm_start_genomes(
-            profile, k=max(1, self.ga_config.population_size // 4)
-        )
-        return [tuple(seed) for seed in seeds]
+        tier = store.tier
+        seeds = tier.recorded_seeds(store.context)
+        if seeds is None:
+            if store.size:
+                return []
+            seeds = tier.record_seeds(
+                store.context,
+                tier.warm_start_genomes(
+                    profile, k=max(1, self.ga_config.population_size // 4)
+                ),
+            )
+        return seeds
 
     def tune_per_program(
         self,

@@ -51,7 +51,7 @@ class TuningError(ReproError):
 
 
 class CampaignError(ReproError):
-    """A multi-task campaign could not be run, persisted or resumed."""
+    """A multi-task campaign could not be run or resumed."""
 
 
 class StoreCorruptionError(ReproError):

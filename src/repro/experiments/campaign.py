@@ -31,16 +31,15 @@ alongside the cells that succeeded — a partial campaign returns its
 partial results plus structured
 :class:`~repro.resilience.supervisor.FailureReport` entries instead of
 raising.  A retried cell runs again from the start and recalls from
-the tier every genome its earlier attempts recorded durably.  With
-``campaign_dir`` set, completed cells are recorded in a crash-safe
-:class:`~repro.resilience.manifest.CampaignManifest` as they finish,
-so ``resume=True`` (CLI: ``repro campaign --resume``) skips finished
-cells and re-runs interrupted ones the same way.
+the tier every genome its earlier attempts recorded durably.  The
+tier is a campaign's only resume record: ``campaign_dir`` names the
+tier ``<dir>/evaluations.tier``, and ``resume=True`` (CLI: ``repro
+campaign --resume``) re-runs every cell on it, a finished cell as a
+pure recall and an interrupted one recalling what it flushed.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -53,8 +52,7 @@ from repro.errors import CampaignError, ConfigurationError
 from repro.ga.engine import GAConfig
 from repro.jvm.scenario import get_scenario
 from repro.perf.engine import STAT_COUNTERS, AcceleratorStats
-from repro.perf.storetier import STORE_TIER_NAME, StoreTier, require_tier
-from repro.resilience.manifest import CampaignManifest, campaign_fingerprint
+from repro.perf.storetier import STORE_TIER_NAME, TIER_MARKER, StoreTier, require_tier
 from repro.resilience.supervisor import (
     Cell,
     FailureReport,
@@ -130,12 +128,11 @@ class CampaignTaskResult:
     #: the task's accelerator counters (None if the evaluator ran
     #: without memoization)
     accelerator_stats: Optional[Dict[str, float]]
-    #: "done" (ran to completion this run), "resumed" (answered by the
-    #: campaign manifest of a previous run) or "failed"
+    #: "done" (ran to completion this run) or "failed"
     status: str = "done"
     #: the final failure message for a failed cell
     error: Optional[str] = None
-    #: attempts this run spent on the cell (0 when resumed)
+    #: attempts this run spent on the cell
     attempts: int = 1
 
     @property
@@ -166,13 +163,8 @@ class CampaignResult:
 
     @property
     def total_evaluations(self) -> int:
-        """Genomes actually simulated by *this* run (resumed cells
-        simulated theirs in the run that completed them)."""
-        return sum(
-            r.tuned.evaluations
-            for r in self.results
-            if r.tuned is not None and r.status != "resumed"
-        )
+        """Genomes actually simulated by *this* run."""
+        return sum(r.tuned.evaluations for r in self.results if r.tuned is not None)
 
     @property
     def total_new_records(self) -> int:
@@ -313,38 +305,21 @@ def execute_cell(request: CellRequest) -> CellOutcome:
     )
 
 
-def _resumed_result(task_name: str, cell: dict) -> CampaignTaskResult:
-    """A completed cell of a previous run, reconstructed from the
-    manifest."""
-    return CampaignTaskResult(
-        task_name=task_name,
-        tuned=TunedHeuristic.from_json(json.dumps(cell["tuned"])),
-        context=cell.get("context"),
-        new_records=0,  # persisted by the run that completed the cell
-        accelerator_stats=cell.get("accelerator_stats"),
-        status="resumed",
-        attempts=0,
-    )
-
-
 class _CampaignSupervisor(Supervisor):
     """The loop ``run_campaign`` drives: it records each cell the moment
-    the cell lands.  The cell's records are already in the tier, so once
-    its manifest entry is written a crash later in the campaign costs
-    only the cells in flight."""
+    the cell lands.  The cell's records are already in the tier, so a
+    crash later in the campaign costs only the cells in flight."""
 
     def __init__(
         self,
         policy: RetryPolicy,
         workers: int,
         inline: bool,
-        manifest: Optional[CampaignManifest],
         store_path: Optional[str],
         strategy: str,
         say,
     ) -> None:
         super().__init__(execute_cell, policy, workers=workers, inline=inline)
-        self.manifest = manifest
         self.store_path = store_path
         self.strategy = strategy
         self.say = say
@@ -365,11 +340,6 @@ class _CampaignSupervisor(Supervisor):
             accelerator_stats=accel_stats,
             attempts=cell.attempts,
         )
-        if self.manifest is not None:
-            self.manifest.record_done(
-                task_name, tuned.to_json(), context, fresh, accel_stats,
-                attempts=cell.attempts,
-            )
         session = telemetry_get_session()
         if session is not None:
             session.emit("campaign.cell_done", task=task_name, ok=True,
@@ -432,10 +402,7 @@ def run_campaign(
     *strategy* selects the search every cell runs (CLI: ``repro
     campaign --strategy``): ``ga`` (default, the paper's search),
     ``cmaes`` or ``bandit`` — see ``docs/SEARCH.md``; any other name
-    raises :class:`~repro.errors.ConfigurationError`.  Non-GA
-    strategies join the campaign fingerprint, so a manifest written by
-    one strategy (a deleted one included) cannot silently resume under
-    another.
+    raises :class:`~repro.errors.ConfigurationError`.
 
     *store_path* names the shared evaluation-store tier
     (:mod:`repro.perf.storetier`), created when missing: workers append
@@ -448,15 +415,17 @@ def run_campaign(
     in-process, in order, with no pool.  *progress* (optional callable)
     receives one status line per finished task.
 
-    *campaign_dir* turns on crash-safe bookkeeping: a manifest records
-    each completed cell the moment the coordinator persisted it; an
-    interrupted cell re-runs from the start on the store.  If the
-    directory's manifest already exists it must match this campaign's
-    fingerprint (tasks, GA budget, seeds, version), and its completed
-    cells are skipped — ``resume=True`` additionally *requires* the
-    manifest to exist, catching a mistyped directory.  When
-    *store_path* is None a campaign directory supplies the store its
-    manifest names, or a new tier at ``<campaign_dir>/evaluations.tier``.
+    *campaign_dir* makes the campaign resumable through its tier, the
+    only resume record: when *store_path* is None the directory supplies
+    the tier ``<campaign_dir>/evaluations.tier``.  Every cell runs on
+    the tier, so a cell an earlier run finished re-runs as a pure recall
+    (the same bits, 0 evaluations) and an interrupted one recalls what
+    it flushed.  ``resume=True`` additionally *requires* the tier to
+    exist, catching a mistyped directory, and raises a one-line
+    :class:`~repro.errors.CampaignError` naming the tier and ``--store``
+    otherwise.  Nothing else is recorded: a changed GA budget, seed or
+    strategy tunes under the new configuration, recalling the genomes
+    it shares with the old run.
 
     Cells run supervised under *retry_policy* (default
     :class:`~repro.resilience.supervisor.RetryPolicy`): worker deaths
@@ -526,52 +495,29 @@ def _run_campaign_impl(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate task names in campaign: {names}")
     policy = retry_policy or RetryPolicy()
+    if campaign_dir is None:
+        if resume:
+            raise ConfigurationError("resume=True requires campaign_dir")
+    elif store_path is None:
+        store_path = os.path.join(campaign_dir, STORE_TIER_NAME)
     if store_path is not None:
         require_tier(store_path, "campaign store")
-
-    manifest: Optional[CampaignManifest] = None
-    if campaign_dir is not None:
-        if resume and not os.path.exists(os.path.join(campaign_dir, "manifest.json")):
+        if resume and not os.path.exists(os.path.join(store_path, TIER_MARKER)):
             raise CampaignError(
-                f"cannot resume: {campaign_dir!r} has no campaign manifest"
+                f"cannot resume {campaign_dir!r}: no store tier at "
+                f"{store_path!r} (name the campaign's tier with --store)"
             )
-        fingerprint = campaign_fingerprint(
-            names, ga_config, workload_seed, strategy=strategy
-        )
-        manifest = CampaignManifest.open_or_create(
-            campaign_dir, fingerprint, store_path
-        )
-        if store_path is None:
-            store_path = manifest.store_path or os.path.join(
-                campaign_dir, STORE_TIER_NAME
-            )
-            require_tier(store_path, f"the manifest of {campaign_dir!r} names store")
-            if manifest.store_path != store_path:
-                manifest.store_path = store_path
-                manifest.save()
-    elif resume:
-        raise ConfigurationError("resume=True requires campaign_dir")
-    if store_path is not None:
         # create the tier up front, so every worker opens the path as a
         # tier even when it names no directory yet
         StoreTier(store_path)
 
-    resumed: Dict[str, CampaignTaskResult] = {}
-    todo: List[TuningTask] = []
-    for task in tasks:
-        if manifest is not None and manifest.is_done(task.name):
-            resumed[task.name] = _resumed_result(task.name, manifest.cell(task.name))
-            say(f"{task.name}: already done, skipped")
-        else:
-            todo.append(task)
-
-    inline = serial or len(todo) <= 1
+    inline = serial or len(tasks) <= 1
     if inline:
         n_processes = 1
     elif processes is not None:
-        n_processes = max(1, min(processes, len(todo)))
+        n_processes = max(1, min(processes, len(tasks)))
     else:
-        n_processes = min(len(todo), max(1, os.cpu_count() or 1))
+        n_processes = min(len(tasks), max(1, os.cpu_count() or 1))
 
     # A pooled run generates the workload once, here, before the pool
     # forks: every worker inherits the programs through SPECJVM98's
@@ -581,9 +527,7 @@ def _run_campaign_impl(
 
         SPECJVM98.programs(seed=workload_seed)
 
-    loop = _CampaignSupervisor(
-        policy, n_processes, inline, manifest, store_path, strategy, say
-    )
+    loop = _CampaignSupervisor(policy, n_processes, inline, store_path, strategy, say)
     job = Job(
         [
             Cell(
@@ -597,7 +541,7 @@ def _run_campaign_impl(
                     strategy=strategy,
                 ),
             )
-            for task in todo
+            for task in tasks
         ],
         quota=n_processes,
     )
@@ -626,7 +570,7 @@ def _run_campaign_impl(
             "repro_strategy_evaluations_total", strategy=strategy
         ).inc(0)
 
-    with trace("campaign", tasks=len(todo)):
+    with trace("campaign", tasks=len(tasks)):
         loop.add(job)
         loop.run()
 
@@ -653,9 +597,7 @@ def _run_campaign_impl(
     results: List[CampaignTaskResult] = []
     for task in tasks:
         name = task.name
-        if name in resumed:
-            results.append(resumed[name])
-        elif name in loop.finished:
+        if name in loop.finished:
             results.append(loop.finished[name])
         else:
             report = fatal[name]

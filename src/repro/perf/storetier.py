@@ -50,6 +50,8 @@ Layout of a tier directory::
                             replay when its bloom excludes the context)
     <root>/packs/*.sqlite   compacted packs (record_key -> record)
     <root>/profiles/*.json  workload profiles, one per context
+    <root>/profiles/*.seeds neighbour seeds a context's first seeded
+                            run drew (opt-in neighbour seeding only)
 
 Tiers written while compiled plans were persisted also hold
 ``<root>/plans/plan-*.npz``.  Nothing reads them any more; they open
@@ -77,7 +79,9 @@ Warm starts come in two strengths:
   top genomes of the nearest ones.  Seeding the GA population with
   them changes the search trajectory by design (the point is to start
   near previous optima), so it is off by default and never used by the
-  parity suites.
+  parity suites.  The first seeded run of a context records the seeds
+  it drew (:meth:`StoreTier.record_seeds`) and every later run reads
+  them back, so a re-run of a seeded cell is exact too.
 """
 
 from __future__ import annotations
@@ -800,6 +804,39 @@ class StoreTier:
             except (OSError, ValueError):  # pragma: no cover - torn write
                 continue
         return result
+
+    def _seeds_path(self, context: str) -> str:
+        # not *.json: profiles() lists those as profiles
+        return os.path.join(self.profiles_dir, f"{context}.seeds")
+
+    def recorded_seeds(self, context: str) -> Optional[List[Genome]]:
+        """The neighbour seeds recorded for *context*, or None."""
+        try:
+            with open(self._seeds_path(context), "r", encoding="utf-8") as handle:
+                return [tuple(seed) for seed in json.load(handle)]
+        except (OSError, ValueError, TypeError):
+            return None
+
+    def record_seeds(self, context: str, seeds: Sequence[Genome]) -> List[Genome]:
+        """Record *seeds* as *context*'s neighbour seeds, durably, and
+        return the recorded ones.  The first writer wins: a concurrent
+        run of the context that recorded first keeps its seeds, and
+        this run gets them back."""
+        path = self._seeds_path(context)
+        tmp = f"{path}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump([list(seed) for seed in seeds], handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            recorded = self.recorded_seeds(context)
+            if recorded is not None:
+                seeds = recorded
+        finally:
+            os.unlink(tmp)
+        return [tuple(seed) for seed in seeds]
 
     def nearest_profiles(
         self, profile: dict, limit: int = 3

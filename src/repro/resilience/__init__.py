@@ -8,16 +8,15 @@ evaluators and the persistence layer:
   backoff + jitter, per-cell timeouts, worker-death detection with
   pool rebuild, structured
   :class:`~repro.resilience.supervisor.FailureReport` accounting;
-* :mod:`repro.resilience.manifest` — crash-safe campaign manifests for
-  ``repro campaign --resume``;
 * :mod:`repro.resilience.faults` — a deterministic, seeded fault
   injector (worker kill, evaluator exception, torn store write, slow
   task) used by ``tests/resilience`` to prove every recovery path.
 
 The package re-exports nothing: callers import the module they need,
 so that importing the store tier (which needs only
-:mod:`~repro.resilience.faults`) does not load the supervisor, the
-manifest and :mod:`multiprocessing`.
+:mod:`~repro.resilience.faults`) does not load the supervisor and
+:mod:`multiprocessing`.  Campaigns resume through their store tier
+alone (:mod:`repro.perf.storetier`); no other resume record exists.
 
 See ``docs/RESILIENCE.md`` for the supervision model and the recovery
 semantics.

@@ -3,9 +3,9 @@
 One ``journal.json`` per service state directory records every admitted
 job: its spec (the idempotency unit), its state, and per-cell outcomes
 as they land.  Every mutation rewrites the file atomically (temp file,
-flush, fsync, ``os.replace``) — the same durability discipline as the
-campaign manifest — so a SIGKILL at any instant leaves either the
-previous or the next consistent journal on disk, never a torn one.
+flush, fsync, ``os.replace``), so a SIGKILL at any instant leaves
+either the previous or the next consistent journal on disk, never a
+torn one.
 
 Recovery is a pure read: :meth:`JobJournal.load` returns the records;
 the daemon re-queues every non-terminal job's unfinished cells, which

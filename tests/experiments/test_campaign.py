@@ -18,7 +18,6 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.ga.engine import GAConfig
-from repro.resilience.manifest import CampaignManifest, campaign_fingerprint
 
 TINY_GA = GAConfig(population_size=6, generations=2, seed=0)
 
@@ -230,63 +229,40 @@ class TestCampaignStrategies:
             run_campaign(tasks, ga_config=TINY_GA, strategy=name)
         assert "\n" not in str(info.value)
 
-    def test_manifest_of_a_deleted_strategy_is_refused(self, tmp_path):
+    def test_changed_strategy_equals_a_fresh_run(self, tmp_path):
+        """Nothing but the tier is recorded, so a campaign directory
+        re-run under another strategy tunes under that strategy: it
+        recalls the genomes it shares with the first run (the default
+        heuristic at least) and equals a fresh campaign of it bit for
+        bit."""
         campaign_dir = str(tmp_path / "campaign")
         tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
         run_campaign(
             tasks, ga_config=TINY_GA, campaign_dir=campaign_dir, serial=True
         )
-        # rewrite the manifest as an mcts campaign would have left it
-        path = os.path.join(campaign_dir, "manifest.json")
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["fingerprint"] = campaign_fingerprint(
-            [task.name for task in tasks], TINY_GA, 0, strategy="mcts"
-        )
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        with pytest.raises(CampaignError, match="different configuration") as info:
-            run_campaign(
-                tasks,
-                ga_config=TINY_GA,
-                campaign_dir=campaign_dir,
-                serial=True,
-                resume=True,
-            )
-        assert "\n" not in str(info.value)
-
-    def test_resume_under_a_different_strategy_is_rejected(self, tmp_path):
-        campaign_dir = str(tmp_path / "campaign")
-        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
-        run_campaign(
-            tasks, ga_config=TINY_GA, campaign_dir=campaign_dir, serial=True
-        )
-        with pytest.raises(CampaignError, match="different configuration"):
-            run_campaign(
-                tasks,
-                ga_config=TINY_GA,
-                campaign_dir=campaign_dir,
-                serial=True,
-                resume=True,
-                strategy="cmaes",
-            )
-
-    def test_ga_resume_fingerprint_is_unchanged_by_the_field(self, tmp_path):
-        # a pre-strategy manifest must keep resuming under the default
-        campaign_dir = str(tmp_path / "campaign")
-        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
-        run_campaign(
-            tasks, ga_config=TINY_GA, campaign_dir=campaign_dir, serial=True
-        )
-        resumed = run_campaign(
+        changed = run_campaign(
             tasks,
             ga_config=TINY_GA,
             campaign_dir=campaign_dir,
             serial=True,
             resume=True,
+            strategy="cmaes",
         )
-        assert resumed.failures == ()
-        assert resumed.total_evaluations == 0  # every cell answered by skip
+        fresh = run_campaign(
+            tasks,
+            ga_config=TINY_GA,
+            store_path=str(tmp_path / "fresh.tier"),
+            serial=True,
+            strategy="cmaes",
+        )
+        assert changed.ok and fresh.ok
+        for a, b in zip(fresh.results, changed.results):
+            assert b.tuned.strategy == "cmaes"
+            assert b.tuned.params == a.tuned.params
+            assert b.tuned.fitness.hex() == a.tuned.fitness.hex()
+            assert b.tuned.default_fitness.hex() == a.tuned.default_fitness.hex()
+            assert b.tuned.generations_run == a.tuned.generations_run
+            assert b.tuned.store_hits > 0
 
 
 class TestTierOnlyStore:
@@ -319,20 +295,40 @@ class TestTierOnlyStore:
         run_campaign(
             self.TASKS, ga_config=TINY_GA, campaign_dir=campaign_dir, serial=True
         )
-        with open(os.path.join(campaign_dir, "manifest.json")) as handle:
-            named = json.load(handle)["store_path"]
-        assert named == os.path.join(campaign_dir, "evaluations.tier")
-        assert os.path.isdir(named)
+        tier = os.path.join(campaign_dir, "evaluations.tier")
+        assert os.path.exists(os.path.join(tier, "tier.json"))
+        assert os.listdir(campaign_dir) == ["evaluations.tier"]  # no manifest
 
-    def test_manifest_naming_a_jsonl_store_is_rejected(self, tmp_path):
-        campaign_dir = str(tmp_path / "camp")
-        legacy = str(tmp_path / "camp" / "evaluations.jsonl")
-        fingerprint = campaign_fingerprint(
-            [t.name for t in self.TASKS], TINY_GA, 0
+    def test_old_directory_without_a_tier_is_refused(self, tmp_path):
+        """A directory from before campaigns became tier-only: its
+        manifest names a JSONL store, so it has no tier at
+        ``<dir>/evaluations.tier`` and ``resume=True`` refuses it in one
+        line naming ``--store``, reading and changing nothing."""
+        campaign_dir = tmp_path / "camp"
+        campaign_dir.mkdir()
+        legacy = campaign_dir / "evaluations.jsonl"
+        legacy.write_text("")
+        manifest = campaign_dir / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "fingerprint": "0123456789abcdef",
+                    "store_path": str(legacy),
+                    "cells": {},
+                },
+                indent=1,
+            )
         )
-        CampaignManifest.create(campaign_dir, fingerprint, legacy)
-        with pytest.raises(ConfigurationError, match="repro store migrate"):
+        before = manifest.read_bytes()
+        with pytest.raises(CampaignError, match="--store") as info:
             run_campaign(
-                self.TASKS, ga_config=TINY_GA, campaign_dir=campaign_dir,
+                self.TASKS, ga_config=TINY_GA, campaign_dir=str(campaign_dir),
                 serial=True, resume=True,
             )
+        assert "\n" not in str(info.value)
+        assert "evaluations.tier" in str(info.value)
+        assert manifest.read_bytes() == before
+        assert sorted(os.listdir(campaign_dir)) == [
+            "evaluations.jsonl", "manifest.json",
+        ]

@@ -675,16 +675,15 @@ class TestStoreCLI:
 class TestImportFootprint:
     def test_tier_does_not_import_the_supervisor(self):
         """The tier needs only the fault injector of the resilience
-        package; the supervisor, the manifest and multiprocessing stay
-        unloaded (checked in a fresh interpreter)."""
+        package; the supervisor and multiprocessing stay unloaded
+        (checked in a fresh interpreter)."""
         import subprocess
         import sys
 
         probe = (
             "import sys, repro.perf.storetier; "
             "print(sorted(m for m in ('repro.resilience.supervisor', "
-            "'repro.resilience.manifest', 'multiprocessing') "
-            "if m in sys.modules))"
+            "'multiprocessing') if m in sys.modules))"
         )
         src = os.path.join(
             os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"

@@ -113,7 +113,7 @@ class TestCampaignResume:
         )
         assert first.ok
         assert all(r.status == "done" for r in first.results)
-        assert os.path.exists(os.path.join(campaign_dir, "manifest.json"))
+        assert not os.path.exists(os.path.join(campaign_dir, "manifest.json"))
         # the campaign dir supplied the default shared store
         assert os.path.isdir(os.path.join(campaign_dir, "evaluations.tier"))
 
@@ -122,7 +122,7 @@ class TestCampaignResume:
             campaign_dir=campaign_dir, resume=True,
         )
         assert second.ok
-        assert all(r.status == "resumed" for r in second.results)
+        assert all(r.status == "done" for r in second.results)
         assert second.total_evaluations == 0
         assert second.total_new_records == 0
         for a, b in zip(first.results, second.results):
@@ -163,29 +163,51 @@ class TestCampaignResume:
             campaign_dir=campaign_dir, resume=True,
         )
         assert recovered.ok
-        assert recovered.results[0].status == "resumed"
+        assert recovered.results[0].status == "done"
         assert recovered.results[1].status == "done"
 
-    def test_resume_requires_existing_manifest(self, tmp_path):
-        with pytest.raises(CampaignError, match="no campaign manifest"):
+    def test_resume_requires_the_campaigns_tier(self, tmp_path):
+        campaign_dir = str(tmp_path / "nope")
+        with pytest.raises(CampaignError, match="--store") as info:
             run_campaign(
                 _tasks_1x2(), ga_config=TINY, serial=True,
-                campaign_dir=str(tmp_path / "nope"), resume=True,
+                campaign_dir=campaign_dir, resume=True,
             )
+        message = str(info.value)
+        assert "\n" not in message
+        assert os.path.join(campaign_dir, "evaluations.tier") in message
+        assert not os.path.exists(campaign_dir)  # refused, nothing made
 
     def test_resume_without_dir_rejected(self):
         with pytest.raises(ConfigurationError):
             run_campaign(_tasks_1x2(), ga_config=TINY, resume=True)
 
-    def test_different_configuration_refused(self, tmp_path):
+    def test_changed_budget_equals_a_fresh_run(self, tmp_path):
+        """Nothing but the tier is recorded, so a changed GA budget on
+        the same directory tunes under the new budget: it recalls the
+        genomes it shares with the first run and equals a fresh
+        campaign of that budget bit for bit."""
         campaign_dir = str(tmp_path / "camp")
         tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
+        longer = TINY.scaled(generations=3)
         run_campaign(tasks, ga_config=TINY, serial=True, campaign_dir=campaign_dir)
-        with pytest.raises(CampaignError, match="different configuration"):
-            run_campaign(
-                tasks, ga_config=TINY.scaled(generations=3), serial=True,
-                campaign_dir=campaign_dir,
-            )
+        changed = run_campaign(
+            tasks, ga_config=longer, serial=True,
+            campaign_dir=campaign_dir, resume=True,
+        )
+        fresh = run_campaign(
+            tasks, ga_config=longer, serial=True,
+            store_path=str(tmp_path / "fresh.tier"),
+        )
+        assert changed.ok and fresh.ok
+        for a, b in zip(fresh.results, changed.results):
+            assert b.tuned.params == a.tuned.params
+            assert b.tuned.fitness.hex() == a.tuned.fitness.hex()
+            assert b.tuned.default_fitness.hex() == a.tuned.default_fitness.hex()
+            assert b.tuned.generations_run == a.tuned.generations_run
+            assert b.tuned.store_hits > 0
+            # the shared genomes were recalled, the rest simulated
+            assert b.tuned.evaluations == a.tuned.evaluations - b.tuned.store_hits
 
 
 class TestCampaignCLI:
@@ -241,9 +263,22 @@ class TestCampaignCLI:
             "--dir", campaign_dir,
         ]
         assert main(argv) == 0
-        assert os.path.exists(os.path.join(campaign_dir, "manifest.json"))
+        assert not os.path.exists(os.path.join(campaign_dir, "manifest.json"))
         capsys.readouterr()
         assert main(argv + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
-        assert "skipped" in out
+        assert "; 0 simulations" in out
+
+    def test_resume_of_a_missing_dir_exits_2_naming_store(self, tmp_path, capsys):
+        code = main(
+            [
+                "campaign", "--machines", "pentium4", "--scenarios", "opt",
+                "--serial", "--generations", "2", "--population", "6",
+                "--dir", str(tmp_path / "no-such-dir"), "--resume",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--store" in err
+        assert len(err.strip().splitlines()) == 1

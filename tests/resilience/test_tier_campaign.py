@@ -6,7 +6,8 @@ against the tier answers every recorded genome *exactly* and therefore
 produces fitnesses bitwise-identical to a fault-free cold run; and a
 second campaign over the same grid warm-starts entirely from the first
 campaign's shards, simulating nothing.  Neighbour seeding is the one
-deliberately trajectory-changing mode and is only smoke-tested here.
+deliberately trajectory-changing mode: a seeded campaign is only
+smoke-tested against a cold run, but its own re-run is a pure recall.
 """
 
 import os
@@ -118,14 +119,14 @@ class TestTierCampaignResume:
             campaign_dir=campaign_dir,
         )
         assert first.ok
-        assert os.path.exists(os.path.join(campaign_dir, "manifest.json"))
+        assert not os.path.exists(os.path.join(campaign_dir, "manifest.json"))
 
         second = run_campaign(
             tasks, ga_config=TINY, store_path=root, serial=True,
             campaign_dir=campaign_dir, resume=True,
         )
         assert second.ok
-        assert all(r.status == "resumed" for r in second.results)
+        assert all(r.status == "done" for r in second.results)
         assert second.total_evaluations == 0
         _assert_bitwise(first, second)
 
@@ -167,7 +168,7 @@ class TestTierCampaignResume:
             campaign_dir=campaign_dir, resume=True,
         )
         assert recovered.ok
-        assert recovered.results[0].status == "resumed"
+        assert recovered.results[0].status == "done"
         assert recovered.results[1].status == "done"
         _assert_bitwise(baseline, recovered)
 
@@ -190,6 +191,35 @@ class TestNeighborSeeding:
         )
         assert seeded.ok
         assert seeded.total_evaluations > 0
+
+    def test_finished_seeded_cell_reruns_as_a_pure_recall(self, tmp_path):
+        """The first seeded run of a context records the seeds it drew,
+        and a re-run on the tier reads them back: it proposes the same
+        population, so it recalls every genome and lands on the first
+        run's bits."""
+        root = str(tmp_path / "evals.tier")
+        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
+        config = GAConfig(population_size=8, generations=6, seed=0)
+        # the neighbour: the same task on another workload seed
+        run_campaign(
+            tasks, ga_config=config, store_path=root, serial=True,
+            workload_seed=1,
+        )
+        first, again = (
+            run_campaign(
+                tasks, ga_config=config, store_path=root, serial=True,
+                warm_start_neighbors=True,
+            )
+            for _ in range(2)
+        )
+        assert first.ok and again.ok
+        assert first.total_evaluations > 0
+        assert again.total_evaluations == 0
+        _assert_bitwise(first, again)
+        a, b = first.results[0].tuned, again.results[0].tuned
+        assert b.default_fitness == a.default_fitness
+        assert b.generations_run == a.generations_run
+        assert b.store_hits == a.evaluations
 
 
 @pytest.mark.slow

@@ -19,7 +19,10 @@ whole contract at once:
   no cell of theirs lands ``done`` after the cancel was acknowledged
   (in-flight cells are written off at the cell boundary);
 * **no orphaned process** — every child of the SIGKILLed daemon (its
-  pool workers, its resource tracker) has exited by the end.
+  pool workers, its resource tracker) has exited by the end;
+* **the timeout path ran** — with ``--faults on --telemetry DIR``, DIR
+  holds a ``supervise.failure`` of kind ``timeout`` and a
+  ``supervise.pool_rebuild`` with reason ``timeout``.
 
 Usage (full soak, then the shortened CI variant)::
 
@@ -32,6 +35,7 @@ Exit code 0 on success; 1 with the violated assertions listed.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import signal
@@ -71,9 +75,13 @@ GENERATIONS = 2
 
 #: per-cell supervision knobs the daemon runs with; the slow-task fault
 #: sleeps past the timeout so exactly one cell exercises the
-#: timeout-and-pool-rebuild path
-TASK_TIMEOUT = 8.0
+#: timeout-and-pool-rebuild path.  The stall fires on an early cell of
+#: the first daemon, so its budget must run out before that daemon is
+#: SIGKILLed, KILL_AFTER s after the first submission; a healthy cell
+#: takes well under a second.
+TASK_TIMEOUT = 3.0
 SLOW_DELAY = 10.0
+KILL_AFTER = 6.0
 
 
 def job_payload(index: int) -> dict:
@@ -141,6 +149,31 @@ def fault_plan(marker_dir: str, seed: int) -> FaultPlan:
         seed=seed,
         marker_dir=marker_dir,
     )
+
+
+def timeout_evidence(telemetry: str) -> list:
+    """What *telemetry* lacks of a timed-out cell: a ``timeout``
+    failure and a ``timeout`` pool rebuild (empty when both are in)."""
+    wanted = {
+        ("supervise.failure", "kind"): "supervise.failure of kind timeout",
+        ("supervise.pool_rebuild", "reason"): (
+            "supervise.pool_rebuild with reason timeout"
+        ),
+    }
+    for path in glob.glob(os.path.join(telemetry, "events-*.jsonl")):
+        with open(path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                for event, field in list(wanted):
+                    if (
+                        record.get("event") == event
+                        and record.get(field) == "timeout"
+                    ):
+                        del wanted[(event, field)]
+    return [f"telemetry holds no {what}" for what in wanted.values()]
 
 
 def _stat(pid: int):
@@ -306,7 +339,7 @@ def main(argv=None) -> int:
         if args.faults == "on":
             # let the daemon get properly busy, then SIGKILL it — no
             # drain, no cleanup — and restart on the same state dir
-            time.sleep(6.0)
+            time.sleep(KILL_AFTER)
             killed_children = children_of(daemon.pid)
             print(
                 f"soak: SIGKILL daemon pid {daemon.pid} "
@@ -418,6 +451,10 @@ def main(argv=None) -> int:
             os.kill(pid, signal.SIGKILL)
         except OSError:
             pass
+
+    # -- the stalled cell timed out and its pool was rebuilt ----------
+    if args.faults == "on" and args.telemetry:
+        problems.extend(timeout_evidence(args.telemetry))
 
     # -- verify the journal against the fault-free reference ----------
     journal_path = os.path.join(state_dir, "journal.json")
